@@ -310,6 +310,8 @@ def decoherence_scan(
     trial gets its own derived seed; a degenerate draw is retried with a
     shifted seed (deterministically).
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rho0 = density_matrix_from_state(state)
     purities = []
     fidelities = []

@@ -41,11 +41,20 @@ from .presets import (
     preset_generators,
     preset_group,
 )
-from .subgroup import ClosureCapError, characters, closure, reducibility_sum
+from .subgroup import (
+    ClosureCapError,
+    characters,
+    closure,
+    exponent_table,
+    reducibility_sum,
+)
 
 SCHEMA_VERSION = 1
 
 _VALUE_NAMES = {(1, 0): "+1", (-1, 0): "-1", (0, 1): "+i", (0, -1): "-i"}
+#: Names of i^k indexed by k.  An object array, so that every cell of a
+#: character table refers to one of these four strings.
+_EXPONENT_NAMES = np.array(["+1", "+i", "-1", "-i"], dtype=object)
 
 
 def _value_name(v: complex) -> str:
@@ -126,7 +135,7 @@ def build_analysis_report(
     }
     dense_ok = group.n_qubits <= dense_limit
     if dense_ok:
-        total, verdict = reducibility_sum(group, dense_limit=dense_limit)
+        total, verdict = reducibility_sum(group)
         report["reducibility"] = {"sum": total, "verdict": verdict}
 
     if not group.is_abelian:
@@ -150,14 +159,11 @@ def build_analysis_report(
     report["verdict"] = "abelian"
     chars = characters(group)
     element_strings = [format_pauli(e) for e in group.elements]
+    table = _EXPONENT_NAMES[exponent_table(group, chars)].tolist()
     report["character_table"] = {
         "elements": element_strings,
         "rows": [
-            {
-                "label": c.label,
-                "values": [_value_name(c.values[e]) for e in group.elements],
-            }
-            for c in chars
+            {"label": c.label, "values": values} for c, values in zip(chars, table)
         ],
     }
     entries = []

@@ -60,8 +60,13 @@ def _check_character(group: PauliSubgroup, character: Character):
             "projectors onto one-dimensional irreps need an Abelian "
             "subgroup (see nonabelian_one_dim_search)"
         )
-    if len(character.values) != group.order or any(
-        e not in character.values for e in group.elements
+    own = character.group
+    # equal orders plus containment of the character's generators make the
+    # two subgroups equal, without touching their elements
+    if own is not group and not (
+        own.n_qubits == group.n_qubits
+        and own.order == group.order
+        and all(g in group for g in own.generators)
     ):
         raise ValueError("character does not belong to this subgroup")
 
@@ -132,17 +137,22 @@ def multiplicity(group: PauliSubgroup, character: Character) -> int:
 
     Exact evaluation of (1/N) sum_n conj(chi_k) chi_natural: every Pauli
     string except phase multiples of the identity is traceless, so only
-    the phase subgroup contributes i^c 2^K terms.  Works at any qubit
-    count since no matrices are formed.
+    the phase subgroup contributes, i^c I giving i^(c - k) 2^K when
+    chi_k(i^c I) = i^k.  The powers of i are counted in Z4, so the sum is
+    exact integer arithmetic at any qubit count.
     """
     _check_character(group, character)
-    total = 0 + 0j
+    counts = [0, 0, 0, 0]
     for element in group.phase_subgroup:
-        total += character.values[element].conjugate() * (1j**element.phase_exp)
-    total *= (1 << group.n_qubits) / group.order
-    if abs(total.imag) > 1e-9 or abs(total.real - round(total.real)) > 1e-9:
-        raise AssertionError(f"non-integer multiplicity {total} from exact sum")
-    return int(round(total.real))
+        counts[(element.phase_exp - character.exponent(element)) % 4] += 1
+    real, imag = counts[0] - counts[2], counts[1] - counts[3]
+    total = real << group.n_qubits
+    if imag or total % group.order:
+        raise AssertionError(
+            f"non-integer multiplicity ({real}{imag:+d}i) * 2^{group.n_qubits}"
+            f" / {group.order} from exact sum"
+        )
+    return total // group.order
 
 
 def dfs_basis(

@@ -3,31 +3,32 @@
 A subgroup is held as the full, canonically ordered element list together
 with the generators it was built from.  Character enumeration is algebraic:
 generators are sifted to an independent set over the symplectic bit space
-(with exact phase tracking), every element is decomposed once over that
-set, and characters are read off from all consistent root-of-unity
-assignments.  No floating point is involved, so the same code works far
-beyond the dense-matrix limit.
+(with exact phase tracking), and a character is stored as its label over
+that set, a Z4 exponent for the phase generator and for each of the r
+pivots.  Values on group elements are computed on demand from the
+element's coordinates over the sifted set, which the subgroup works out
+once, so enumerating all N characters costs O(N*r) time and memory and
+never builds an N x N table.  No floating point is involved, so the same
+code works far beyond the dense-matrix limit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterator, Mapping, Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
-from types import MappingProxyType
-from typing import Mapping
+from operator import mul as int_mul
 
 import numpy as np
 
 from .pauli import (
-    DENSE_QUBIT_LIMIT,
     PauliElement,
     QubitCountError,
     canonical_key,
     format_pauli,
     identity,
     mul,
-    to_matrix,
 )
 
 #: Hard ceiling on closure size; a subgroup of P_K never needs more than
@@ -76,6 +77,19 @@ class PauliSubgroup:
     def phase_subgroup(self) -> tuple[PauliElement, ...]:
         """The elements that are phase multiples of the identity string."""
         return tuple(e for e in self.elements if e.is_identity_multiple)
+
+    @cached_property
+    def sifted(self) -> SiftedGenerators:
+        """The generators sifted to an independent set (``sift_generators``)."""
+        return sift_generators(self.generators, self.n_qubits)
+
+    @cached_property
+    def element_coordinates(self) -> dict[PauliElement, tuple[int, ...]]:
+        """Each element's ``coordinates`` over ``sifted``, in element order.
+
+        Built on first use, in O(N*r) time and memory.
+        """
+        return {e: coordinates(e, self.sifted) for e in self.elements}
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,45 +219,43 @@ def _vector_key(p: PauliElement) -> int:
     return (p.x_mask << p.n_qubits) | p.z_mask
 
 
+def _sift_into(
+    p: PauliElement, pivots: dict[int, PauliElement], phase_step: int
+) -> int:
+    """Sift ``p`` into ``pivots`` in place and return the new phase step.
+
+    The identity multiples generated so far are the powers of
+    i^phase_step I (4 meaning +I alone).  ``p`` is reduced by the pivots
+    via exact group multiplication, so phases are tracked; a nonzero
+    remainder becomes a new pivot, a phase remainder i^c I joins the phase
+    subgroup.  An anti-Hermitian pivot squares to -I, which joins as well.
+    """
+    w = p
+    while True:
+        vec = _vector_key(w)
+        if vec == 0:
+            return math.gcd(phase_step, w.phase_exp)
+        bit = vec.bit_length() - 1
+        if bit not in pivots:
+            pivots[bit] = w
+            return math.gcd(phase_step, 2) if w.phase_exp % 2 else phase_step
+        w = mul(w, pivots[bit])
+
+
 def sift_generators(
     generators: tuple[PauliElement, ...], n_qubits: int
 ) -> SiftedGenerators:
-    """Greedy Gaussian sift of generators over the symplectic bit space.
-
-    Each generator is reduced by the current pivots (via exact group
-    multiplication, so phases are tracked); a nonzero remainder becomes a
-    new pivot, a phase remainder i^c I is folded into the phase subgroup.
-    Squares of anti-Hermitian pivots contribute -I as well.
-    """
+    """Greedy Gaussian sift of generators over the symplectic bit space."""
     pivots: dict[int, PauliElement] = {}
-    phase_exps = {0}
+    phase_step = 4
     for g in generators:
-        w = g
-        while True:
-            vec = _vector_key(w)
-            if vec == 0:
-                phase_exps.add(w.phase_exp)
-                break
-            bit = vec.bit_length() - 1
-            if bit in pivots:
-                w = mul(w, pivots[bit])
-            else:
-                pivots[bit] = w
-                break
-    for b in pivots.values():
-        if b.phase_exp % 2 == 1:
-            phase_exps.add(2)  # b squared is -I
-    gcd = 0
-    for e in phase_exps:
-        gcd = math.gcd(gcd, e)
-    gcd = math.gcd(gcd, 4)
-    phase_gen = 0 if gcd == 4 else gcd
+        phase_step = _sift_into(g, pivots, phase_step)
     ordered_bits = tuple(sorted(pivots, reverse=True))
     return SiftedGenerators(
         n_qubits=n_qubits,
         pivots=tuple(pivots[b] for b in ordered_bits),
         pivot_bits=ordered_bits,
-        phase_exp_generator=phase_gen,
+        phase_exp_generator=phase_step % 4,
     )
 
 
@@ -271,38 +283,111 @@ def decompose(
         w = mul(w, sifted.pivots[index])
 
 
+def coordinates(p: PauliElement, sifted: SiftedGenerators) -> tuple[int, ...]:
+    """Exponents (m, k_1, ..., k_r) with p = u^m * b_1^k_1 * ... * b_r^k_r.
+
+    Here u = i^e I is the phase generator and b_j are the pivots of an
+    Abelian subgroup containing ``p``.  Each k_j is 0 or 3, since the
+    inverse of a Pauli element is its cube.  A character with Z4 label
+    (x_0, ..., x_r) then takes the value i^(m x_0 + sum_j k_j x_j) on p.
+    """
+    selection, c = decompose(p, sifted)
+    e = sifted.phase_exp_generator
+    return (c // e if e else 0, *(3 * s for s in selection))
+
+
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
 
-_ROOTS = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def _root_exponent(value: complex) -> int:
-    """Index k with value == i^k, for exact fourth roots of unity."""
-    for k, root in enumerate(_ROOTS):
-        if value == root:
-            return k
-    raise ValueError(f"{value!r} is not an exact fourth root of unity")
+#: i^k for k = 0..3, with +0.0 wherever a part is zero (the literal -1j
+#: would carry a -0.0 real part into projectors and JSON).
+_ROOTS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
 @dataclass(frozen=True)
 class Character:
-    """A one-dimensional irrep of an Abelian Pauli subgroup.
+    """A one-dimensional irrep of an Abelian Pauli subgroup, as a Z4 label.
 
-    ``values`` maps every group element to an exact fourth root of unity;
-    multiplicativity values[g h] == values[g] values[h] holds exactly.
+    With u the phase generator and b_1..b_r the pivots of
+    ``group.sifted``, the character sends u to i^exponents[0] and b_j to
+    i^exponents[j]; every element is a product of those, so these r + 1
+    exponents fix the character.  ``values`` is a read-only mapping over
+    ``group.elements`` whose entries, exact fourth roots of unity, are
+    computed on demand; multiplicativity values[g h] == values[g] values[h]
+    holds exactly.
     """
 
     label: int
-    values: Mapping[PauliElement, complex]
+    exponents: tuple[int, ...]
+    group: PauliSubgroup = field(repr=False, hash=False)
+
+    def exponent(self, p: PauliElement) -> int:
+        """k with chi(p) = i^k; KeyError if ``p`` is outside the group."""
+        coords = self.group.element_coordinates[p]
+        return sum(map(int_mul, self.exponents, coords)) % 4
 
     def __call__(self, p: PauliElement) -> complex:
         return self.values[p]
 
     @property
+    def values(self) -> Mapping[PauliElement, complex]:
+        return _CharacterValues(self)
+
+    @property
     def is_trivial(self) -> bool:
-        return all(v == 1 for v in self.values.values())
+        return not any(self.exponents)
+
+
+class _CharacterValues(Mapping):
+    """Read-only view of one character's values over its group."""
+
+    __slots__ = ("_character",)
+
+    def __init__(self, character: Character):
+        self._character = character
+
+    def __getitem__(self, p: PauliElement) -> complex:
+        return _ROOTS[self._character.exponent(p)]
+
+    def __iter__(self) -> Iterator[PauliElement]:
+        return iter(self._character.group.elements)
+
+    def __len__(self) -> int:
+        return self._character.group.order
+
+
+def _canonical_basis(group: PauliSubgroup) -> list[PauliElement]:
+    """Elements, in canonical order, that no earlier element generates.
+
+    The scan keeps each element outside the subgroup generated by the
+    ones kept so far and stops once they generate the whole group, so at
+    most log2(N) elements are kept.  Two characters that agree on a set of
+    elements agree on everything it generates, so the first element where
+    two characters differ is always kept: comparing characters on this
+    basis orders them exactly as comparing their full value rows in
+    canonical element order.
+    """
+    basis: list[PauliElement] = []
+    pivots: dict[int, PauliElement] = {}
+    phase_step = 4
+    for element in group.elements:
+        if (4 // phase_step) << len(pivots) == group.order:
+            break
+        before = (len(pivots), phase_step)
+        phase_step = _sift_into(element, pivots, phase_step)
+        if (len(pivots), phase_step) != before:
+            basis.append(element)
+    return basis
+
+
+def _exponents(labels: np.ndarray, coords: Sequence[tuple[int, ...]]) -> np.ndarray:
+    """Z4 exponents of every labelled character on every coordinate row.
+
+    uint8 products wrap mod 256, which 4 divides, so the result is exact.
+    """
+    columns = np.array(coords, dtype=np.uint8).reshape(len(coords), labels.shape[1])
+    return (labels @ columns.T) % 4
 
 
 def characters(group: PauliSubgroup) -> list[Character]:
@@ -312,8 +397,10 @@ def characters(group: PauliSubgroup) -> list[Character]:
     element uniquely as u^m * prod b_i^(eps_i).  A character is fixed by a
     root of unity for u (its order many choices) and a square root of
     chi(b_i^2) for each pivot (two choices each), which yields exactly
-    ``order`` distinct, automatically consistent assignments.  Characters
-    are sorted with the trivial one first and labeled 1..N.
+    ``order`` distinct, automatically consistent labels in O(N*r).
+    Characters are sorted by their value rows over the canonically ordered
+    elements, compared on ``_canonical_basis``, so the trivial one comes
+    first; they are labeled 1..N.
 
     Raises:
         NotAbelianError: the group has an anticommuting pair, hence no
@@ -325,7 +412,7 @@ def characters(group: PauliSubgroup) -> list[Character]:
             "non-Abelian Pauli subgroup has no one-dimensional irreps "
             "(see dfs.nonabelian_one_dim_search)"
         )
-    sifted = sift_generators(group.generators, group.n_qubits)
+    sifted = group.sifted
     z_size = sifted.phase_subgroup_size
     r = len(sifted.pivots)
     if z_size * 2**r != group.order:
@@ -333,65 +420,51 @@ def characters(group: PauliSubgroup) -> list[Character]:
             f"sift inconsistency: {z_size} * 2^{r} != order {group.order}"
         )
 
-    decomposition = [decompose(e, sifted) for e in group.elements]
-    e_exp = sifted.phase_exp_generator
-    omegas = {1: (1 + 0j,), 2: (1 + 0j, -1 + 0j), 4: _ROOTS}[z_size]
+    # chi(u) = i^w with u^|Z| = I, so w is a multiple of 4/|Z|
+    omegas = range(0, 4, 4 // z_size)
+    # chi(b)^2 == chi(b^2): an anti-Hermitian pivot squares to -I, so its
+    # value is i^(h/2) or -i^(h/2) with chi(-I) = i^h and -I = u^(2/e);
+    # a Hermitian pivot squares to +I and takes +-1.
+    anti_hermitian = np.array([b.phase_exp % 2 for b in sifted.pivots], dtype=np.uint8)
+    signs = (np.arange(2**r)[:, None] >> np.arange(r)) & 1
+    blocks = []
+    for w in omegas:
+        h = (2 // sifted.phase_exp_generator) * w % 4 if w else 0
+        pivot_exps = (h // 2) * anti_hermitian + 2 * signs
+        blocks.append(np.column_stack([np.full(2**r, w), pivot_exps]))
+    labels = np.concatenate(blocks).astype(np.uint8)
 
-    # chi(b_i)^2 == chi(b_i^2) == chi(i^(2 a_i) I); the square only ever
-    # lands on +-1, so each pivot value is +-1 or +-i.
-    pivot_square_exp = tuple((2 * b.phase_exp) % 4 for b in sifted.pivots)
-
-    raw: list[dict[PauliElement, complex]] = []
-    for omega in omegas:
-        bases = []
-        for sq in pivot_square_exp:
-            target = omega ** (sq // e_exp) if sq else 1 + 0j
-            bases.append(1 + 0j if target == 1 else 1j)
-        for pattern in range(2**r):
-            betas = [
-                bases[i] * (1 - 2 * ((pattern >> (r - 1 - i)) & 1))
-                for i in range(r)
-            ]
-            beta_conj = [b.conjugate() for b in betas]
-            values: dict[PauliElement, complex] = {}
-            for element, (selection, c) in zip(group.elements, decomposition):
-                if e_exp:
-                    value = omega ** (c // e_exp)
-                else:
-                    value = 1 + 0j
-                for i, picked in enumerate(selection):
-                    if picked:
-                        value *= beta_conj[i]
-                # clear negative zeros picked up from conjugation
-                values[element] = complex(value.real + 0.0, value.imag + 0.0)
-            raw.append(values)
-
-    keyed = sorted(
-        raw,
-        key=lambda vals: tuple(_root_exponent(vals[e]) for e in group.elements),
-    )
-    result = [
-        Character(label=k + 1, values=MappingProxyType(vals))
-        for k, vals in enumerate(keyed)
-    ]
-    if len({tuple(_root_exponent(c.values[e]) for e in group.elements) for c in result}) != group.order:
+    basis = _canonical_basis(group)
+    keys = _exponents(labels, [coordinates(b, sifted) for b in basis])
+    _, order = np.unique(keys, axis=0, return_index=True)
+    if len(order) != group.order:
         raise AssertionError("character enumeration produced duplicates")
-    return result
+    return [
+        Character(label=k + 1, exponents=tuple(row), group=group)
+        for k, row in enumerate(labels[order].tolist())
+    ]
 
 
-def reducibility_sum(
-    group: PauliSubgroup, dense_limit: int | None = None
-) -> tuple[float, str]:
+def exponent_table(group: PauliSubgroup, chars: Sequence[Character]) -> np.ndarray:
+    """uint8 table with chi_k(G_n) = i^table[k, n] over ``group.elements``.
+
+    One integer product of the characters' labels with the elements'
+    coordinates.  ``chars`` must come from ``characters(group)``.
+    """
+    if any(c.group is not group for c in chars):
+        raise ValueError("characters belong to another subgroup object")
+    labels = np.array([c.exponents for c in chars], dtype=np.uint8)
+    return _exponents(labels, list(group.element_coordinates.values()))
+
+
+def reducibility_sum(group: PauliSubgroup) -> tuple[float, str]:
     """Sum of |trace|^2 over the natural representation, with the verdict.
 
     The natural representation of the subgroup on 2^K dimensions is
     irreducible exactly when the sum equals the group order; any excess
-    means it is reducible.  Traces are taken of the dense matrices, so
-    the dense qubit limit applies.
+    means it is reducible.  Every Pauli string other than the identity is
+    traceless and i^c I has trace i^c 2^K, so the sum is exactly |Z| 4^K
+    for the phase subgroup Z, at any qubit count.
     """
-    limit = DENSE_QUBIT_LIMIT if dense_limit is None else dense_limit
-    total = 0.0
-    for e in group.elements:
-        total += abs(np.trace(to_matrix(e, dense_limit=limit))) ** 2
-    verdict = "irreducible" if abs(total - group.order) < 1e-9 else "reducible"
-    return total, verdict
+    total = len(group.phase_subgroup) << (2 * group.n_qubits)
+    return float(total), "irreducible" if total == group.order else "reducible"

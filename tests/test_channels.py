@@ -167,6 +167,11 @@ class TestDecoherenceScan:
         report = decoherence_scan(group, state, trials=8, seed=0)
         assert report.min_purity > 1 - 1e-12
 
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_nonpositive_trials_rejected(self, qz, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            decoherence_scan(qz, ket("00"), trials=trials)
+
     def test_report_json(self, qz):
         report = decoherence_scan(qz, ket("00"), trials=4, seed=0)
         data = report.to_json_dict()

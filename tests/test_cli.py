@@ -199,6 +199,14 @@ class TestChannel:
         )
         assert code == 1
 
+    def test_zero_trials_exit_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "channel", "ZI", "IZ", "--state", "|00>", "--trials", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert "input error: trials must be >= 1" in err
+
     def test_text_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "channel", "ZI", "IZ", "--state", "|00>", "--trials", "2"

@@ -76,6 +76,20 @@ class TestProjector:
         with pytest.raises(ValueError):
             projector(qz, characters(qx)[0])
 
+    def test_same_order_other_subgroup_rejected(self, qz):
+        other = closure([parse_pauli("XI"), parse_pauli("IX")])
+        with pytest.raises(ValueError, match="does not belong"):
+            multiplicity(other, characters(qz)[1])
+
+    def test_equal_subgroup_from_other_generators_accepted(self, q2z):
+        rebuilt = closure(list(reversed(q2z.elements)))
+        assert rebuilt is not q2z and rebuilt.generators != q2z.generators
+        for char in characters(q2z):
+            assert multiplicity(rebuilt, char) == multiplicity(q2z, char)
+            assert np.array_equal(
+                projector(rebuilt, char).matrix, projector(q2z, char).matrix
+            )
+
     def test_nonabelian_rejected(self, q8):
         fake = characters(closure([parse_pauli("ZI"), parse_pauli("IZ")]))[0]
         with pytest.raises(NotAbelianError):

@@ -20,9 +20,11 @@ from paulidfs import (
     parse_pauli,
     reducibility_sum,
     subgroup_from_error_generators,
+    to_matrix,
 )
-from paulidfs.sampling import random_abelian_subgroup
-from paulidfs.subgroup import ClosureCapError
+from paulidfs.sampling import random_abelian_subgroup, random_nonabelian_subgroup
+from paulidfs.subgroup import ClosureCapError, exponent_table
+from helpers import reference_characters, root_exponent
 
 
 class TestClosure:
@@ -224,6 +226,62 @@ class TestCharacters:
                             char.values[a] * char.values[b]
                         )
 
+    @pytest.mark.parametrize("phases", ["none", "full", "any"])
+    def test_matches_reference_enumeration(self, phases):
+        """Same label order and the same value, signed zeros included, on
+        every element as the dict-based oracle; the vectorized table too."""
+        rng = np.random.default_rng({"none": 41, "full": 42, "any": 43}[phases])
+        for n_qubits in range(1, 7):
+            for _ in range(6):
+                group = random_abelian_subgroup(rng, n_qubits, phases=phases)
+                chars = characters(group)
+                expected = reference_characters(group)
+                assert [c.label for c in chars] == list(range(1, group.order + 1))
+                assert [[repr(v) for v in c.values.values()] for c in chars] == [
+                    [repr(vals[e]) for e in group.elements] for vals in expected
+                ]
+                assert exponent_table(group, chars).tolist() == [
+                    [root_exponent(vals[e]) for e in group.elements]
+                    for vals in expected
+                ]
+                # the label is the value on the phase generator and pivots
+                sifted = group.sifted
+                u = PauliElement(sifted.phase_exp_generator, 0, 0, n_qubits)
+                for c in chars:
+                    on_generators = tuple(c.exponent(g) for g in (u, *sifted.pivots))
+                    assert on_generators == c.exponents
+
+    def test_order_8192_count_and_multiplicativity(self):
+        """Past what an N x N dict table allows in a unit test (67M entries)."""
+        pairs = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)]
+        strings = ["i" + "I" * 12, "I" * 10 + "ZI"]
+        for a, b in pairs:
+            for letter in "XZ":
+                strings.append(
+                    "".join(letter if j in (a, b) else "I" for j in range(12))
+                )
+        group = closure([parse_pauli(s) for s in strings])
+        assert group.order == 2**13
+        chars = characters(group)
+        assert [c.label for c in chars] == list(range(1, group.order + 1))
+        assert chars[0].is_trivial
+        assert len({c.exponents for c in chars}) == group.order
+        rng = np.random.default_rng(8192)
+        for _ in range(300):
+            char = chars[int(rng.integers(group.order))]
+            a, b = (group.elements[int(i)] for i in rng.integers(group.order, size=2))
+            assert char.values[mul(a, b)] == char.values[a] * char.values[b]
+
+    def test_values_mapping_is_read_only_view(self, q2z):
+        char = characters(q2z)[5]
+        assert list(char.values) == list(q2z.elements)
+        assert len(char.values) == q2z.order
+        assert parse_pauli("-ZZII") not in char.values
+        with pytest.raises(KeyError):
+            char.values[parse_pauli("XXXX")]
+        with pytest.raises(TypeError):
+            char.values[q2z.elements[0]] = 1
+
     def test_fourth_roots_with_imaginary_identity(self):
         group = closure([parse_pauli("X"), parse_pauli("iI")])
         chars = characters(group)
@@ -275,7 +333,26 @@ class TestCharacters:
             assert group.is_abelian == (not has_anticommuting)
 
 
+def dense_reducibility_sum(group) -> float:
+    """Oracle: sum of |trace|^2 over the dense matrices of every element."""
+    return sum(abs(np.trace(to_matrix(e))) ** 2 for e in group.elements)
+
+
 class TestReducibility:
+    def test_matches_dense_traces(self):
+        rng = np.random.default_rng(616)
+        groups = []
+        for n_qubits in range(1, 7):
+            for phases in ("none", "full", "any"):
+                groups.append(random_abelian_subgroup(rng, n_qubits, phases=phases))
+        for n_qubits in range(1, 4):
+            groups.append(random_nonabelian_subgroup(rng, n_qubits))
+        for group in groups:
+            total, verdict = reducibility_sum(group)
+            assert isinstance(total, float)
+            assert total == dense_reducibility_sum(group)
+            assert verdict == ("irreducible" if total == group.order else "reducible")
+
     def test_full_p1_irreducible(self):
         group = closure([parse_pauli("X"), parse_pauli("Z"), parse_pauli("iI")])
         total, verdict = reducibility_sum(group)
