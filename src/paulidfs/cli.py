@@ -175,9 +175,7 @@ def build_analysis_report(
         if dense_ok and m > 0:
             basis = dfs_basis(group, c, dense_limit=dense_limit)
             entry["basis"] = basis.to_json_dict()
-            verification = verify_dfs(
-                group, basis, trials=trials, seed=seed, dense_limit=dense_limit
-            )
+            verification = verify_dfs(group, basis, trials=trials, seed=seed)
             entry["verification"] = {
                 "passed": verification.passed,
                 "max_residual": verification.max_residual,
@@ -405,6 +403,10 @@ def _emit(report: dict, as_json: bool, elapsed_s: float):
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.trials < 1 or args.seed < 0:
+        which = "trials must be >= 1" if args.trials < 1 else "seed must be >= 0"
+        print(f"input error: {which}", file=sys.stderr)
+        return 1
     started = time.perf_counter()
     try:
         if args.command == "analyze":

@@ -26,8 +26,10 @@ import numpy as np
 
 from .pauli import (
     DENSE_QUBIT_LIMIT,
-    DenseLimitError,
     PauliElement,
+    _parity,
+    _require_dense,
+    algebra_action,
     matrix_action,
     to_matrix,
 )
@@ -36,22 +38,12 @@ from .subgroup import (
     NotAbelianError,
     PauliSubgroup,
     decompose,
-    sift_generators,
 )
 
-#: Projected seed vectors below this norm are treated as annihilated.
-NULL_PROJECTION_TOL = 1e-8
 #: A verification trial passes when the worst eigenvalue residual is below
 #: this; sits far above double-precision noise at dim <= 4096 and far
 #: below any genuine gap between fourth-root-of-unity eigenvalues.
 RESIDUAL_PASS_TOL = 1e-9
-
-
-def _require_dense(n_qubits: int, dense_limit: int):
-    if n_qubits > dense_limit:
-        raise DenseLimitError(
-            f"{n_qubits} qubits exceeds the dense limit of {dense_limit}"
-        )
 
 
 def _check_character(group: PauliSubgroup, character: Character):
@@ -160,38 +152,46 @@ def dfs_basis(
     character: Character,
     dense_limit: int = DENSE_QUBIT_LIMIT,
 ) -> DfsBasis:
-    """Orthonormal basis of the projector's range.
+    """Orthonormal basis of the range of P_k, without forming P_k.
 
-    Computational basis states are projected in lexicographic order;
-    numerically null projections are dropped and the survivors are
-    orthonormalized by modified Gram-Schmidt, so the result is
-    deterministic and, whenever the representative states listed for the
-    worked examples come first lexicographically, reproduces them.
-    A zero multiplicity yields an empty basis, not an error.
+    Each element maps |b> to a multiple of |b XOR x_n>, so P_k |b> is one
+    vector, up to phase, per X-orbit.  Seeds are the smallest ket of each
+    orbit (no bit in ``lead``, the pivots' leading x bits) on which the
+    X-free elements act as chi_k, checked on their generators in exact Z4
+    exponents.  The m images have disjoint supports and are normalized in
+    increasing seed order.  A zero multiplicity yields an empty basis.
     """
-    proj = projector(group, character, dense_limit=dense_limit)
-    target = proj.multiplicity
-    dim = proj.matrix.shape[0]
-    kept: list[np.ndarray] = []
-    for b in range(dim):
-        if len(kept) == target:
-            break
-        candidate = proj.matrix[:, b].copy()
-        if np.linalg.norm(candidate) < NULL_PROJECTION_TOL:
-            continue
-        for basis_vec in kept:
-            candidate -= np.vdot(basis_vec, candidate) * basis_vec
-        norm = np.linalg.norm(candidate)
-        if norm < NULL_PROJECTION_TOL:
-            continue
-        unit = candidate / norm
-        unit.flags.writeable = False
-        kept.append(unit)
-    if len(kept) != target:
+    _check_character(group, character)
+    _require_dense(group.n_qubits, dense_limit)
+    n = group.n_qubits
+    sifted = group.sifted
+    # sifted pivots have distinct leading bits, so the sum is a bitwise or
+    lead = sum(1 << (p.x_mask.bit_length() - 1) for p in sifted.pivots if p.x_mask)
+    diagonal = [PauliElement(sifted.phase_exp_generator, 0, 0, n)]
+    diagonal += [p for p in sifted.pivots if not p.x_mask]
+    kets = np.arange(1 << n, dtype=np.int64)
+    keep = (kets & lead) == 0
+    for h in diagonal:
+        exponent_on_kets = (h.phase_exp + 2 * _parity(kets & h.z_mask)) % 4
+        keep &= exponent_on_kets == character.exponent(h)
+    seeds = np.flatnonzero(keep)
+    target = multiplicity(group, character)
+    if len(seeds) != target:
         raise AssertionError(
-            f"basis extraction found {len(kept)} vectors, expected {target}"
+            f"basis extraction found {len(seeds)} seed kets, expected {target}"
         )
-    return DfsBasis(character=character, vectors=tuple(kept), multiplicity=target)
+    block = np.zeros((1 << n, target), dtype=complex)
+    block[seeds, np.arange(target)] = 1
+    coefficients = [
+        character.values[e].conjugate() / group.order for e in group.elements
+    ]
+    images = algebra_action(
+        (matrix_action(e) for e in group.elements), coefficients, block
+    )
+    images /= np.linalg.norm(images, axis=0)
+    vectors = images.T.copy()
+    vectors.flags.writeable = False
+    return DfsBasis(character=character, vectors=tuple(vectors), multiplicity=target)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +246,13 @@ def verify_dfs(
     basis: DfsBasis,
     trials: int = 32,
     seed: int = 0,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
 ) -> VerificationReport:
     """Check that every basis vector is a shared eigenvector of random
     group-algebra operators.
 
     Each trial draws complex standard-normal coefficients a_n over the
-    group elements (in canonical order), forms A = sum a_n G_n and tests
+    group elements (in canonical order), applies A = sum a_n G_n to the
+    stacked basis with ``algebra_action``, never forming A, and tests
     A |psi_z> = c |psi_z> with one c shared across all z.  The shared c is
     also compared against the closed form sum_n a_n gamma_n.  Failures are
     reported, never raised: the same routine is used to demonstrate that
@@ -260,13 +260,11 @@ def verify_dfs(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _require_dense(group.n_qubits, dense_limit)
-    dim = 1 << group.n_qubits
-    cols = np.arange(dim)
     actions = [matrix_action(e) for e in group.elements]
     gammas = np.array(
         [basis.character.values[e] for e in group.elements], dtype=complex
     )
+    stack = basis.stack()
     rng = np.random.default_rng(seed)
     results = []
     worst = 0.0
@@ -274,19 +272,13 @@ def verify_dfs(
         coeff = rng.standard_normal(group.order) + 1j * rng.standard_normal(
             group.order
         )
-        operator = np.zeros((dim, dim), dtype=complex)
-        for a, (rows, values) in zip(coeff, actions):
-            operator[rows, cols] += a * values
         predicted = complex(np.dot(coeff, gammas))
         if basis.vectors:
-            images = [operator @ v for v in basis.vectors]
-            rayleigh = [complex(np.vdot(v, w)) for v, w in zip(basis.vectors, images)]
-            shared = sum(rayleigh) / len(rayleigh)
-            residual = max(
-                float(np.linalg.norm(w - shared * v))
-                for v, w in zip(basis.vectors, images)
-            )
-            spread = max(abs(c - shared) for c in rayleigh)
+            images = algebra_action(actions, coeff, stack)
+            rayleigh = np.einsum("ij,ij->j", stack.conj(), images)
+            shared = complex(rayleigh.mean())
+            residual = float(np.linalg.norm(images - shared * stack, axis=0).max())
+            spread = float(np.abs(rayleigh - shared).max())
         else:
             shared = predicted
             residual = 0.0
@@ -405,7 +397,7 @@ def nonabelian_one_dim_search(
     """
     _require_dense(group.n_qubits, dense_limit)
     dim = 1 << group.n_qubits
-    sifted = sift_generators(group.generators, group.n_qubits)
+    sifted = group.sifted
 
     steps: list[tuple[PauliElement, tuple[complex, ...]]] = []
     if sifted.phase_exp_generator:
@@ -442,7 +434,7 @@ def nonabelian_one_dim_search(
 
     spaces = []
     for assignment, basis in branches:
-        eigenvalues = _extend_assignment(group, sifted, assignment)
+        eigenvalues = _extend_assignment(group, assignment)
         spaces.append(
             JointEigenspace(
                 eigenvalues=eigenvalues,
@@ -454,14 +446,13 @@ def nonabelian_one_dim_search(
 
 def _extend_assignment(
     group: PauliSubgroup,
-    sifted,
     assignment: dict[PauliElement, complex],
 ) -> dict[PauliElement, complex]:
     """Extend generator eigenvalues multiplicatively to every element."""
-    pivot_values = [assignment[p] for p in sifted.pivots]
+    pivot_values = [assignment[p] for p in group.sifted.pivots]
     full: dict[PauliElement, complex] = {}
     for element in group.elements:
-        selection, c = decompose(element, sifted)
+        selection, c = decompose(element, group.sifted)
         value = 1j**c
         for picked, lam in zip(selection, pivot_values):
             if picked:

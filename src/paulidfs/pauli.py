@@ -32,13 +32,6 @@ DENSE_QUBIT_LIMIT = 12
 _SIGN_BY_PHASE = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _PHASE_BY_SIGN = {"+": 0, "": 0, "i": 1, "+i": 1, "-": 2, "-i": 3}
 
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),
-    (1, 1): np.array([[0, -1j], [1j, 0]], dtype=complex),
-}
-
 _LETTER_BY_BITS = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 _BITS_BY_LETTER = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 
@@ -241,16 +234,20 @@ def matrix_action(p: PauliElement) -> tuple[np.ndarray, np.ndarray]:
     return rows, global_phase * signs
 
 
+def _require_dense(n_qubits: int, dense_limit: int):
+    if n_qubits > dense_limit:
+        raise DenseLimitError(
+            f"{n_qubits} qubits exceeds the dense limit of {dense_limit}"
+        )
+
+
 def to_matrix(p: PauliElement, dense_limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
     """Dense 2^K x 2^K complex matrix realizing ``p``.
 
     Raises:
         DenseLimitError: if ``p.n_qubits`` exceeds ``dense_limit``.
     """
-    if p.n_qubits > dense_limit:
-        raise DenseLimitError(
-            f"{p.n_qubits} qubits exceeds the dense limit of {dense_limit}"
-        )
+    _require_dense(p.n_qubits, dense_limit)
     dim = 1 << p.n_qubits
     rows, values = matrix_action(p)
     matrix = np.zeros((dim, dim), dtype=complex)
@@ -258,11 +255,17 @@ def to_matrix(p: PauliElement, dense_limit: int = DENSE_QUBIT_LIMIT) -> np.ndarr
     return matrix
 
 
-def apply_to_state(p: PauliElement, state: np.ndarray) -> np.ndarray:
-    """Apply ``p`` to a state vector without forming the dense matrix."""
-    rows, values = matrix_action(p)
-    out = np.zeros(len(state), dtype=complex)
-    out[rows] = values * np.asarray(state, dtype=complex)
+def algebra_action(actions, coefficients, block) -> np.ndarray:
+    """(sum_n a_n G_n) @ block, for the ``matrix_action`` of each G_n.
+
+    ``block`` is a vector or a 2^K x m block.  ``rows`` is an involution
+    (b -> b XOR x), so (G v)[b] = values[rows[b]] v[rows[b]]: one gather.
+    """
+    block = np.asarray(block, dtype=complex)
+    column = (-1,) + (1,) * (block.ndim - 1)
+    out = np.zeros_like(block)
+    for a, (rows, values) in zip(coefficients, actions, strict=True):
+        out += (a * values[rows]).reshape(column) * block[rows]
     return out
 
 

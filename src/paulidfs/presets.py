@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliElement, apply_to_state, parse_pauli
+from .pauli import PauliElement, algebra_action, matrix_action, parse_pauli
 from .subgroup import PauliSubgroup, closure
 
 PRESET_GENERATORS: dict[str, tuple[str, ...]] = {
@@ -75,17 +75,16 @@ def plane_invariance_residual(
 ) -> float:
     """Worst leakage of any plane under any group element.
 
-    For each plane basis vector v and element matrix M, measures the norm
-    of the component of M v outside the plane; exact invariance gives 0.
+    For each plane basis vector v and element G, measures the norm of the
+    component of G v outside the plane; exact invariance gives 0.
     """
     if planes is None:
         planes = q8_invariant_planes()
     worst = 0.0
     for plane in planes:
         basis = np.column_stack(plane)
-        inside = basis @ basis.conj().T
         for element in group.elements:
-            for vec in plane:
-                image = apply_to_state(element, vec)
-                worst = max(worst, float(np.linalg.norm(image - inside @ image)))
+            image = algebra_action([matrix_action(element)], [1], basis)
+            leak = image - basis @ (basis.conj().T @ image)
+            worst = max(worst, float(np.linalg.norm(leak, axis=0).max()))
     return worst

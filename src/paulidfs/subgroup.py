@@ -200,9 +200,11 @@ class SiftedGenerators:
 
     ``pivots`` are elements with independent symplectic vectors, keyed by
     the highest set bit of their combined (x << K) | z vector.  The phase
-    content of the group is held separately: ``phase_exp_generator`` is
-    the exponent e such that the subgroup's identity-multiples are exactly
-    the powers of i^e I (e = 0 meaning only +I).
+    generator u = i^e I, e = ``phase_exp_generator``, generates the
+    identity multiples that sifting reaches (e = 0 meaning only +I): all
+    of them for an Abelian subgroup, but sifting never forms the -I
+    commutator of an anticommuting pair: <X, Z> has order 8 and contains
+    -I, yet sifts to |Z| * 2^r = 4.
     """
 
     n_qubits: int

@@ -1,5 +1,6 @@
 import numpy as np
 
+from paulidfs.dfs import projector
 from paulidfs.subgroup import decompose, sift_generators
 
 
@@ -62,3 +63,33 @@ def reference_characters(group) -> list[dict]:
         raw,
         key=lambda vals: tuple(root_exponent(vals[e]) for e in group.elements),
     )
+
+
+#: Projected seed vectors below this norm are treated as annihilated.
+NULL_PROJECTION_TOL = 1e-8
+
+
+def reference_dfs_basis(group, character) -> list[np.ndarray]:
+    """Basis vectors read off the dense projector, by Gram-Schmidt.
+
+    Reference oracle for ``dfs_basis``: columns of P_k in computational
+    basis order, numerically null ones dropped and the survivors
+    orthonormalized by modified Gram-Schmidt until m vectors are kept.
+    Builds the 2^K x 2^K projector.
+    """
+    proj = projector(group, character)
+    kept: list[np.ndarray] = []
+    for b in range(proj.matrix.shape[0]):
+        if len(kept) == proj.multiplicity:
+            break
+        candidate = proj.matrix[:, b].copy()
+        if np.linalg.norm(candidate) < NULL_PROJECTION_TOL:
+            continue
+        for basis_vec in kept:
+            candidate -= np.vdot(basis_vec, candidate) * basis_vec
+        norm = np.linalg.norm(candidate)
+        if norm < NULL_PROJECTION_TOL:
+            continue
+        kept.append(candidate / norm)
+    assert len(kept) == proj.multiplicity
+    return kept

@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, JSON determinism, state parsing."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -154,6 +155,35 @@ class TestPreset:
         assert extras["probe"]["unconstrained_failures"] >= 63
         assert extras["probe"]["constrained_failures"] == 0
 
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("qz", "e015eb1ddd24dc5293b7caef5a468900e6f517fcd0e5c6278f30cd5326ab72c1"),
+            ("qx", "90de8d44a6cb5734c4edae78b995f821a41f972a96bc447a3c79487dfe787629"),
+            ("q4", "95c0defa369ede93dde68c17a3ac1054f1b8ce8c3c81c04cf0de27554d318a22"),
+            ("q2z", "ea147481e05ff24a692abb1be2ad2d234b92e8df1fd6cd679ef036906293046c"),
+            ("q8", "5285d82a7ab643a9a37f8a386f7348b03f849f11402fe59570d282478cf7932d"),
+        ],
+    )
+    def test_json_contract_pinned(self, capsys, name, digest):
+        """The preset JSON stays byte-identical, residuals aside: those are
+        round-off and depend on the order of floating-point sums."""
+
+        def null_residuals(node):
+            if isinstance(node, dict):
+                return {
+                    k: None if k.endswith("residual") else null_residuals(v)
+                    for k, v in node.items()
+                }
+            if isinstance(node, list):
+                return [null_residuals(v) for v in node]
+            return node
+
+        code, out, _ = run_cli(capsys, "preset", name, "--json")
+        assert code == 0
+        text = json.dumps(null_residuals(json.loads(out)), indent=2) + "\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_unknown_preset(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["preset", "q9"])
@@ -218,3 +248,22 @@ class TestChannel:
         with pytest.raises(SystemExit) as exc:
             main(["channel", "ZI", "IZ"])  # missing --state
         assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "XI", "ZI", "--trials", "0"], "trials must be >= 1"),
+        (["preset", "q8", "--trials", "0"], "trials must be >= 1"),
+        (
+            ["analyze", "ZI", "IZ", "--trials", "0", "--dense-limit", "1"],
+            "trials must be >= 1",
+        ),
+        (["analyze", "XI", "ZI", "--seed", "-1"], "seed must be >= 0"),
+    ],
+)
+def test_trials_and_seed_checked_before_any_work(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert f"input error: {message}" in err

@@ -1,5 +1,7 @@
 """Projectors, multiplicities, bases, verification and dimension formulas."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from paulidfs.sampling import (
     random_abelian_subgroup,
     random_nonabelian_subgroup,
 )
-from helpers import ket
+from helpers import ket, reference_dfs_basis
 
 
 def char_by_row(group, signature: dict[str, complex]):
@@ -171,6 +173,44 @@ class TestDfsBasis:
                     assert (
                         np.linalg.norm(m @ vec - c.values[element] * vec) < 1e-10
                     )
+
+    @staticmethod
+    def assert_matches_reference(group):
+        """Bit for bit the vectors read off the dense projector."""
+        for c in characters(group):
+            vectors = dfs_basis(group, c).vectors
+            expected = reference_dfs_basis(group, c)
+            assert len(vectors) == len(expected)
+            assert all(map(np.array_equal, vectors, expected))
+
+    @pytest.mark.parametrize("phases", ["none", "full", "any"])
+    def test_matches_projector_gram_schmidt(self, phases):
+        rng = np.random.default_rng({"none": 51, "full": 52, "any": 53}[phases])
+        for n_qubits in range(1, 7):
+            for _ in range(4):
+                self.assert_matches_reference(
+                    random_abelian_subgroup(rng, n_qubits, phases=phases)
+                )
+
+    def test_matches_projector_gram_schmidt_on_presets(self, qz, qx, q4, q2z):
+        for group in (qz, qx, q4, q2z):
+            self.assert_matches_reference(group)
+
+    def test_no_dense_operator_at_twelve_qubits(self):
+        """Basis and verification stay far below one 2^12 x 2^12 matrix."""
+        pairs = ["I" * i + p + "I" * (10 - i) for i in (0, 4, 8) for p in ("XX", "ZZ")]
+        group = closure([parse_pauli(s) for s in pairs])
+        character = characters(group)[0]
+        tracemalloc.start()
+        try:
+            basis = dfs_basis(group, character)
+            report = verify_dfs(group, basis, trials=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_bytes = 16 << 24  # one complex128 2^12 x 2^12 matrix
+        assert basis.multiplicity == 64 and report.passed
+        assert peak < dense_bytes // 4
 
     def test_json_shape(self, q2z):
         data = dfs_basis(q2z, characters(q2z)[0]).to_json_dict()

@@ -19,7 +19,8 @@ from paulidfs import (
     pauli_string_count,
     to_matrix,
 )
-from paulidfs.pauli import DenseLimitError
+from paulidfs.pauli import DenseLimitError, algebra_action, matrix_action
+from paulidfs.sampling import random_element
 
 
 def elements(max_qubits=6):
@@ -297,6 +298,25 @@ class TestToMatrix:
             )
             m = to_matrix(p)
             assert np.max(np.abs(m @ m.conj().T - np.eye(1 << n))) < 1e-12
+
+
+class TestAlgebraAction:
+    def test_matches_dense_sum(self):
+        """sum_n a_n G_n applied through XOR gathers equals the dense sum."""
+        rng = np.random.default_rng(29)
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            terms = [random_element(rng, n) for _ in range(int(rng.integers(1, 9)))]
+            coeff = rng.standard_normal(len(terms)) + 1j * rng.standard_normal(
+                len(terms)
+            )
+            dense = sum(a * to_matrix(g) for a, g in zip(coeff, terms))
+            actions = [matrix_action(g) for g in terms]
+            for shape in ((1 << n,), (1 << n, int(rng.integers(1, 5)))):
+                block = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                out = algebra_action(actions, coeff, block)
+                assert out.shape == block.shape
+                assert np.max(np.abs(out - dense @ block)) < 1e-12
 
 
 def test_group_counts():
