@@ -3,10 +3,19 @@
 A channel is a set of operators {A_d} with sum_d A_d^dag A_d = I acting as
 rho -> sum_d A_d rho A_d^dag.  The channels built here live in the group
 algebra of a Pauli subgroup: each A_d is a complex combination of the
-group's dense matrices.  Trace preservation is enforced by right-
-multiplying a raw random draw with S^(-1/2), S = sum A^dag A; since S lies
-in the adjoint-closed group algebra, so does the corrected operator, which
-is re-verified numerically by projecting back onto the elements.
+group's elements.  Trace preservation is enforced by right-multiplying a
+raw random draw with S^(-1/2), S = sum A^dag A.
+
+Two routes compute the same channels.  ``random_group_algebra_kraus`` and
+``apply_channel`` work on dense 2^K x 2^K matrices: S^(-1/2) comes from a
+Hermitian eigendecomposition, and since S lies in the adjoint-closed group
+algebra, so does the corrected operator, which is re-verified numerically
+by projecting back onto the elements.  ``decoherence_scan`` takes that
+route for non-Abelian groups only.  For an Abelian group it works in irrep
+space: A = sum_n a_n G_n acts on the k-th invariant subspace as the scalar
+a^_k = sum_n a_n gamma_n^k, so S^(-1/2) is a scaling per character and
+purity and fidelity follow in closed form from the state's irrep weights,
+without any 2^K x 2^K array.  The dense route is the test oracle for it.
 """
 
 from __future__ import annotations
@@ -15,18 +24,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dfs import multiplicity
 from .pauli import (
     DENSE_QUBIT_LIMIT,
-    DenseLimitError,
+    _require_dense,
     adjoint,
     format_pauli,
+    matrix_action,
     mul,
     parse_pauli,
     to_matrix,
 )
-from .subgroup import PauliSubgroup
+from .subgroup import _ROOTS, PauliSubgroup, characters, exponent_table
 
 KRAUS_NORM_TOL = 1e-9
+#: A random draw whose S = sum A^dag A has an eigenvalue below this is
+#: degenerate and reseeded.
+DEGENERATE_S_TOL = 1e-12
+#: Irrep weights ||P_k psi||^2 must be real, non-negative and sum to 1
+#: within this; each is a sum of N expectation values of unit-modulus
+#: operators over a unit vector.
+IRREP_WEIGHT_TOL = 1e-10
 
 
 class DegenerateKrausError(ValueError):
@@ -94,13 +112,17 @@ class KrausSet:
 # ---------------------------------------------------------------------------
 
 
-def density_matrix_from_state(state: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a normalized state vector."""
+def _unit_vector(state: np.ndarray) -> np.ndarray:
     psi = np.asarray(state, dtype=complex)
     norm = np.linalg.norm(psi)
     if norm < 1e-12:
         raise ValueError("cannot form a density matrix from the zero vector")
-    psi = psi / norm
+    return psi / norm
+
+
+def density_matrix_from_state(state: np.ndarray) -> np.ndarray:
+    """|psi><psi| for a normalized state vector."""
+    psi = _unit_vector(state)
     return np.outer(psi, psi.conj())
 
 
@@ -149,6 +171,14 @@ def _element_gram(group: PauliSubgroup) -> np.ndarray:
     return gram
 
 
+def _raw_coefficients(n_ops: int, order: int, seed: int) -> np.ndarray:
+    """Complex standard-normal draw over the elements; real parts first."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n_ops, order)) + 1j * rng.standard_normal(
+        (n_ops, order)
+    )
+
+
 def random_group_algebra_kraus(
     group: PauliSubgroup,
     n_ops: int,
@@ -165,20 +195,14 @@ def random_group_algebra_kraus(
 
     Raises:
         DegenerateKrausError: the raw draw's S has an eigenvalue below
-            1e-12, reseed and retry.
+            ``DEGENERATE_S_TOL``, reseed and retry.
     """
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
-    if group.n_qubits > dense_limit:
-        raise DenseLimitError(
-            f"{group.n_qubits} qubits exceeds the dense limit of {dense_limit}"
-        )
+    _require_dense(group.n_qubits, dense_limit)
     dim = 1 << group.n_qubits
-    rng = np.random.default_rng(seed)
     matrices = [to_matrix(e, dense_limit=dense_limit) for e in group.elements]
-    raw_coeff = rng.standard_normal((n_ops, group.order)) + 1j * rng.standard_normal(
-        (n_ops, group.order)
-    )
+    raw_coeff = _raw_coefficients(n_ops, group.order, seed)
     raw_ops = [
         sum(c * m for c, m in zip(row, matrices)) for row in raw_coeff
     ]
@@ -186,7 +210,7 @@ def random_group_algebra_kraus(
     for op in raw_ops:
         s += op.conj().T @ op
     eigenvalues, eigenvectors = np.linalg.eigh(s)
-    if eigenvalues[0] < 1e-12:
+    if eigenvalues[0] < DEGENERATE_S_TOL:
         raise DegenerateKrausError(
             f"normalization matrix is singular (min eigenvalue "
             f"{eigenvalues[0]:.3e}); reseed and retry"
@@ -295,6 +319,87 @@ class ScanReport:
         }
 
 
+def _dense_trial(group, state, n_ops, dense_limit):
+    """Per-seed (purity, fidelity) through dense Kraus operators."""
+    rho0 = density_matrix_from_state(state)
+
+    def trial(seed: int) -> tuple[float, float]:
+        kraus = random_group_algebra_kraus(group, n_ops, seed, dense_limit=dense_limit)
+        rho = apply_channel(kraus, rho0)
+        return purity(rho), state_fidelity(state, rho)
+
+    return trial
+
+
+def _irrep_trial(group, state, n_ops, dense_limit):
+    """Per-seed (purity, fidelity) in irrep space, for an Abelian group.
+
+    The draw is the dense route's, mapped to a^_{d,k} = sum_n a_{d,n}
+    gamma_n^k over the supported characters.  S acts on block k as
+    s_k = sum_d |a^_{d,k}|^2, so S^(-1/2) divides column k by sqrt(s_k).
+    With irrep weights w_k = ||P_k psi||^2, the vectors A'_d psi have the
+    Gram matrix sum_k a'_{d,k} conj(a'_{e,k}) w_k, whose nonzero spectrum
+    is that of rho' = sum_d A'_d |psi><psi| A'_d^dag: purity is its
+    squared Frobenius norm and fidelity sum_d |sum_k a'_{d,k} w_k|^2.
+    Each dense check has a block form here: the normalization defect
+    sum_k m_k (sum_d |a'_{d,k}|^2 - 1)^2 is ||sum A'^dag A' - I||_F^2, and
+    the Gram matrix is checked as a density matrix.
+    """
+    if n_ops < 1:
+        raise ValueError("n_ops must be >= 1")
+    _require_dense(group.n_qubits, dense_limit)
+    psi = _unit_vector(state)
+    dim = 1 << group.n_qubits
+    if psi.shape != (dim,):
+        raise ValueError(f"state shape {psi.shape} != ({dim},)")
+    chars = characters(group)
+    multiplicities = np.array([multiplicity(group, c) for c in chars])
+    supported = [c for c, m in zip(chars, multiplicities) if m]
+    multiplicities = multiplicities[multiplicities > 0]
+    gamma = np.array(_ROOTS)[exponent_table(group, supported)]
+    expectations = np.array(
+        [
+            np.vdot(psi, values[rows] * psi[rows])
+            for rows, values in map(matrix_action, group.elements)
+        ]
+    )
+    weights = gamma.conj() @ expectations / group.order
+    # written so that NaN weights fail too
+    if not (
+        abs(weights.sum() - 1) <= IRREP_WEIGHT_TOL
+        and np.all(np.abs(weights.imag) <= IRREP_WEIGHT_TOL)
+        and np.all(weights.real >= -IRREP_WEIGHT_TOL)
+    ):
+        raise AssertionError(f"irrep weights {weights} are not a distribution")
+    weights = weights.real
+    # state_fidelity reads the state as given, not normalized
+    fidelity_scale = float(np.vdot(state, state).real)
+
+    def trial(seed: int) -> tuple[float, float]:
+        hat = _raw_coefficients(n_ops, group.order, seed) @ gamma.T
+        s = np.sum(np.abs(hat) ** 2, axis=0)
+        if s.min() < DEGENERATE_S_TOL:
+            raise DegenerateKrausError(
+                f"normalization matrix is singular (min eigenvalue "
+                f"{s.min():.3e}); reseed and retry"
+            )
+        hat /= np.sqrt(s)
+        column_norms = np.sum(np.abs(hat) ** 2, axis=0)
+        defect = float(np.sqrt(np.sum(multiplicities * (column_norms - 1) ** 2)))
+        if defect > KRAUS_NORM_TOL:
+            raise ChannelConstraintError(
+                f"sum A^dag A deviates from identity by {defect:.3e}"
+            )
+        gram = (hat * weights) @ hat.conj().T
+        if abs(np.trace(gram) - 1) > KRAUS_NORM_TOL:
+            raise ValueError("channel application failed to preserve the trace")
+        assert_density_matrix(gram)
+        fidelity = fidelity_scale * np.sum(np.abs(hat @ weights) ** 2)
+        return float(np.vdot(gram, gram).real), float(fidelity)
+
+    return trial
+
+
 def decoherence_scan(
     group: PauliSubgroup,
     state: np.ndarray,
@@ -308,11 +413,14 @@ def decoherence_scan(
     States inside a single irrep's subspace keep purity 1 in every trial;
     superpositions across irreps lose purity for generic draws.  Each
     trial gets its own derived seed; a degenerate draw is retried with a
-    shifted seed (deterministically).
+    shifted seed (deterministically).  Abelian groups are scanned in irrep
+    space, non-Abelian ones through dense Kraus operators; both routes
+    draw the same channel from the same seed.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rho0 = density_matrix_from_state(state)
+    route = _irrep_trial if group.is_abelian else _dense_trial
+    trial = route(group, state, n_ops, dense_limit)
     purities = []
     fidelities = []
     for t in range(trials):
@@ -320,17 +428,14 @@ def decoherence_scan(
         while True:
             trial_seed = seed * 1_000_003 + t * 97 + attempt
             try:
-                kraus = random_group_algebra_kraus(
-                    group, n_ops, trial_seed, dense_limit=dense_limit
-                )
+                p, f = trial(trial_seed)
                 break
             except DegenerateKrausError:
                 attempt += 1
                 if attempt > 8:
                     raise
-        rho = apply_channel(kraus, rho0)
-        purities.append(purity(rho))
-        fidelities.append(state_fidelity(state, rho))
+        purities.append(p)
+        fidelities.append(f)
     return ScanReport(
         trials=trials,
         seed=seed,

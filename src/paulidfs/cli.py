@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 import time
@@ -30,8 +31,6 @@ from .dfs import (
 )
 from .pauli import (
     DENSE_QUBIT_LIMIT,
-    PauliParseError,
-    QubitCountError,
     format_pauli,
     parse_pauli,
 )
@@ -42,7 +41,6 @@ from .presets import (
     preset_group,
 )
 from .subgroup import (
-    ClosureCapError,
     characters,
     closure,
     exponent_table,
@@ -74,7 +72,8 @@ def parse_state_spec(spec: str, n_qubits: int | None = None) -> np.ndarray:
     """Parse "|00>" or "0.7071|00> + 0.7071|11>" into a unit vector.
 
     Coefficients are real decimals with optional sign; the result is
-    normalized.  Qubit 1 is the leftmost bit of each ket.
+    normalized.  Qubit 1 is the leftmost bit of each ket.  A coefficient
+    or a norm that overflows to infinity is rejected.
     """
     compact = spec.replace(" ", "")
     if not compact:
@@ -89,6 +88,8 @@ def parse_state_spec(spec: str, n_qubits: int | None = None) -> np.ndarray:
             )
         sign, magnitude, bits = match.groups()
         coefficient = float(magnitude) if magnitude else 1.0
+        if not math.isfinite(coefficient):
+            raise ValueError(f"coefficient of term {match.group(0)!r} is not finite")
         if sign == "-":
             coefficient = -coefficient
         terms.append((coefficient, bits))
@@ -101,9 +102,12 @@ def parse_state_spec(spec: str, n_qubits: int | None = None) -> np.ndarray:
             f"state has {width} qubits but the subgroup acts on {n_qubits}"
         )
     state = np.zeros(1 << width, dtype=complex)
-    for coefficient, bits in terms:
-        state[int(bits, 2)] += coefficient
-    norm = np.linalg.norm(state)
+    with np.errstate(over="ignore"):
+        for coefficient, bits in terms:
+            state[int(bits, 2)] += coefficient
+        norm = np.linalg.norm(state)
+    if not math.isfinite(norm):
+        raise ValueError(f"the norm of {spec!r} is not finite")
     if norm < 1e-12:
         raise ValueError("state specification sums to the zero vector")
     return state / norm
@@ -428,18 +432,14 @@ def main(argv: list[str] | None = None) -> int:
                 args.seed,
                 args.dense_limit,
             )
-    except DegenerateKrausError as error:
+    # LinAlgError and DegenerateKrausError subclass ValueError, so they
+    # must be caught before the input errors
+    except (DegenerateKrausError, AssertionError, np.linalg.LinAlgError) as error:
         print(f"numeric failure: {error}", file=sys.stderr)
         return 3
-    except (PauliParseError, QubitCountError, ClosureCapError) as error:
-        print(f"input error: {error}", file=sys.stderr)
-        return 1
     except ValueError as error:
         print(f"input error: {error}", file=sys.stderr)
         return 1
-    except (AssertionError, np.linalg.LinAlgError) as error:
-        print(f"numeric failure: {error}", file=sys.stderr)
-        return 3
 
     elapsed = time.perf_counter() - started
     _emit(report, args.json, elapsed)

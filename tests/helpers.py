@@ -1,5 +1,13 @@
 import numpy as np
 
+from paulidfs.channels import (
+    DegenerateKrausError,
+    apply_channel,
+    density_matrix_from_state,
+    purity,
+    random_group_algebra_kraus,
+    state_fidelity,
+)
 from paulidfs.dfs import projector
 from paulidfs.subgroup import decompose, sift_generators
 
@@ -93,3 +101,31 @@ def reference_dfs_basis(group, character) -> list[np.ndarray]:
         kept.append(candidate / norm)
     assert len(kept) == proj.multiplicity
     return kept
+
+
+def reference_decoherence_scan(group, state, trials, seed, n_ops=2):
+    """Purities and fidelities of a scan through dense Kraus operators.
+
+    Reference oracle for ``decoherence_scan``: every trial builds its
+    channel with ``random_group_algebra_kraus`` from the scan's derived
+    seed, reseeding a degenerate draw up to 8 times, and applies it to
+    |state><state| with ``apply_channel``.  Builds N 2^K x 2^K matrices
+    per trial.
+    """
+    rho0 = density_matrix_from_state(state)
+    purities, fidelities = [], []
+    for t in range(trials):
+        attempt = 0
+        while True:
+            trial_seed = seed * 1_000_003 + t * 97 + attempt
+            try:
+                kraus = random_group_algebra_kraus(group, n_ops, trial_seed)
+                break
+            except DegenerateKrausError:
+                attempt += 1
+                if attempt > 8:
+                    raise
+        rho = apply_channel(kraus, rho0)
+        purities.append(purity(rho))
+        fidelities.append(state_fidelity(state, rho))
+    return purities, fidelities

@@ -1,11 +1,15 @@
 """Kraus channels: normalization, evolution, scans and the q8 code."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paulidfs import (
     ChannelConstraintError,
     DegenerateKrausError,
+    PauliElement,
     apply_channel,
     assert_density_matrix,
     characters,
@@ -14,6 +18,7 @@ from paulidfs import (
     decoherence_scan,
     density_matrix_from_state,
     dfs_basis,
+    multiplicity,
     parse_pauli,
     purity,
     q8_code_states,
@@ -25,8 +30,45 @@ from paulidfs import (
     to_matrix,
     uniform_group_channel,
 )
+from paulidfs import channels
 from paulidfs.presets import plane_invariance_residual
-from helpers import ket
+from paulidfs.sampling import random_abelian_subgroup, random_state
+from helpers import ket, reference_decoherence_scan
+
+
+def _abelian_group(rng, n_qubits, phases):
+    """Random Abelian group whose identity multiples are exactly ``phases``:
+    +I only ("plus"), +-I ("minus") or +-I, +-iI ("full"); "trivial" is
+    the group {I}."""
+    if phases == "trivial":
+        return closure([], n_qubits=n_qubits)
+    if phases == "full":
+        return random_abelian_subgroup(rng, n_qubits, phases="full")
+    group = random_abelian_subgroup(rng, n_qubits, phases="none")
+    if phases == "minus":
+        group = closure(group.generators + (PauliElement(2, 0, 0, n_qubits),))
+    return group
+
+
+class _ZeroDraws:
+    """Stands in for a generator whose every normal draw is zero."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
+def _zero_draws_at(monkeypatch, bad_seeds) -> list:
+    """Make ``default_rng`` draw zeros for ``bad_seeds``; returns the list
+    of every seed requested from then on."""
+    real = np.random.default_rng
+    requested = []
+
+    def default_rng(seed=None):
+        requested.append(seed)
+        return _ZeroDraws() if seed in bad_seeds else real(seed)
+
+    monkeypatch.setattr(channels.np.random, "default_rng", default_rng)
+    return requested
 
 
 class TestRandomKraus:
@@ -171,6 +213,82 @@ class TestDecoherenceScan:
     def test_nonpositive_trials_rejected(self, qz, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             decoherence_scan(qz, ket("00"), trials=trials)
+
+    @pytest.mark.parametrize("phases", ["plus", "minus", "full", "trivial"])
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 5),
+        in_irrep=st.booleans(),
+        n_ops=st.integers(1, 3),
+        scale=st.floats(0.5, 2.0),
+    )
+    def test_matches_dense_oracle(self, phases, seed, n_qubits, in_irrep, n_ops, scale):
+        """The irrep-space scan reproduces the dense Kraus scan: same
+        draws, same channels, purities and fidelities to 1e-10.  The state
+        is scaled off unit norm, which the fidelity keeps as given."""
+        rng = np.random.default_rng(seed)
+        group = _abelian_group(rng, n_qubits, phases)
+        phase_subgroup = {e.phase_exp for e in group.phase_subgroup}
+        assert phase_subgroup == {
+            "plus": {0}, "trivial": {0}, "minus": {0, 2}, "full": {0, 1, 2, 3}
+        }[phases]
+        if in_irrep:
+            supported = [c for c in characters(group) if multiplicity(group, c)]
+            basis = dfs_basis(group, supported[rng.integers(len(supported))])
+            m = basis.multiplicity
+            state = basis.stack() @ (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+            state /= np.linalg.norm(state)
+        else:
+            state = random_state(rng, 1 << n_qubits)
+        state = scale * state
+        scan_seed = int(rng.integers(0, 1000))
+        report = decoherence_scan(group, state, trials=2, seed=scan_seed, n_ops=n_ops)
+        purities, fidelities = reference_decoherence_scan(
+            group, state, trials=2, seed=scan_seed, n_ops=n_ops
+        )
+        assert np.max(np.abs(np.subtract(report.purities, purities))) < 1e-10
+        assert np.max(np.abs(np.subtract(report.fidelities, fidelities))) < 1e-10
+        if in_irrep:
+            assert report.min_purity > 1 - 1e-9
+
+    def test_abelian_scan_builds_no_dense_operator(self):
+        """At K=10 the scan's tracemalloc peak stays below a quarter of one
+        dense 2^10 x 2^10 operator; the dense route holds one per element."""
+        group = closure([parse_pauli("Z" * 10), parse_pauli("X" * 10)])
+        state = random_state(np.random.default_rng(0), 1 << 10)
+        tracemalloc.start()
+        try:
+            report = decoherence_scan(group, state, trials=4, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense_bytes = 16 << 20  # one complex128 2^10 x 2^10 matrix
+        assert report.min_purity < 1 - 1e-3
+        assert peak < dense_bytes // 4
+
+    def test_degenerate_draw_reseeds(self, monkeypatch, qz):
+        """A zero draw in trial 2 is retried with attempt + 1, exactly as
+        the dense route retries it."""
+        bell = (ket("00") + ket("11")) / np.sqrt(2)
+        seeds = [5 * 1_000_003 + t * 97 for t in range(4)]
+        requested = _zero_draws_at(monkeypatch, {seeds[2]})
+        report = decoherence_scan(qz, bell, trials=4, seed=5)
+        assert requested == [seeds[0], seeds[1], seeds[2], seeds[2] + 1, seeds[3]]
+        purities, fidelities = reference_decoherence_scan(qz, bell, trials=4, seed=5)
+        assert np.max(np.abs(np.subtract(report.purities, purities))) < 1e-12
+        assert np.max(np.abs(np.subtract(report.fidelities, fidelities))) < 1e-12
+
+    @pytest.mark.parametrize("degenerate, raises", [(8, False), (9, True)])
+    def test_reseed_limit(self, monkeypatch, qz, degenerate, raises):
+        """Nine degenerate attempts in a row give up; eight do not."""
+        first = 5 * 1_000_003 + 97
+        _zero_draws_at(monkeypatch, set(range(first, first + degenerate)))
+        if raises:
+            with pytest.raises(DegenerateKrausError):
+                decoherence_scan(qz, ket("00"), trials=2, seed=5)
+        else:
+            assert decoherence_scan(qz, ket("00"), trials=2, seed=5).trials == 2
 
     def test_report_json(self, qz):
         report = decoherence_scan(qz, ket("00"), trials=4, seed=0)

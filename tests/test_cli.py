@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
 
+from paulidfs import cli
 from paulidfs.cli import main, parse_state_spec
 
 
@@ -43,6 +45,20 @@ class TestStateSpec:
     def test_rejects_zero_vector(self):
         with pytest.raises(ValueError, match="zero"):
             parse_state_spec("|0>-|0>")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("1e999|00>", "term '1e999|00>' is not finite"),
+            ("|00>-1e999|11>", "term '-1e999|11>' is not finite"),
+            ("1e200|00>+1e200|11>", "norm of '1e200|00>+1e200|11>' is not finite"),
+            ("1e308|00>+1e308|00>", "norm of '1e308|00>+1e308|00>' is not finite"),
+        ],
+    )
+    def test_rejects_non_finite(self, spec, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_state_spec(spec)
 
     def test_qubit_count_check(self):
         with pytest.raises(ValueError, match="acts on"):
@@ -248,6 +264,53 @@ class TestChannel:
         with pytest.raises(SystemExit) as exc:
             main(["channel", "ZI", "IZ"])  # missing --state
         assert exc.value.code == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_state_exit_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "channel", "ZI", "IZ", "--state", "1e999|00>"
+        )
+        assert code == 1
+        assert out == ""
+        assert "input error: coefficient of term '1e999|00>' is not finite" in err
+
+    def test_linalg_error_is_numeric_failure(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(cli, "decoherence_scan", fail)
+        code, out, err = run_cli(
+            capsys, "channel", "ZI", "IZ", "--state", "|00>"
+        )
+        assert code == 3
+        assert out == ""
+        assert "numeric failure: Eigenvalues did not converge" in err
+
+    def test_scan_numbers_pinned(self, capsys):
+        """Purities and fidelities of one scan, as the dense Kraus route
+        computed them: any change of draw order or channel shows here."""
+        code, out, _ = run_cli(
+            capsys, "channel", "ZI", "IZ", "--state", "0.6|00>+0.8|11>",
+            "--json", "--trials", "8", "--seed", "3",
+        )
+        assert code == 0
+        scan = json.loads(out)["scan"]
+        assert scan["purities"] == pytest.approx(
+            [
+                0.6599099491871379, 0.8264110573885707, 0.7796839782868178,
+                0.9956441538108839, 0.9172846400429765, 0.8319599752923508,
+                0.8341324403023781, 0.579775876286827,
+            ],
+            abs=1e-12,
+        )
+        assert scan["fidelities"] == pytest.approx(
+            [
+                0.7677163297633308, 0.7679060049204699, 0.7674799341148576,
+                0.140194376154274, 0.32989831446699364, 0.3214497920500097,
+                0.17270841197685805, 0.4131977264149445,
+            ],
+            abs=1e-12,
+        )
 
 
 @pytest.mark.parametrize(
