@@ -321,12 +321,13 @@ class ScanReport:
 
 def _dense_trial(group, state, n_ops, dense_limit):
     """Per-seed (purity, fidelity) through dense Kraus operators."""
-    rho0 = density_matrix_from_state(state)
+    psi = _unit_vector(state)
+    rho0 = density_matrix_from_state(psi)
 
     def trial(seed: int) -> tuple[float, float]:
         kraus = random_group_algebra_kraus(group, n_ops, seed, dense_limit=dense_limit)
         rho = apply_channel(kraus, rho0)
-        return purity(rho), state_fidelity(state, rho)
+        return purity(rho), state_fidelity(psi, rho)
 
     return trial
 
@@ -372,8 +373,6 @@ def _irrep_trial(group, state, n_ops, dense_limit):
     ):
         raise AssertionError(f"irrep weights {weights} are not a distribution")
     weights = weights.real
-    # state_fidelity reads the state as given, not normalized
-    fidelity_scale = float(np.vdot(state, state).real)
 
     def trial(seed: int) -> tuple[float, float]:
         hat = _raw_coefficients(n_ops, group.order, seed) @ gamma.T
@@ -394,7 +393,7 @@ def _irrep_trial(group, state, n_ops, dense_limit):
         if abs(np.trace(gram) - 1) > KRAUS_NORM_TOL:
             raise ValueError("channel application failed to preserve the trace")
         assert_density_matrix(gram)
-        fidelity = fidelity_scale * np.sum(np.abs(hat @ weights) ** 2)
+        fidelity = np.sum(np.abs(hat @ weights) ** 2)
         return float(np.vdot(gram, gram).real), float(fidelity)
 
     return trial
@@ -415,7 +414,8 @@ def decoherence_scan(
     trial gets its own derived seed; a degenerate draw is retried with a
     shifted seed (deterministically).  Abelian groups are scanned in irrep
     space, non-Abelian ones through dense Kraus operators; both routes
-    draw the same channel from the same seed.
+    draw the same channel from the same seed.  Both read the fidelity off
+    the unit vector along ``state``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")

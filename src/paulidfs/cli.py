@@ -26,11 +26,11 @@ from .dfs import (
     dfs_basis,
     dimension_formula,
     multiplicity,
-    nonabelian_one_dim_search,
     verify_dfs,
 )
 from .pauli import (
     DENSE_QUBIT_LIMIT,
+    _require_dense,
     format_pauli,
     parse_pauli,
 )
@@ -49,14 +49,9 @@ from .subgroup import (
 
 SCHEMA_VERSION = 1
 
-_VALUE_NAMES = {(1, 0): "+1", (-1, 0): "-1", (0, 1): "+i", (0, -1): "-i"}
 #: Names of i^k indexed by k.  An object array, so that every cell of a
 #: character table refers to one of these four strings.
 _EXPONENT_NAMES = np.array(["+1", "+i", "-1", "-i"], dtype=object)
-
-
-def _value_name(v: complex) -> str:
-    return _VALUE_NAMES[(int(round(v.real)), int(round(v.imag)))]
 
 
 def _state_json(state: np.ndarray) -> list:
@@ -143,21 +138,14 @@ def build_analysis_report(
         report["reducibility"] = {"sum": total, "verdict": verdict}
 
     if not group.is_abelian:
+        # the multiplicity rule supports no one-dimensional character of a
+        # non-Abelian group, so there are no joint eigenvectors to list
         report["verdict"] = "non_abelian"
-        entry: dict = {}
-        if dense_ok:
-            search = nonabelian_one_dim_search(group, dense_limit=dense_limit)
-            entry["joint_eigenspaces"] = [
-                {
-                    "dimension": space.dimension,
-                    "eigenvalues": [
-                        _value_name(space.eigenvalues[e]) for e in group.elements
-                    ],
-                }
-                for space in search.spaces
-            ]
-            entry["one_dimensional_dfs_count"] = search.total_dimension()
-        report["one_dim_search"] = entry
+        report["one_dim_search"] = (
+            {"joint_eigenspaces": [], "one_dimensional_dfs_count": 0}
+            if dense_ok
+            else {}
+        )
         return report
 
     report["verdict"] = "abelian"
@@ -226,6 +214,7 @@ def build_channel_report(
 ) -> dict:
     generators = [parse_pauli(s) for s in generator_strings]
     group = closure(generators)
+    _require_dense(group.n_qubits, dense_limit)
     state = parse_state_spec(state_spec, n_qubits=group.n_qubits)
     scan = decoherence_scan(
         group, state, trials=trials, seed=seed, dense_limit=dense_limit

@@ -7,11 +7,15 @@ gamma^k, the projector onto the k-th invariant subspace is
     P_k = (1/N) sum_n conj(gamma_n^k) G_n
 
 and its rank m_k (the DFS dimension) equals the multiplicity
+(1/N) sum_n conj(chi_k(G_n)) tr(G_n).  Only the phase subgroup Z, the
+powers of u = i^e I, has nonzero traces, so one exact integer rule gives
+every multiplicity at any qubit count:
 
-    m_k = (1/N) sum_n conj(chi_k(G_n)) tr(G_n).
+    m_k = 2^K |Z| / N  if chi_k(u) = i^e,  and 0 otherwise.
 
-Only phase multiples of the identity have nonzero trace, so m_k is exact
-integer arithmetic regardless of the qubit count.  The joint-eigenspace
+A non-Abelian group contains -I as a commutator, on which every
+one-dimensional character is trivial while the natural representation
+gives -1, so no character is supported.  The joint-eigenspace
 search is a fully independent decomposition path: it intersects
 eigenspaces of a generating set numerically and never touches the
 character machinery, which is what makes it usable as a cross-check
@@ -127,24 +131,16 @@ def projector(
 def multiplicity(group: PauliSubgroup, character: Character) -> int:
     """Number of copies of the character's irrep in the natural representation.
 
-    Exact evaluation of (1/N) sum_n conj(chi_k) chi_natural: every Pauli
-    string except phase multiples of the identity is traceless, so only
-    the phase subgroup contributes, i^c I giving i^(c - k) 2^K when
-    chi_k(i^c I) = i^k.  The powers of i are counted in Z4, so the sum is
-    exact integer arithmetic at any qubit count.
+    The sum (1/N) sum_n conj(chi_k(G_n)) tr(G_n) runs over the phase
+    subgroup Z = <u> only, since every other Pauli string is traceless.
+    It is |Z| 2^K / N when chi_k agrees with the natural representation on
+    Z, that is chi_k(u) = i^e for u = i^e I, and 0 otherwise.
     """
     _check_character(group, character)
-    counts = [0, 0, 0, 0]
-    for element in group.phase_subgroup:
-        counts[(element.phase_exp - character.exponent(element)) % 4] += 1
-    real, imag = counts[0] - counts[2], counts[1] - counts[3]
-    total = real << group.n_qubits
-    if imag or total % group.order:
-        raise AssertionError(
-            f"non-integer multiplicity ({real}{imag:+d}i) * 2^{group.n_qubits}"
-            f" / {group.order} from exact sum"
-        )
-    return total // group.order
+    sifted = group.sifted
+    if character.exponents[0] != sifted.phase_exp_generator:
+        return 0
+    return (sifted.phase_subgroup_size << group.n_qubits) // group.order
 
 
 def dfs_basis(

@@ -1,15 +1,20 @@
 """Subgroup closure, structural flags and one-dimensional characters.
 
-A subgroup is held as the full, canonically ordered element list together
-with the generators it was built from.  Character enumeration is algebraic:
-generators are sifted to an independent set over the symplectic bit space
-(with exact phase tracking), and a character is stored as its label over
-that set, a Z4 exponent for the phase generator and for each of the r
-pivots.  Values on group elements are computed on demand from the
-element's coordinates over the sifted set, which the subgroup works out
-once, so enumerating all N characters costs O(N*r) time and memory and
-never builds an N x N table.  No floating point is involved, so the same
-code works far beyond the dense-matrix limit.
+A subgroup is its sifted form: the generators are sifted to r pivots with
+independent symplectic vectors, plus a phase generator u = i^e I whose
+powers are the phase subgroup Z of identity multiples.  The sift also adds
+the commutator -I of any anticommuting pair of pivots, so every element is
+uniquely u^m * b_r^(-eps_r) * ... * b_1^(-eps_1) and the order is
+N = |Z| * 2^r for every subgroup, Abelian or not.  The order, the flags
+(Abelian, contains -I, contains iI), the phase subgroup and each element's
+coordinates are all read off that form; the closure enumerates the
+elements only after the order has been checked against its cap.
+
+A character is stored as its label over the sifted form, a Z4 exponent
+for u and for each pivot, and its values on group elements follow from the
+elements' coordinates, so enumerating all N characters costs O(N*r) time
+and memory and never builds an N x N table.  No floating point is
+involved, so the same code works far beyond the dense-matrix limit.
 """
 
 from __future__ import annotations
@@ -25,19 +30,20 @@ import numpy as np
 from .pauli import (
     PauliElement,
     QubitCountError,
+    adjoint,
     canonical_key,
+    commutes,
     format_pauli,
-    identity,
     mul,
 )
 
 #: Hard ceiling on closure size; a subgroup of P_K never needs more than
-#: 4^(K+1) elements but runaway generator lists are cut off early.
+#: 4^(K+1) elements, but a larger order is refused before enumeration.
 DEFAULT_ORDER_CAP = 1 << 20
 
 
 class ClosureCapError(ValueError):
-    """Raised when a closure grows past the configured order cap."""
+    """Raised when a closure's order exceeds the configured order cap."""
 
 
 class NotAbelianError(ValueError):
@@ -52,19 +58,37 @@ class PauliSubgroup:
     """A multiplicatively closed set of Pauli elements.
 
     ``elements`` is sorted by ``canonical_key`` so iteration order, JSON
-    output and downstream reports are reproducible.
+    output and downstream reports are reproducible.  ``sifted`` is the
+    canonical form the elements were enumerated from, and
+    ``element_coordinates`` maps each element, in element order, to its
+    exponents (m, k_1, ..., k_r) with p = u^m * b_r^k_r * ... * b_1^k_1 over
+    ``sifted``; each k_j is 0 or 3, since a Pauli element's inverse is its
+    cube.
     """
 
     n_qubits: int
     elements: tuple[PauliElement, ...]
     generators: tuple[PauliElement, ...]
-    is_abelian: bool
-    contains_minus_identity: bool
-    contains_imaginary_identity: bool
+    sifted: SiftedGenerators
+    element_coordinates: dict[PauliElement, tuple[int, ...]] = field(
+        repr=False, compare=False
+    )
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @property
+    def is_abelian(self) -> bool:
+        return self.sifted.is_abelian
+
+    @property
+    def contains_minus_identity(self) -> bool:
+        return self.sifted.phase_exp_generator != 0
+
+    @property
+    def contains_imaginary_identity(self) -> bool:
+        return self.sifted.phase_exp_generator == 1
 
     @cached_property
     def element_set(self) -> frozenset[PauliElement]:
@@ -73,23 +97,10 @@ class PauliSubgroup:
     def __contains__(self, p: PauliElement) -> bool:
         return p in self.element_set
 
-    @cached_property
+    @property
     def phase_subgroup(self) -> tuple[PauliElement, ...]:
         """The elements that are phase multiples of the identity string."""
-        return tuple(e for e in self.elements if e.is_identity_multiple)
-
-    @cached_property
-    def sifted(self) -> SiftedGenerators:
-        """The generators sifted to an independent set (``sift_generators``)."""
-        return sift_generators(self.generators, self.n_qubits)
-
-    @cached_property
-    def element_coordinates(self) -> dict[PauliElement, tuple[int, ...]]:
-        """Each element's ``coordinates`` over ``sifted``, in element order.
-
-        Built on first use, in O(N*r) time and memory.
-        """
-        return {e: coordinates(e, self.sifted) for e in self.elements}
+        return self.sifted.phase_subgroup
 
     def to_json_dict(self) -> dict:
         return {
@@ -109,14 +120,16 @@ def closure(
 ) -> PauliSubgroup:
     """Smallest subgroup containing ``generators``.
 
-    Breadth-first multiplication from the identity; since every Pauli
-    element has finite order, closure under products alone already yields
-    a group.  An empty generator list needs an explicit ``n_qubits``.
+    The generators are sifted first, which fixes the order N = |Z| * 2^r;
+    only then are the N elements u^m * b_r^(-eps_r) * ... * b_1^(-eps_1)
+    enumerated, by right multiplication with the pivots' adjoints.  An
+    empty generator list needs an explicit ``n_qubits``.
 
     Raises:
         QubitCountError: generators act on different qubit counts, or no
             count is available for an empty list.
-        ClosureCapError: the subgroup grows past ``order_cap``.
+        ClosureCapError: the order exceeds ``order_cap``; raised before any
+            element is enumerated.
     """
     generators = tuple(generators)
     if generators:
@@ -135,36 +148,29 @@ def closure(
     else:
         n = n_qubits
 
-    start = identity(n)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        element = frontier.pop()
-        for g in generators:
-            product = mul(element, g)
-            if product not in seen:
-                if len(seen) >= order_cap:
-                    raise ClosureCapError(
-                        f"closure exceeded the order cap of {order_cap}"
-                    )
-                seen.add(product)
-                frontier.append(product)
-
-    elements = tuple(sorted(seen, key=canonical_key))
-    abelian = all(
-        _symplectic_even(a, b)
-        for i, a in enumerate(generators)
-        for b in generators[i + 1 :]
-    )
-    minus_i = PauliElement(2, 0, 0, n) in seen
-    imag_i = PauliElement(1, 0, 0, n) in seen or PauliElement(3, 0, 0, n) in seen
+    sifted = sift_generators(generators, n)
+    r = len(sifted.pivots)
+    order = sifted.phase_subgroup_size << r
+    if order > order_cap:
+        raise ClosureCapError(
+            f"closure order {order} exceeds the order cap of {order_cap}"
+        )
+    # pivot inverses are appended from b_r down to b_1, the reverse of the
+    # order in which decompose strips them, so the coordinates stay exact
+    # when pivots anticommute; an inverse is a cube, hence the 3
+    pairs = [(z, (m,) + (0,) * r) for m, z in enumerate(sifted.phase_subgroup)]
+    for j in reversed(range(r)):
+        inverse = adjoint(sifted.pivots[j])
+        pairs += [
+            (mul(p, inverse), c[: j + 1] + (3,) + c[j + 2 :]) for p, c in pairs
+        ]
+    pairs.sort(key=lambda pair: canonical_key(pair[0]))
     return PauliSubgroup(
         n_qubits=n,
-        elements=elements,
+        elements=tuple(p for p, _ in pairs),
         generators=generators,
-        is_abelian=abelian,
-        contains_minus_identity=minus_i,
-        contains_imaginary_identity=imag_i,
+        sifted=sifted,
+        element_coordinates=dict(pairs),
     )
 
 
@@ -184,11 +190,6 @@ def subgroup_from_error_generators(
     return closure(terms, n_qubits=n_qubits, order_cap=order_cap)
 
 
-def _symplectic_even(p: PauliElement, q: PauliElement) -> bool:
-    overlap = (p.x_mask & q.z_mask).bit_count() + (p.z_mask & q.x_mask).bit_count()
-    return overlap % 2 == 0
-
-
 # ---------------------------------------------------------------------------
 # generator sifting and element decomposition
 # ---------------------------------------------------------------------------
@@ -196,25 +197,33 @@ def _symplectic_even(p: PauliElement, q: PauliElement) -> bool:
 
 @dataclass(frozen=True)
 class SiftedGenerators:
-    """Independent generating data for a subgroup.
+    """The canonical form of a subgroup.
 
     ``pivots`` are elements with independent symplectic vectors, keyed by
     the highest set bit of their combined (x << K) | z vector.  The phase
-    generator u = i^e I, e = ``phase_exp_generator``, generates the
-    identity multiples that sifting reaches (e = 0 meaning only +I): all
-    of them for an Abelian subgroup, but sifting never forms the -I
-    commutator of an anticommuting pair: <X, Z> has order 8 and contains
-    -I, yet sifts to |Z| * 2^r = 4.
+    generator u = i^e I, e = ``phase_exp_generator``, generates the phase
+    subgroup Z of all identity multiples in the subgroup (e = 0 meaning
+    only +I), so the subgroup has order |Z| * 2^r.  ``is_abelian`` says
+    whether the pivots, and hence all elements, commute.
     """
 
     n_qubits: int
     pivots: tuple[PauliElement, ...]
     pivot_bits: tuple[int, ...]
     phase_exp_generator: int
+    is_abelian: bool
 
     @property
     def phase_subgroup_size(self) -> int:
         return {0: 1, 2: 2, 1: 4}[self.phase_exp_generator]
+
+    @property
+    def phase_subgroup(self) -> tuple[PauliElement, ...]:
+        """The powers u^m, m = 0 .. |Z| - 1, in canonical order."""
+        return tuple(
+            PauliElement(m * self.phase_exp_generator, 0, 0, self.n_qubits)
+            for m in range(self.phase_subgroup_size)
+        )
 
 
 def _vector_key(p: PauliElement) -> int:
@@ -247,17 +256,28 @@ def _sift_into(
 def sift_generators(
     generators: tuple[PauliElement, ...], n_qubits: int
 ) -> SiftedGenerators:
-    """Greedy Gaussian sift of generators over the symplectic bit space."""
+    """Greedy Gaussian sift of generators over the symplectic bit space.
+
+    The commutator of an anticommuting pair of pivots is -I, which then
+    joins the phase subgroup.
+    """
     pivots: dict[int, PauliElement] = {}
     phase_step = 4
     for g in generators:
         phase_step = _sift_into(g, pivots, phase_step)
     ordered_bits = tuple(sorted(pivots, reverse=True))
+    ordered = tuple(pivots[b] for b in ordered_bits)
+    abelian = all(
+        commutes(a, b) for i, a in enumerate(ordered) for b in ordered[i + 1 :]
+    )
+    if not abelian:
+        phase_step = math.gcd(phase_step, 2)
     return SiftedGenerators(
         n_qubits=n_qubits,
-        pivots=tuple(pivots[b] for b in ordered_bits),
+        pivots=ordered,
         pivot_bits=ordered_bits,
         phase_exp_generator=phase_step % 4,
+        is_abelian=abelian,
     )
 
 
@@ -283,19 +303,6 @@ def decompose(
             raise ValueError(f"{format_pauli(p)} is outside the sifted span")
         chosen[index] = 1
         w = mul(w, sifted.pivots[index])
-
-
-def coordinates(p: PauliElement, sifted: SiftedGenerators) -> tuple[int, ...]:
-    """Exponents (m, k_1, ..., k_r) with p = u^m * b_1^k_1 * ... * b_r^k_r.
-
-    Here u = i^e I is the phase generator and b_j are the pivots of an
-    Abelian subgroup containing ``p``.  Each k_j is 0 or 3, since the
-    inverse of a Pauli element is its cube.  A character with Z4 label
-    (x_0, ..., x_r) then takes the value i^(m x_0 + sum_j k_j x_j) on p.
-    """
-    selection, c = decompose(p, sifted)
-    e = sifted.phase_exp_generator
-    return (c // e if e else 0, *(3 * s for s in selection))
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +424,6 @@ def characters(group: PauliSubgroup) -> list[Character]:
     sifted = group.sifted
     z_size = sifted.phase_subgroup_size
     r = len(sifted.pivots)
-    if z_size * 2**r != group.order:
-        raise AssertionError(
-            f"sift inconsistency: {z_size} * 2^{r} != order {group.order}"
-        )
 
     # chi(u) = i^w with u^|Z| = I, so w is a multiple of 4/|Z|
     omegas = range(0, 4, 4 // z_size)
@@ -437,7 +440,7 @@ def characters(group: PauliSubgroup) -> list[Character]:
     labels = np.concatenate(blocks).astype(np.uint8)
 
     basis = _canonical_basis(group)
-    keys = _exponents(labels, [coordinates(b, sifted) for b in basis])
+    keys = _exponents(labels, [group.element_coordinates[b] for b in basis])
     _, order = np.unique(keys, axis=0, return_index=True)
     if len(order) != group.order:
         raise AssertionError("character enumeration produced duplicates")
@@ -468,5 +471,5 @@ def reducibility_sum(group: PauliSubgroup) -> tuple[float, str]:
     traceless and i^c I has trace i^c 2^K, so the sum is exactly |Z| 4^K
     for the phase subgroup Z, at any qubit count.
     """
-    total = len(group.phase_subgroup) << (2 * group.n_qubits)
+    total = group.sifted.phase_subgroup_size << (2 * group.n_qubits)
     return float(total), "irreducible" if total == group.order else "reducible"

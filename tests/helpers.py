@@ -9,7 +9,9 @@ from paulidfs.channels import (
     state_fidelity,
 )
 from paulidfs.dfs import projector
-from paulidfs.subgroup import decompose, sift_generators
+from paulidfs.pauli import PauliElement, canonical_key, commutes, identity, mul
+from paulidfs.sampling import random_abelian_subgroup
+from paulidfs.subgroup import closure, decompose, sift_generators
 
 
 def ket(bits: str) -> np.ndarray:
@@ -17,6 +19,69 @@ def ket(bits: str) -> np.ndarray:
     state = np.zeros(1 << len(bits), dtype=complex)
     state[int(bits, 2)] = 1.0
     return state
+
+
+def abelian_group(rng, n_qubits, phases):
+    """Random Abelian group whose identity multiples are exactly ``phases``:
+    +I only ("plus"), +-I ("minus") or +-I, +-iI ("full"); "trivial" is
+    the group {I}."""
+    if phases == "trivial":
+        return closure([], n_qubits=n_qubits)
+    if phases == "full":
+        return random_abelian_subgroup(rng, n_qubits, phases="full")
+    group = random_abelian_subgroup(rng, n_qubits, phases="none")
+    if phases == "minus":
+        group = closure(group.generators + (PauliElement(2, 0, 0, n_qubits),))
+    return group
+
+
+def reference_closure(generators, n_qubits) -> dict:
+    """The subgroup generated by ``generators``, by breadth-first search.
+
+    Reference oracle for ``closure``: multiplies from the identity by every
+    generator until no new element appears, then reads the flags off the
+    element set and the generator pairs.  Returns the canonically ordered
+    ``elements``, ``is_abelian``, ``contains_minus_identity``,
+    ``contains_imaginary_identity`` and the ``phase_subgroup``.
+    """
+    start = identity(n_qubits)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        element = frontier.pop()
+        for g in generators:
+            product = mul(element, g)
+            if product not in seen:
+                seen.add(product)
+                frontier.append(product)
+    elements = tuple(sorted(seen, key=canonical_key))
+    return {
+        "elements": elements,
+        "is_abelian": all(
+            commutes(a, b) for i, a in enumerate(generators) for b in generators[i + 1 :]
+        ),
+        "contains_minus_identity": PauliElement(2, 0, 0, n_qubits) in seen,
+        "contains_imaginary_identity": PauliElement(1, 0, 0, n_qubits) in seen
+        or PauliElement(3, 0, 0, n_qubits) in seen,
+        "phase_subgroup": tuple(e for e in elements if e.is_identity_multiple),
+    }
+
+
+def reference_multiplicity(group, character) -> int:
+    """(1/N) sum_n conj(chi_k(G_n)) tr(G_n), summed exactly in Z4.
+
+    Reference oracle for ``multiplicity``: scans the elements for identity
+    multiples, the only ones with a nonzero trace; i^c I contributes
+    i^(c - k) 2^K when chi_k(i^c I) = i^k.
+    """
+    counts = [0, 0, 0, 0]
+    for element in group.elements:
+        if element.is_identity_multiple:
+            counts[(element.phase_exp - character.exponent(element)) % 4] += 1
+    real, imag = counts[0] - counts[2], counts[1] - counts[3]
+    total = real << group.n_qubits
+    assert imag == 0 and total % group.order == 0
+    return total // group.order
 
 
 _ROOTS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -109,9 +174,11 @@ def reference_decoherence_scan(group, state, trials, seed, n_ops=2):
     Reference oracle for ``decoherence_scan``: every trial builds its
     channel with ``random_group_algebra_kraus`` from the scan's derived
     seed, reseeding a degenerate draw up to 8 times, and applies it to
-    |state><state| with ``apply_channel``.  Builds N 2^K x 2^K matrices
-    per trial.
+    |psi><psi| with ``apply_channel``, for the unit vector psi along
+    ``state``; the fidelity is read off psi too.  Builds N 2^K x 2^K
+    matrices per trial.
     """
+    state = state / np.linalg.norm(state)
     rho0 = density_matrix_from_state(state)
     purities, fidelities = [], []
     for t in range(trials):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from paulidfs import (
     ChannelConstraintError,
     DegenerateKrausError,
-    PauliElement,
     apply_channel,
     assert_density_matrix,
     characters,
@@ -32,22 +31,8 @@ from paulidfs import (
 )
 from paulidfs import channels
 from paulidfs.presets import plane_invariance_residual
-from paulidfs.sampling import random_abelian_subgroup, random_state
-from helpers import ket, reference_decoherence_scan
-
-
-def _abelian_group(rng, n_qubits, phases):
-    """Random Abelian group whose identity multiples are exactly ``phases``:
-    +I only ("plus"), +-I ("minus") or +-I, +-iI ("full"); "trivial" is
-    the group {I}."""
-    if phases == "trivial":
-        return closure([], n_qubits=n_qubits)
-    if phases == "full":
-        return random_abelian_subgroup(rng, n_qubits, phases="full")
-    group = random_abelian_subgroup(rng, n_qubits, phases="none")
-    if phases == "minus":
-        group = closure(group.generators + (PauliElement(2, 0, 0, n_qubits),))
-    return group
+from paulidfs.sampling import random_state
+from helpers import abelian_group, ket, reference_decoherence_scan
 
 
 class _ZeroDraws:
@@ -226,9 +211,10 @@ class TestDecoherenceScan:
     def test_matches_dense_oracle(self, phases, seed, n_qubits, in_irrep, n_ops, scale):
         """The irrep-space scan reproduces the dense Kraus scan: same
         draws, same channels, purities and fidelities to 1e-10.  The state
-        is scaled off unit norm, which the fidelity keeps as given."""
+        is scaled off unit norm; both read the fidelity off the unit state,
+        so it stays at most 1."""
         rng = np.random.default_rng(seed)
-        group = _abelian_group(rng, n_qubits, phases)
+        group = abelian_group(rng, n_qubits, phases)
         phase_subgroup = {e.phase_exp for e in group.phase_subgroup}
         assert phase_subgroup == {
             "plus": {0}, "trivial": {0}, "minus": {0, 2}, "full": {0, 1, 2, 3}
@@ -249,8 +235,20 @@ class TestDecoherenceScan:
         )
         assert np.max(np.abs(np.subtract(report.purities, purities))) < 1e-10
         assert np.max(np.abs(np.subtract(report.fidelities, fidelities))) < 1e-10
+        assert max(report.fidelities) <= 1 + 1e-12
         if in_irrep:
             assert report.min_purity > 1 - 1e-9
+
+    @pytest.mark.parametrize("generators", [("ZI", "IZ"), ("XI", "ZI")])
+    def test_fidelity_reads_unit_state(self, generators):
+        """2|00> scans like |00> on the irrep route (Abelian) and on the
+        dense route (non-Abelian), so its fidelity stays at most 1."""
+        group = closure([parse_pauli(s) for s in generators])
+        unit = decoherence_scan(group, ket("00"), trials=4, seed=1)
+        scaled = decoherence_scan(group, 2 * ket("00"), trials=4, seed=1)
+        assert scaled.purities == pytest.approx(unit.purities, abs=1e-12)
+        assert scaled.fidelities == pytest.approx(unit.fidelities, abs=1e-12)
+        assert max(scaled.fidelities) <= 1 + 1e-12
 
     def test_abelian_scan_builds_no_dense_operator(self):
         """At K=10 the scan's tracemalloc peak stays below a quarter of one

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,6 +274,23 @@ class TestChannel:
         assert code == 1
         assert out == ""
         assert "input error: coefficient of term '1e999|00>' is not finite" in err
+
+    def test_dense_limit_checked_before_state(self, capsys):
+        """At 20 qubits the refusal comes before the state is parsed into
+        2^20-entry vectors of 16 MB each."""
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "channel", "Z" + "I" * 19, "--state", "|" + "0" * 20 + ">",
+                "--dense-limit", "12",
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert "exceeds the dense limit" in err
+        assert peak < 4 << 20
 
     def test_linalg_error_is_numeric_failure(self, capsys, monkeypatch):
         def fail(*args, **kwargs):

@@ -5,6 +5,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paulidfs import (
     NotAbelianError,
@@ -22,9 +23,16 @@ from paulidfs import (
     subgroup_from_error_generators,
     to_matrix,
 )
+import paulidfs.subgroup as subgroup_module
 from paulidfs.sampling import random_abelian_subgroup, random_nonabelian_subgroup
-from paulidfs.subgroup import ClosureCapError, exponent_table
-from helpers import reference_characters, root_exponent
+from paulidfs.subgroup import ClosureCapError, decompose, exponent_table
+from helpers import (
+    abelian_group,
+    reference_characters,
+    reference_closure,
+    reference_multiplicity,
+    root_exponent,
+)
 
 
 class TestClosure:
@@ -113,6 +121,101 @@ class TestClosure:
         assert data["contains_minus_identity"] is False
         rebuilt = closure([parse_pauli(s) for s in data["elements"]])
         assert rebuilt.elements == q2z.elements
+
+
+def _random_generators(rng, n_qubits, count):
+    full = (1 << n_qubits) - 1
+    return [
+        PauliElement(
+            int(rng.integers(0, 4)),
+            int(rng.integers(0, full + 1)),
+            int(rng.integers(0, full + 1)),
+            n_qubits,
+        )
+        for _ in range(count)
+    ]
+
+
+def _assert_matches_reference(generators, n_qubits):
+    """closure agrees with the breadth-first oracle, and each element's
+    coordinates are the ones decompose reads off the sifted form."""
+    group = closure(generators, n_qubits=n_qubits)
+    expected = reference_closure(generators, n_qubits)
+    assert group.elements == expected["elements"]
+    assert group.order == len(expected["elements"])
+    for name in (
+        "is_abelian",
+        "contains_minus_identity",
+        "contains_imaginary_identity",
+        "phase_subgroup",
+    ):
+        assert getattr(group, name) == expected[name], name
+    sifted = group.sifted
+    e = sifted.phase_exp_generator
+    assert list(group.element_coordinates) == list(group.elements)
+    for element, coords in group.element_coordinates.items():
+        selection, c = decompose(element, sifted)
+        assert coords == (c // e if e else 0, *(3 * s for s in selection))
+
+
+class TestCanonicalForm:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 5),
+        count=st.integers(0, 6),
+    )
+    def test_matches_breadth_first_closure(self, seed, n_qubits, count):
+        rng = np.random.default_rng(seed)
+        _assert_matches_reference(_random_generators(rng, n_qubits, count), n_qubits)
+
+    @pytest.mark.parametrize(
+        "strings, n_qubits",
+        [
+            ((), 1),
+            ((), 3),
+            (("ZZ", "ZI", "IZ"), 2),  # dependent
+            (("ZZ", "-ZZ"), 2),  # -I as a phase remainder
+            (("iX",), 1),  # anti-Hermitian: squares to -I
+            (("iXI", "iIX", "ZZ"), 2),
+            (("X", "Z"), 1),  # non-Abelian, -I only as a commutator
+            (("XX", "ZI"), 2),
+            (("XYZ", "ZZX", "YXI"), 3),
+            (("X", "Y", "Z"), 1),
+            (("XXI", "IZZ", "-III", "+iXYZ"), 3),
+        ],
+    )
+    def test_named_generator_lists(self, strings, n_qubits):
+        generators = [parse_pauli(s) for s in strings]
+        _assert_matches_reference(generators, n_qubits)
+
+    @pytest.mark.parametrize("phases", ["plus", "minus", "full", "trivial"])
+    def test_multiplicity_rule_matches_exact_sum(self, phases):
+        rng = np.random.default_rng(
+            {"plus": 51, "minus": 52, "full": 53, "trivial": 54}[phases]
+        )
+        for n_qubits in range(1, 6):
+            for _ in range(4):
+                group = abelian_group(rng, n_qubits, phases)
+                for c in characters(group):
+                    assert multiplicity(group, c) == reference_multiplicity(group, c)
+
+    def test_cap_checked_before_any_product(self, monkeypatch):
+        """16 independent Z strings have order 65536: refused at a cap of
+        4096 without a single group product."""
+        calls = []
+        real_mul = subgroup_module.mul
+
+        def counting_mul(p, q):
+            calls.append((p, q))
+            return real_mul(p, q)
+
+        monkeypatch.setattr(subgroup_module, "mul", counting_mul)
+        gens = [PauliElement(0, 0, 1 << j, 16) for j in range(16)]
+        with pytest.raises(ClosureCapError, match="65536"):
+            closure(gens, order_cap=4096)
+        assert calls == []
+        assert closure(gens[:12], order_cap=4096).order == 4096
 
 
 class TestErrorGeneratorEntryPoint:
