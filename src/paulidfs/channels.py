@@ -3,19 +3,14 @@
 A channel is a set of operators {A_d} with sum_d A_d^dag A_d = I acting as
 rho -> sum_d A_d rho A_d^dag.  The channels built here live in the group
 algebra of a Pauli subgroup: each A_d is a complex combination of the
-group's elements.  Trace preservation is enforced by right-multiplying a
-raw random draw with S^(-1/2), S = sum A^dag A.
+group's elements, and trace preservation is enforced by right-multiplying
+a raw random draw with S^(-1/2), S = sum A^dag A.
 
-Two routes compute the same channels.  ``random_group_algebra_kraus`` and
-``apply_channel`` work on dense 2^K x 2^K matrices: S^(-1/2) comes from a
-Hermitian eigendecomposition, and since S lies in the adjoint-closed group
-algebra, so does the corrected operator, which is re-verified numerically
-by projecting back onto the elements.  ``decoherence_scan`` takes that
-route for non-Abelian groups only.  For an Abelian group it works in irrep
-space: A = sum_n a_n G_n acts on the k-th invariant subspace as the scalar
-a^_k = sum_n a_n gamma_n^k, so S^(-1/2) is a scaling per character and
-purity and fidelity follow in closed form from the state's irrep weights,
-without any 2^K x 2^K array.  The dense route is the test oracle for it.
+One body (``_draw`` and the trial loop of ``decoherence_scan``) serves two
+bases of the algebra, neither of which builds a 2^K x 2^K array: the D =
+N/|Z| Pauli strings of any group (``_StringAlgebra``, O(D^3) per draw) and
+the irreps of an Abelian one (``_IrrepBasis``, O(N) per character).  The
+dense construction is kept in the tests as the oracle for both.
 """
 
 from __future__ import annotations
@@ -27,11 +22,11 @@ import numpy as np
 from .dfs import multiplicity
 from .pauli import (
     DENSE_QUBIT_LIMIT,
+    PauliElement,
+    _parity,
     _require_dense,
-    adjoint,
     format_pauli,
     matrix_action,
-    mul,
     parse_pauli,
     to_matrix,
 )
@@ -45,6 +40,10 @@ DEGENERATE_S_TOL = 1e-12
 #: within this; each is a sum of N expectation values of unit-modulus
 #: operators over a unit vector.
 IRREP_WEIGHT_TOL = 1e-10
+#: Largest string-algebra dimension D = N/|Z|.  Each draw diagonalizes one
+#: D x D matrix: at D = 512 a 32-trial CLI scan takes 8.2-8.6 s and 76 MB
+#: on one core of a 2-vCPU VM, and each doubling of D costs about 8x.
+ALGEBRA_DIMENSION_LIMIT = 512
 
 
 class DegenerateKrausError(ValueError):
@@ -150,25 +149,8 @@ def state_fidelity(state: np.ndarray, rho: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# channel construction and application
+# channel draws in two bases of the group algebra
 # ---------------------------------------------------------------------------
-
-
-def _element_gram(group: PauliSubgroup) -> np.ndarray:
-    """Exact Gram matrix tr(G_m^dag G_n) / 2^K over the group elements.
-
-    Entries are fourth roots of unity where two elements share a string
-    and zero otherwise; duplicates (same string, different phase) make
-    the Gram singular, which the least-squares re-projection tolerates.
-    """
-    n = group.order
-    gram = np.zeros((n, n), dtype=complex)
-    for i, a in enumerate(group.elements):
-        for j, b in enumerate(group.elements):
-            product = mul(adjoint(a), b)
-            if product.is_identity_multiple:
-                gram[i, j] = 1j**product.phase_exp
-    return gram
 
 
 def _raw_coefficients(n_ops: int, order: int, seed: int) -> np.ndarray:
@@ -179,6 +161,140 @@ def _raw_coefficients(n_ops: int, order: int, seed: int) -> np.ndarray:
     )
 
 
+def _require_nondegenerate(smallest: float):
+    if smallest < DEGENERATE_S_TOL:
+        raise DegenerateKrausError(
+            f"normalization matrix is singular (min eigenvalue "
+            f"{smallest:.3e}); reseed and retry"
+        )
+
+
+def _expectations(elements, psi: np.ndarray) -> np.ndarray:
+    """<psi|G|psi> for each element G, one gather each."""
+    actions = map(matrix_action, elements)
+    return np.array([np.vdot(psi, v[rows] * psi[rows]) for rows, v in actions])
+
+
+class _StringAlgebra:
+    """The group algebra over its D = N/|Z| Pauli strings.
+
+    W_s, s < D = 2^r, is the phase-free string whose masks XOR the sifted
+    pivots selected by the bits of s; every element is some i^p W_s.  The
+    strings are Hermitian, orthonormal under (1/2^K) tr, and multiply as
+    W_s W_t = i^phi(s,t) W_(s XOR t), phi as in ``pauli.mul``.  Left
+    multiplication by sum_s c_s W_s is L(c)[u, t] = c[u ^ t] i^phi(u ^ t, t),
+    a faithful *-representation: L(c)^dag = L(conj(c)), and L(S) has the
+    spectrum of S.  D above ``ALGEBRA_DIMENSION_LIMIT`` is refused first.
+    """
+
+    def __init__(self, group: PauliSubgroup):
+        dim = 1 << len(group.sifted.pivots)
+        if dim > ALGEBRA_DIMENSION_LIMIT:
+            raise ValueError(
+                f"string algebra dimension D = {dim} exceeds the limit of "
+                f"{ALGEBRA_DIMENSION_LIMIT}"
+            )
+        masks = [(0, 0)]
+        for b in group.sifted.pivots:
+            masks += [(x ^ b.x_mask, z ^ b.z_mask) for x, z in masks]
+        self.strings = [PauliElement(0, x, z, group.n_qubits) for x, z in masks]
+        x, z = np.array(masks, dtype=np.int64).T
+        y = np.array([(w.x_mask & w.z_mask).bit_count() for w in self.strings])
+        self._xor = np.arange(dim)[:, None] ^ np.arange(dim)
+        phi = (y[:, None] + y - y[self._xor] + 2 * _parity(z[:, None] & x)) % 4
+        self._products = np.array(_ROOTS)[phi]
+        # row n of the draw map is i^p e_s for element n = i^p W_s
+        index = {(w.x_mask, w.z_mask): s for s, w in enumerate(self.strings)}
+        self.draw_map = np.zeros((group.order, dim), dtype=complex)
+        for n, e in enumerate(group.elements):
+            self.draw_map[n, index[e.x_mask, e.z_mask]] = _ROOTS[e.phase_exp]
+        # ||sum_s c_s W_s||_F^2 = 2^K ||c||^2, and I = W_0
+        self.norm_weights, self.unit = 2.0**group.n_qubits, np.arange(dim) == 0
+
+    def left(self, c: np.ndarray) -> np.ndarray:
+        return np.take_along_axis(c[:, None] * self._products, self._xor, axis=0)
+
+    def square_sum(self, hat: np.ndarray) -> np.ndarray:
+        return sum(self.left(c).conj().T @ c for c in hat)
+
+    def normalize(self, hat: np.ndarray) -> np.ndarray:
+        eigenvalues, eigenvectors = np.linalg.eigh(self.left(self.square_sum(hat)))
+        _require_nondegenerate(eigenvalues[0])
+        # L(S)^(-1/2) applied to W_0 = I: the coefficients of S^(-1/2)
+        inv_sqrt = eigenvectors @ (eigenvalues**-0.5 * eigenvectors[0].conj())
+        return np.array([self.left(c) @ inv_sqrt for c in hat])
+
+    def moments(self, psi: np.ndarray) -> np.ndarray:
+        return _expectations(self.strings, psi)
+
+    def gram(self, hat: np.ndarray, moments: np.ndarray) -> np.ndarray:
+        """<psi|A_e^dag A_d|psi> at [d, e], from <psi|W_s W_t|psi>."""
+        return hat @ (self._products * moments[self._xor]).T @ hat.conj().T
+
+
+class _IrrepBasis:
+    """An Abelian group's algebra in irrep space.
+
+    An operator is held as its scalars a^_k = sum_n a_n gamma_n^k on the
+    supported characters, so S acts on the m_k-dimensional block k as
+    s_k = sum_d |a^_{d,k}|^2 and S^(-1/2) divides column k by sqrt(s_k).
+    The moments of a state are its irrep weights w_k = ||P_k psi||^2.
+    """
+
+    def __init__(self, group: PauliSubgroup):
+        chars = characters(group)
+        multiplicities = np.array([multiplicity(group, c) for c in chars])
+        supported = [c for c, m in zip(chars, multiplicities) if m]
+        self._elements = group.elements
+        self.norm_weights, self.unit = multiplicities[multiplicities > 0], 1
+        self.draw_map = np.array(_ROOTS)[exponent_table(group, supported)].T
+
+    def square_sum(self, hat: np.ndarray) -> np.ndarray:
+        return np.sum(np.abs(hat) ** 2, axis=0)
+
+    def normalize(self, hat: np.ndarray) -> np.ndarray:
+        s = self.square_sum(hat)
+        _require_nondegenerate(s.min())
+        return hat / np.sqrt(s)
+
+    def moments(self, psi: np.ndarray) -> np.ndarray:
+        expectations = _expectations(self._elements, psi)
+        weights = self.draw_map.T.conj() @ expectations / len(self._elements)
+        # written so that NaN weights fail too
+        if not (
+            abs(weights.sum() - 1) <= IRREP_WEIGHT_TOL
+            and np.all(np.abs(weights.imag) <= IRREP_WEIGHT_TOL)
+            and np.all(weights.real >= -IRREP_WEIGHT_TOL)
+        ):
+            raise AssertionError(f"irrep weights {weights} are not a distribution")
+        return weights.real
+
+    def gram(self, hat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        return (hat * weights) @ hat.conj().T
+
+
+def _draw(basis, n_ops: int, seed: int) -> np.ndarray:
+    """The seeded draw over the elements, in ``basis``, times S^(-1/2);
+    DegenerateKrausError (reseed and retry) if S is numerically singular."""
+    if n_ops < 1:
+        raise ValueError("n_ops must be >= 1")
+    raw = _raw_coefficients(n_ops, len(basis.draw_map), seed)
+    hat = basis.normalize(raw @ basis.draw_map)
+    # ||sum A^dag A - I||_F from the coefficients of sum A^dag A
+    excess = np.abs(basis.square_sum(hat) - basis.unit) ** 2
+    defect = float(np.sqrt(np.sum(basis.norm_weights * excess)))
+    if defect > KRAUS_NORM_TOL:
+        raise ChannelConstraintError(
+            f"sum A^dag A deviates from identity by {defect:.3e}"
+        )
+    return hat
+
+
+# ---------------------------------------------------------------------------
+# channel construction and application
+# ---------------------------------------------------------------------------
+
+
 def random_group_algebra_kraus(
     group: PauliSubgroup,
     n_ops: int,
@@ -187,57 +303,26 @@ def random_group_algebra_kraus(
 ) -> KrausSet:
     """Random trace-preserving channel inside the group algebra.
 
-    Raw operators get complex standard-normal coefficients over the group
-    elements; the draw is corrected by S^(-1/2) (Hermitian
-    eigendecomposition) and the final coefficients are recovered by
-    projecting each corrected operator back onto the elements under the
-    trace inner product.
+    The draw is made and corrected in the string algebra, and only the
+    result is densified.  ``coefficients`` spread each string's c_s over
+    its |Z| elements i^p W_s as c_s i^(-p)/|Z|, the minimum-norm
+    coefficients over the elements.
 
     Raises:
         DegenerateKrausError: the raw draw's S has an eigenvalue below
             ``DEGENERATE_S_TOL``, reseed and retry.
     """
-    if n_ops < 1:
-        raise ValueError("n_ops must be >= 1")
     _require_dense(group.n_qubits, dense_limit)
-    dim = 1 << group.n_qubits
-    matrices = [to_matrix(e, dense_limit=dense_limit) for e in group.elements]
-    raw_coeff = _raw_coefficients(n_ops, group.order, seed)
-    raw_ops = [
-        sum(c * m for c, m in zip(row, matrices)) for row in raw_coeff
-    ]
-    s = np.zeros((dim, dim), dtype=complex)
-    for op in raw_ops:
-        s += op.conj().T @ op
-    eigenvalues, eigenvectors = np.linalg.eigh(s)
-    if eigenvalues[0] < DEGENERATE_S_TOL:
-        raise DegenerateKrausError(
-            f"normalization matrix is singular (min eigenvalue "
-            f"{eigenvalues[0]:.3e}); reseed and retry"
-        )
-    inv_sqrt = eigenvectors @ np.diag(eigenvalues**-0.5) @ eigenvectors.conj().T
-    operators = tuple(op @ inv_sqrt for op in raw_ops)
-
-    gram = _element_gram(group)
-    targets = np.array(
-        [[np.vdot(m, op) / dim for m in matrices] for op in operators]
-    )
-    coefficients, *_ = np.linalg.lstsq(gram, targets.T, rcond=None)
-    coefficients = coefficients.T
-    for row, op in zip(coefficients, operators):
-        rebuilt = sum(c * m for c, m in zip(row, matrices))
-        if np.linalg.norm(rebuilt - op) > 1e-9:
-            raise AssertionError(
-                "corrected Kraus operator left the group algebra"
-            )
-    kraus = KrausSet(
+    algebra = _StringAlgebra(group)
+    hat = _draw(algebra, n_ops, seed)
+    matrices = [to_matrix(w, dense_limit=dense_limit) for w in algebra.strings]
+    spread = len(algebra.strings) / group.order
+    return KrausSet(
         n_qubits=group.n_qubits,
-        operators=operators,
+        operators=tuple(sum(c * m for c, m in zip(row, matrices)) for row in hat),
         group=group,
-        coefficients=coefficients,
+        coefficients=hat @ algebra.draw_map.conj().T * spread,
     )
-    kraus.validate()
-    return kraus
 
 
 def uniform_group_channel(
@@ -319,86 +404,6 @@ class ScanReport:
         }
 
 
-def _dense_trial(group, state, n_ops, dense_limit):
-    """Per-seed (purity, fidelity) through dense Kraus operators."""
-    psi = _unit_vector(state)
-    rho0 = density_matrix_from_state(psi)
-
-    def trial(seed: int) -> tuple[float, float]:
-        kraus = random_group_algebra_kraus(group, n_ops, seed, dense_limit=dense_limit)
-        rho = apply_channel(kraus, rho0)
-        return purity(rho), state_fidelity(psi, rho)
-
-    return trial
-
-
-def _irrep_trial(group, state, n_ops, dense_limit):
-    """Per-seed (purity, fidelity) in irrep space, for an Abelian group.
-
-    The draw is the dense route's, mapped to a^_{d,k} = sum_n a_{d,n}
-    gamma_n^k over the supported characters.  S acts on block k as
-    s_k = sum_d |a^_{d,k}|^2, so S^(-1/2) divides column k by sqrt(s_k).
-    With irrep weights w_k = ||P_k psi||^2, the vectors A'_d psi have the
-    Gram matrix sum_k a'_{d,k} conj(a'_{e,k}) w_k, whose nonzero spectrum
-    is that of rho' = sum_d A'_d |psi><psi| A'_d^dag: purity is its
-    squared Frobenius norm and fidelity sum_d |sum_k a'_{d,k} w_k|^2.
-    Each dense check has a block form here: the normalization defect
-    sum_k m_k (sum_d |a'_{d,k}|^2 - 1)^2 is ||sum A'^dag A' - I||_F^2, and
-    the Gram matrix is checked as a density matrix.
-    """
-    if n_ops < 1:
-        raise ValueError("n_ops must be >= 1")
-    _require_dense(group.n_qubits, dense_limit)
-    psi = _unit_vector(state)
-    dim = 1 << group.n_qubits
-    if psi.shape != (dim,):
-        raise ValueError(f"state shape {psi.shape} != ({dim},)")
-    chars = characters(group)
-    multiplicities = np.array([multiplicity(group, c) for c in chars])
-    supported = [c for c, m in zip(chars, multiplicities) if m]
-    multiplicities = multiplicities[multiplicities > 0]
-    gamma = np.array(_ROOTS)[exponent_table(group, supported)]
-    expectations = np.array(
-        [
-            np.vdot(psi, values[rows] * psi[rows])
-            for rows, values in map(matrix_action, group.elements)
-        ]
-    )
-    weights = gamma.conj() @ expectations / group.order
-    # written so that NaN weights fail too
-    if not (
-        abs(weights.sum() - 1) <= IRREP_WEIGHT_TOL
-        and np.all(np.abs(weights.imag) <= IRREP_WEIGHT_TOL)
-        and np.all(weights.real >= -IRREP_WEIGHT_TOL)
-    ):
-        raise AssertionError(f"irrep weights {weights} are not a distribution")
-    weights = weights.real
-
-    def trial(seed: int) -> tuple[float, float]:
-        hat = _raw_coefficients(n_ops, group.order, seed) @ gamma.T
-        s = np.sum(np.abs(hat) ** 2, axis=0)
-        if s.min() < DEGENERATE_S_TOL:
-            raise DegenerateKrausError(
-                f"normalization matrix is singular (min eigenvalue "
-                f"{s.min():.3e}); reseed and retry"
-            )
-        hat /= np.sqrt(s)
-        column_norms = np.sum(np.abs(hat) ** 2, axis=0)
-        defect = float(np.sqrt(np.sum(multiplicities * (column_norms - 1) ** 2)))
-        if defect > KRAUS_NORM_TOL:
-            raise ChannelConstraintError(
-                f"sum A^dag A deviates from identity by {defect:.3e}"
-            )
-        gram = (hat * weights) @ hat.conj().T
-        if abs(np.trace(gram) - 1) > KRAUS_NORM_TOL:
-            raise ValueError("channel application failed to preserve the trace")
-        assert_density_matrix(gram)
-        fidelity = np.sum(np.abs(hat @ weights) ** 2)
-        return float(np.vdot(gram, gram).real), float(fidelity)
-
-    return trial
-
-
 def decoherence_scan(
     group: PauliSubgroup,
     state: np.ndarray,
@@ -412,30 +417,38 @@ def decoherence_scan(
     States inside a single irrep's subspace keep purity 1 in every trial;
     superpositions across irreps lose purity for generic draws.  Each
     trial gets its own derived seed; a degenerate draw is retried with a
-    shifted seed (deterministically).  Abelian groups are scanned in irrep
-    space, non-Abelian ones through dense Kraus operators; both routes
-    draw the same channel from the same seed.  Both read the fidelity off
-    the unit vector along ``state``.
+    shifted seed (deterministically).  One trial body scans an Abelian
+    group in irrep space and any other in its string algebra, with the
+    same draws.  Fidelity is sum_d |<psi|A_d|psi>|^2 for the unit vector
+    psi along ``state``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    route = _irrep_trial if group.is_abelian else _dense_trial
-    trial = route(group, state, n_ops, dense_limit)
+    _require_dense(group.n_qubits, dense_limit)
+    psi = _unit_vector(state)
+    dim = 1 << group.n_qubits
+    if psi.shape != (dim,):
+        raise ValueError(f"state shape {psi.shape} != ({dim},)")
+    basis = _IrrepBasis(group) if group.is_abelian else _StringAlgebra(group)
+    moments = basis.moments(psi)
     purities = []
     fidelities = []
     for t in range(trials):
-        attempt = 0
-        while True:
-            trial_seed = seed * 1_000_003 + t * 97 + attempt
+        for attempt in range(9):
             try:
-                p, f = trial(trial_seed)
+                hat = _draw(basis, n_ops, seed * 1_000_003 + t * 97 + attempt)
                 break
             except DegenerateKrausError:
-                attempt += 1
-                if attempt > 8:
+                if attempt == 8:
                     raise
-        purities.append(p)
-        fidelities.append(f)
+        # the Gram matrix <psi|A_e^dag A_d|psi> of the vectors A_d psi has
+        # the nonzero spectrum of the evolved density matrix
+        gram = basis.gram(hat, moments)
+        if abs(np.trace(gram) - 1) > KRAUS_NORM_TOL:
+            raise ValueError("channel application failed to preserve the trace")
+        assert_density_matrix(gram)
+        purities.append(float(np.vdot(gram, gram).real))
+        fidelities.append(float(np.sum(np.abs(hat @ moments) ** 2)))
     return ScanReport(
         trials=trials,
         seed=seed,

@@ -2,7 +2,7 @@
 channel scans, with deterministic JSON or human-readable text output.
 
 Exit codes: 0 success, 1 usage or input error, 2 analysis refusal
-(non-Abelian subgroup under --require-dfs), 3 numeric failure.
+(non-Abelian subgroup under --require-dfs), 3 numeric failure or no memory.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import sys
 import time
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
 from .channels import (
     DegenerateKrausError,
@@ -423,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
             )
     # LinAlgError and DegenerateKrausError subclass ValueError, so they
     # must be caught before the input errors
-    except (DegenerateKrausError, AssertionError, np.linalg.LinAlgError) as error:
+    except (DegenerateKrausError, AssertionError, LinAlgError, MemoryError) as error:
         print(f"numeric failure: {error}", file=sys.stderr)
         return 3
     except ValueError as error:

@@ -1,15 +1,27 @@
 import numpy as np
 
 from paulidfs.channels import (
+    DEGENERATE_S_TOL,
     DegenerateKrausError,
+    KrausSet,
+    _raw_coefficients,
     apply_channel,
     density_matrix_from_state,
     purity,
-    random_group_algebra_kraus,
     state_fidelity,
 )
 from paulidfs.dfs import projector
-from paulidfs.pauli import PauliElement, canonical_key, commutes, identity, mul
+from paulidfs.pauli import (
+    DENSE_QUBIT_LIMIT,
+    PauliElement,
+    _require_dense,
+    adjoint,
+    canonical_key,
+    commutes,
+    identity,
+    mul,
+    to_matrix,
+)
 from paulidfs.sampling import random_abelian_subgroup
 from paulidfs.subgroup import closure, decompose, sift_generators
 
@@ -168,11 +180,90 @@ def reference_dfs_basis(group, character) -> list[np.ndarray]:
     return kept
 
 
+def _element_gram(group) -> np.ndarray:
+    """Exact Gram matrix tr(G_m^dag G_n) / 2^K over the group elements.
+
+    Entries are fourth roots of unity where two elements share a string
+    and zero otherwise; duplicates (same string, different phase) make
+    the Gram singular, which the least-squares re-projection tolerates.
+    """
+    n = group.order
+    gram = np.zeros((n, n), dtype=complex)
+    for i, a in enumerate(group.elements):
+        for j, b in enumerate(group.elements):
+            product = mul(adjoint(a), b)
+            if product.is_identity_multiple:
+                gram[i, j] = 1j**product.phase_exp
+    return gram
+
+
+def reference_group_algebra_kraus(
+    group,
+    n_ops: int,
+    seed: int,
+    dense_limit: int = DENSE_QUBIT_LIMIT,
+) -> KrausSet:
+    """Random trace-preserving channel inside the group algebra, densely.
+
+    Reference oracle for ``random_group_algebra_kraus``: raw operators get
+    complex standard-normal coefficients over the group elements; the draw
+    is corrected by S^(-1/2) (Hermitian eigendecomposition of the dense
+    2^K x 2^K S) and the final coefficients are recovered by projecting
+    each corrected operator back onto the elements under the trace inner
+    product.  Builds N 2^K x 2^K matrices.
+
+    Raises:
+        DegenerateKrausError: the raw draw's S has an eigenvalue below
+            ``DEGENERATE_S_TOL``, reseed and retry.
+    """
+    if n_ops < 1:
+        raise ValueError("n_ops must be >= 1")
+    _require_dense(group.n_qubits, dense_limit)
+    dim = 1 << group.n_qubits
+    matrices = [to_matrix(e, dense_limit=dense_limit) for e in group.elements]
+    raw_coeff = _raw_coefficients(n_ops, group.order, seed)
+    raw_ops = [
+        sum(c * m for c, m in zip(row, matrices)) for row in raw_coeff
+    ]
+    s = np.zeros((dim, dim), dtype=complex)
+    for op in raw_ops:
+        s += op.conj().T @ op
+    eigenvalues, eigenvectors = np.linalg.eigh(s)
+    if eigenvalues[0] < DEGENERATE_S_TOL:
+        raise DegenerateKrausError(
+            f"normalization matrix is singular (min eigenvalue "
+            f"{eigenvalues[0]:.3e}); reseed and retry"
+        )
+    inv_sqrt = eigenvectors @ np.diag(eigenvalues**-0.5) @ eigenvectors.conj().T
+    operators = tuple(op @ inv_sqrt for op in raw_ops)
+
+    gram = _element_gram(group)
+    targets = np.array(
+        [[np.vdot(m, op) / dim for m in matrices] for op in operators]
+    )
+    coefficients, *_ = np.linalg.lstsq(gram, targets.T, rcond=None)
+    coefficients = coefficients.T
+    for row, op in zip(coefficients, operators):
+        rebuilt = sum(c * m for c, m in zip(row, matrices))
+        if np.linalg.norm(rebuilt - op) > 1e-9:
+            raise AssertionError(
+                "corrected Kraus operator left the group algebra"
+            )
+    kraus = KrausSet(
+        n_qubits=group.n_qubits,
+        operators=operators,
+        group=group,
+        coefficients=coefficients,
+    )
+    kraus.validate()
+    return kraus
+
+
 def reference_decoherence_scan(group, state, trials, seed, n_ops=2):
     """Purities and fidelities of a scan through dense Kraus operators.
 
     Reference oracle for ``decoherence_scan``: every trial builds its
-    channel with ``random_group_algebra_kraus`` from the scan's derived
+    channel with ``reference_group_algebra_kraus`` from the scan's derived
     seed, reseeding a degenerate draw up to 8 times, and applies it to
     |psi><psi| with ``apply_channel``, for the unit vector psi along
     ``state``; the fidelity is read off psi too.  Builds N 2^K x 2^K
@@ -186,7 +277,7 @@ def reference_decoherence_scan(group, state, trials, seed, n_ops=2):
         while True:
             trial_seed = seed * 1_000_003 + t * 97 + attempt
             try:
-                kraus = random_group_algebra_kraus(group, n_ops, trial_seed)
+                kraus = reference_group_algebra_kraus(group, n_ops, trial_seed)
                 break
             except DegenerateKrausError:
                 attempt += 1

@@ -31,8 +31,13 @@ from paulidfs import (
 )
 from paulidfs import channels
 from paulidfs.presets import plane_invariance_residual
-from paulidfs.sampling import random_state
-from helpers import abelian_group, ket, reference_decoherence_scan
+from paulidfs.sampling import random_nonabelian_subgroup, random_state
+from helpers import (
+    abelian_group,
+    ket,
+    reference_decoherence_scan,
+    reference_group_algebra_kraus,
+)
 
 
 class _ZeroDraws:
@@ -96,6 +101,32 @@ class TestRandomKraus:
     def test_n_ops_validation(self, qz):
         with pytest.raises(ValueError):
             random_group_algebra_kraus(qz, 0, seed=0)
+
+    @pytest.mark.parametrize("kind", ["abelian", "nonabelian"])
+    def test_matches_dense_oracle(self, monkeypatch, kind):
+        """The string-algebra draw gives the dense oracle's operators and
+        its minimum-norm coefficients over the elements, and both refuse a
+        zero draw with the same error."""
+        for i in range(12):
+            rng = np.random.default_rng(i)
+            n_qubits = int(rng.integers(1, 5))
+            if kind == "nonabelian":
+                group = random_nonabelian_subgroup(rng, n_qubits, max_generators=4)
+            else:
+                group = abelian_group(rng, n_qubits, ("plus", "minus", "full")[i % 3])
+            n_ops = int(rng.integers(1, 4))
+            kraus = random_group_algebra_kraus(group, n_ops, seed=i)
+            oracle = reference_group_algebra_kraus(group, n_ops, seed=i)
+            assert np.max(np.abs(kraus.coefficients - oracle.coefficients)) < 1e-10
+            for op, expected in zip(kraus.operators, oracle.operators, strict=True):
+                assert np.max(np.abs(op - expected)) < 1e-10
+        _zero_draws_at(monkeypatch, {7})
+        errors = []
+        for build in (random_group_algebra_kraus, reference_group_algebra_kraus):
+            with pytest.raises(DegenerateKrausError) as caught:
+                build(group, 2, seed=7)
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
 
 
 class TestApplyChannel:
@@ -199,7 +230,7 @@ class TestDecoherenceScan:
         with pytest.raises(ValueError, match="trials must be >= 1"):
             decoherence_scan(qz, ket("00"), trials=trials)
 
-    @pytest.mark.parametrize("phases", ["plus", "minus", "full", "trivial"])
+    @pytest.mark.parametrize("phases", ["plus", "minus", "full", "trivial", "nonabelian"])
     @settings(max_examples=20, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -209,16 +240,23 @@ class TestDecoherenceScan:
         scale=st.floats(0.5, 2.0),
     )
     def test_matches_dense_oracle(self, phases, seed, n_qubits, in_irrep, n_ops, scale):
-        """The irrep-space scan reproduces the dense Kraus scan: same
-        draws, same channels, purities and fidelities to 1e-10.  The state
-        is scaled off unit norm; both read the fidelity off the unit state,
-        so it stays at most 1."""
+        """The irrep-space scan (Abelian phase classes) and the
+        string-algebra scan (non-Abelian groups, whose states are never
+        inside one irrep) reproduce the dense Kraus scan: same draws, same
+        channels, purities and fidelities to 1e-10.  The state is scaled
+        off unit norm; both read the fidelity off the unit state, so it
+        stays at most 1."""
         rng = np.random.default_rng(seed)
-        group = abelian_group(rng, n_qubits, phases)
-        phase_subgroup = {e.phase_exp for e in group.phase_subgroup}
-        assert phase_subgroup == {
-            "plus": {0}, "trivial": {0}, "minus": {0, 2}, "full": {0, 1, 2, 3}
-        }[phases]
+        if phases == "nonabelian":
+            group = random_nonabelian_subgroup(rng, n_qubits, max_generators=4)
+            assert not group.is_abelian
+            in_irrep = False
+        else:
+            group = abelian_group(rng, n_qubits, phases)
+            phase_subgroup = {e.phase_exp for e in group.phase_subgroup}
+            assert phase_subgroup == {
+                "plus": {0}, "trivial": {0}, "minus": {0, 2}, "full": {0, 1, 2, 3}
+            }[phases]
         if in_irrep:
             supported = [c for c in characters(group) if multiplicity(group, c)]
             basis = dfs_basis(group, supported[rng.integers(len(supported))])
@@ -242,7 +280,7 @@ class TestDecoherenceScan:
     @pytest.mark.parametrize("generators", [("ZI", "IZ"), ("XI", "ZI")])
     def test_fidelity_reads_unit_state(self, generators):
         """2|00> scans like |00> on the irrep route (Abelian) and on the
-        dense route (non-Abelian), so its fidelity stays at most 1."""
+        string-algebra route (non-Abelian), so its fidelity stays at most 1."""
         group = closure([parse_pauli(s) for s in generators])
         unit = decoherence_scan(group, ket("00"), trials=4, seed=1)
         scaled = decoherence_scan(group, 2 * ket("00"), trials=4, seed=1)
@@ -250,10 +288,23 @@ class TestDecoherenceScan:
         assert scaled.fidelities == pytest.approx(unit.fidelities, abs=1e-12)
         assert max(scaled.fidelities) <= 1 + 1e-12
 
-    def test_abelian_scan_builds_no_dense_operator(self):
-        """At K=10 the scan's tracemalloc peak stays below a quarter of one
-        dense 2^10 x 2^10 operator; the dense route holds one per element."""
-        group = closure([parse_pauli("Z" * 10), parse_pauli("X" * 10)])
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            pytest.param(("Z" * 10, "X" * 10), id="abelian"),
+            pytest.param(("XIIIIIIIII", "ZIIIIIIIII", "IIZZIIIIII"), id="nonabelian"),
+        ],
+    )
+    def test_scan_builds_no_dense_operator(self, monkeypatch, generators):
+        """At K=10 neither route calls ``to_matrix``, and the scan's
+        tracemalloc peak stays below a quarter of one dense 2^10 x 2^10
+        operator; the dense oracle holds one per element."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("to_matrix called on the scan path")
+
+        monkeypatch.setattr(channels, "to_matrix", forbidden)
+        group = closure([parse_pauli(s) for s in generators])
         state = random_state(np.random.default_rng(0), 1 << 10)
         tracemalloc.start()
         try:

@@ -304,9 +304,42 @@ class TestChannel:
         assert out == ""
         assert "numeric failure: Eigenvalues did not converge" in err
 
+    def test_memory_error_is_numeric_failure(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(cli, "decoherence_scan", fail)
+        code, out, err = run_cli(
+            capsys, "channel", "XI", "ZI", "--state", "|00>"
+        )
+        assert code == 3
+        assert out == ""
+        assert "numeric failure: Unable to allocate 8.00 GiB" in err
+
+    def test_algebra_dimension_checked_before_work(self, capsys):
+        """A non-Abelian group whose string algebra has D = 1024 > 512 is
+        refused before anything of size D is built."""
+        generators = ["I" * j + p + "I" * (5 - j) for j in range(5) for p in "XZ"]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "channel", *generators, "--state", "|000000>"
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert (
+            "input error: string algebra dimension D = 1024 exceeds the limit of 512"
+            in err
+        )
+        assert peak < 4 << 20
+
     def test_scan_numbers_pinned(self, capsys):
-        """Purities and fidelities of one scan, as the dense Kraus route
-        computed them: any change of draw order or channel shows here."""
+        """Purities and fidelities of one irrep-space scan, pinned at the
+        values the dense Kraus route gave for the same draws: any change of
+        draw order or channel shows here."""
         code, out, _ = run_cli(
             capsys, "channel", "ZI", "IZ", "--state", "0.6|00>+0.8|11>",
             "--json", "--trials", "8", "--seed", "3",
