@@ -218,11 +218,14 @@ class _StringAlgebra:
         return sum(self.left(c).conj().T @ c for c in hat)
 
     def normalize(self, hat: np.ndarray) -> np.ndarray:
-        eigenvalues, eigenvectors = np.linalg.eigh(self.left(self.square_sum(hat)))
+        # one left-multiplication matrix per raw operator, for S and S^(-1/2)
+        lefts = [self.left(c) for c in hat]
+        s = sum(m.conj().T @ c for m, c in zip(lefts, hat))
+        eigenvalues, eigenvectors = np.linalg.eigh(self.left(s))
         _require_nondegenerate(eigenvalues[0])
         # L(S)^(-1/2) applied to W_0 = I: the coefficients of S^(-1/2)
         inv_sqrt = eigenvectors @ (eigenvalues**-0.5 * eigenvectors[0].conj())
-        return np.array([self.left(c) @ inv_sqrt for c in hat])
+        return np.array([m @ inv_sqrt for m in lefts])
 
     def moments(self, psi: np.ndarray) -> np.ndarray:
         return _expectations(self.strings, psi)

@@ -48,7 +48,7 @@ from .subgroup import (
     reducibility_sum,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 #: Names of i^k indexed by k.  An object array, so that every cell of a
 #: character table refers to one of these four strings.
@@ -280,7 +280,7 @@ def render_text(report: dict, elapsed_s: float) -> str:
             lines.append(line)
             for vec in entry.get("basis", {}).get("vectors", []):
                 parts = []
-                for index, (re_part, im_part) in enumerate(vec):
+                for index, (re_part, im_part) in zip(vec["kets"], vec["amplitudes"]):
                     if abs(re_part) < 5e-13 and abs(im_part) < 5e-13:
                         continue
                     amp = (

@@ -25,6 +25,7 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,21 +34,29 @@ from .pauli import (
     PauliElement,
     _parity,
     _require_dense,
-    algebra_action,
     matrix_action,
     to_matrix,
 )
 from .subgroup import (
+    _ROOTS,
     Character,
     NotAbelianError,
     PauliSubgroup,
     decompose,
+    exponent_table,
 )
 
 #: A verification trial passes when the worst eigenvalue residual is below
 #: this; sits far above double-precision noise at dim <= 4096 and far
 #: below any genuine gap between fourth-root-of-unity eigenvalues.
 RESIDUAL_PASS_TOL = 1e-9
+
+#: Entries of each (elements x closure kets) block ``verify_dfs`` builds.
+#: At about 100 bytes an entry, its working memory stays near 26 MB for
+#: any N (measured at N = 16384, K = 12).
+_VERIFY_BLOCK_ENTRIES = 1 << 18
+
+_ROOT_VALUES = np.array(_ROOTS)
 
 
 def _check_character(group: PauliSubgroup, character: Character):
@@ -78,15 +87,46 @@ class IrrepProjector:
 
 @dataclass(frozen=True)
 class DfsBasis:
-    """Orthonormal vectors spanning one character's invariant subspace."""
+    """Orthonormal vectors spanning one character's invariant subspace.
+
+    Vector j is stored as its nonzeros: ``kets[j]``, sorted computational
+    basis indices, and ``amplitudes[j]`` on them.  A ``dfs_basis`` vector
+    lives on one X-orbit {b XOR x_n}, so it has |V_X| of each, V_X being
+    the span of the elements' x masks.  ``dimension`` is 2^K.
+    """
 
     character: Character
-    vectors: tuple[np.ndarray, ...]
+    kets: tuple[np.ndarray, ...]
+    amplitudes: tuple[np.ndarray, ...]
     multiplicity: int
+    dimension: int
+
+    @classmethod
+    def from_vectors(cls, character: Character, vectors) -> DfsBasis:
+        """A basis of given dense vectors, such as hand-built superpositions."""
+        vectors = [np.asarray(v, dtype=complex) for v in vectors]
+        kets = tuple(np.flatnonzero(v) for v in vectors)
+        if not all(len(k) for k in kets):
+            raise ValueError("basis vectors must be nonzero")
+        return cls(
+            character=character,
+            kets=kets,
+            amplitudes=tuple(v[k] for v, k in zip(vectors, kets)),
+            multiplicity=len(vectors),
+            dimension=len(vectors[0]),
+        )
+
+    @property
+    def vectors(self) -> tuple[np.ndarray, ...]:
+        """The vectors as dense 2^K arrays, built on each access."""
+        dense = np.zeros((len(self.kets), self.dimension), dtype=complex)
+        for row, kets, amplitudes in zip(dense, self.kets, self.amplitudes):
+            row[kets] = amplitudes
+        return tuple(dense)
 
     def stack(self) -> np.ndarray:
         """Basis as a dim x multiplicity column matrix."""
-        if not self.vectors:
+        if not self.kets:
             return np.zeros((0, 0), dtype=complex)
         return np.column_stack(self.vectors)
 
@@ -95,10 +135,21 @@ class DfsBasis:
             "character_label": self.character.label,
             "multiplicity": self.multiplicity,
             "vectors": [
-                [[float(a.real), float(a.imag)] for a in vec]
-                for vec in self.vectors
+                {
+                    "kets": kets.tolist(),
+                    "amplitudes": np.column_stack(
+                        [amplitudes.real, amplitudes.imag]
+                    ).tolist(),
+                }
+                for kets, amplitudes in zip(self.kets, self.amplitudes)
             ],
         }
+
+
+def _character_exponents(character: Character) -> np.ndarray:
+    """k_n with chi(G_n) = i^k_n over the elements of the character's group,
+    which are in canonical order, as those of any equal subgroup are."""
+    return exponent_table(character.group, [character])[0]
 
 
 def projector(
@@ -150,12 +201,16 @@ def dfs_basis(
 ) -> DfsBasis:
     """Orthonormal basis of the range of P_k, without forming P_k.
 
-    Each element maps |b> to a multiple of |b XOR x_n>, so P_k |b> is one
-    vector, up to phase, per X-orbit.  Seeds are the smallest ket of each
-    orbit (no bit in ``lead``, the pivots' leading x bits) on which the
-    X-free elements act as chi_k, checked on their generators in exact Z4
-    exponents.  The m images have disjoint supports and are normalized in
-    increasing seed order.  A zero multiplicity yields an empty basis.
+    Each element maps |b> to a multiple of |b XOR x_n>, so P_k |b> lives
+    on the X-orbit b XOR V_X.  Seeds are the smallest ket of each orbit
+    (no bit in ``lead``, the pivots' leading x bits) on which the X-free
+    elements act as chi_k, checked on their generators in exact Z4
+    exponents.  On such a seed the N/|V_X| elements that share an x mask
+    add up in phase, so P_k |b> has amplitude
+    conj(chi_k(h)) <b XOR x|h|b> / |V_X| on b XOR x, for any one element
+    h with that x mask.  The m vectors are normalized and kept on their
+    orbits in increasing ket order, in increasing seed order.  A zero
+    multiplicity yields an empty basis.
     """
     _check_character(group, character)
     _require_dense(group.n_qubits, dense_limit)
@@ -165,29 +220,41 @@ def dfs_basis(
     lead = sum(1 << (p.x_mask.bit_length() - 1) for p in sifted.pivots if p.x_mask)
     diagonal = [PauliElement(sifted.phase_exp_generator, 0, 0, n)]
     diagonal += [p for p in sifted.pivots if not p.x_mask]
-    kets = np.arange(1 << n, dtype=np.int64)
-    keep = (kets & lead) == 0
+    # the kets without a lead bit, in increasing order: each pass appends
+    # kets above every earlier one
+    seeds = np.zeros(1, dtype=np.int64)
+    for bit in range(n):
+        if not lead >> bit & 1:
+            seeds = np.concatenate([seeds, seeds | 1 << bit])
     for h in diagonal:
-        exponent_on_kets = (h.phase_exp + 2 * _parity(kets & h.z_mask)) % 4
-        keep &= exponent_on_kets == character.exponent(h)
-    seeds = np.flatnonzero(keep)
+        exponent_on_kets = (h.phase_exp + 2 * _parity(seeds & h.z_mask)) % 4
+        seeds = seeds[exponent_on_kets == character.exponent(h)]
     target = multiplicity(group, character)
     if len(seeds) != target:
         raise AssertionError(
             f"basis extraction found {len(seeds)} seed kets, expected {target}"
         )
-    block = np.zeros((1 << n, target), dtype=complex)
-    block[seeds, np.arange(target)] = 1
-    coefficients = [
-        character.values[e].conjugate() / group.order for e in group.elements
-    ]
-    images = algebra_action(
-        (matrix_action(e) for e in group.elements), coefficients, block
+    x, z, phase = group.action_arrays
+    span, first = np.unique(x, return_index=True)
+    exponents = (
+        phase[first]
+        - _character_exponents(character)[first]
+        + 2 * _parity(seeds[:, None] & z[first])
+    ) % 4
+    amplitudes = _ROOT_VALUES[exponents] / len(span)
+    amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
+    kets = seeds[:, None] ^ span
+    order = np.argsort(kets, axis=1)
+    kets = np.take_along_axis(kets, order, axis=1)
+    amplitudes = np.take_along_axis(amplitudes, order, axis=1)
+    kets.flags.writeable = amplitudes.flags.writeable = False
+    return DfsBasis(
+        character=character,
+        kets=tuple(kets),
+        amplitudes=tuple(amplitudes),
+        multiplicity=target,
+        dimension=1 << n,
     )
-    images /= np.linalg.norm(images, axis=0)
-    vectors = images.T.copy()
-    vectors.flags.writeable = False
-    return DfsBasis(character=character, vectors=tuple(vectors), multiplicity=target)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +304,56 @@ class VerificationReport:
         }
 
 
+@lru_cache(maxsize=1)
+def _trial_coefficients(order: int, trials: int, seed: int) -> np.ndarray:
+    """Read-only (trials, order) draw: per trial, real parts then imaginary
+    parts, complex standard normal.  Every character of one report asks
+    for the same draw, so the last one is kept."""
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, order))
+    coefficients = draws[:, 0] + 1j * draws[:, 1]
+    coefficients.flags.writeable = False
+    return coefficients
+
+
+def _apply_on_closures(
+    group: PauliSubgroup, basis: DfsBasis, coefficients: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every trial's A applied to every basis vector, on its X-span closure.
+
+    Vector j is written on the kets {b XOR x_n} for b in its support, keyed
+    (j << K) | ket and sorted, so the vectors' closures follow one another.
+    Returns ``(values, images, starts)``: the vectors and the (trials,
+    keys) images A v on those keys, and where each vector's keys start.
+    """
+    n = group.n_qubits
+    x, z, phase = group.action_arrays
+    span = np.unique(x)
+    owners = np.repeat(np.arange(len(basis.kets)), [len(k) for k in basis.kets])
+    support = owners << n | np.concatenate(basis.kets)
+    # one representative per coset of V_X: the ket with no lead bit, found
+    # by reducing with the sifted pivots' x masks from the top lead down
+    seeds = support
+    for pivot in group.sifted.pivots:
+        if pivot.x_mask:
+            lead = pivot.x_mask.bit_length() - 1
+            seeds = np.where(seeds >> lead & 1, seeds ^ pivot.x_mask, seeds)
+    keys = np.sort((np.unique(seeds)[:, None] ^ span).ravel())
+    values = np.zeros(len(keys), dtype=complex)
+    values[np.searchsorted(keys, support)] = np.concatenate(basis.amplitudes)
+    # (G_n v)[c] = i^phase_n (-1)^parity(s & z_n) v[s] with s = c XOR x_n,
+    # which stays in the closure of the vector that owns c
+    images = np.zeros((len(coefficients), len(keys)), dtype=complex)
+    rows = max(1, _VERIFY_BLOCK_ENTRIES // len(keys))
+    for lo in range(0, group.order, rows):
+        part = slice(lo, lo + rows)
+        sources = keys ^ x[part, None]
+        exponents = (phase[part, None] + 2 * _parity(sources & z[part, None])) % 4
+        block = _ROOT_VALUES[exponents] * values[np.searchsorted(keys, sources)]
+        images += coefficients[:, part] @ block
+    starts = np.searchsorted(keys >> n, np.arange(len(basis.kets)))
+    return values, images, starts
+
+
 def verify_dfs(
     group: PauliSubgroup,
     basis: DfsBasis,
@@ -247,51 +364,54 @@ def verify_dfs(
     group-algebra operators.
 
     Each trial draws complex standard-normal coefficients a_n over the
-    group elements (in canonical order), applies A = sum a_n G_n to the
-    stacked basis with ``algebra_action``, never forming A, and tests
-    A |psi_z> = c |psi_z> with one c shared across all z.  The shared c is
-    also compared against the closed form sum_n a_n gamma_n.  Failures are
-    reported, never raised: the same routine is used to demonstrate that
-    cross-irrep superpositions are *not* decoherence-free.
+    group elements (in canonical order); calls with the same order, trials
+    and seed share one draw.  A = sum a_n G_n is never formed: it maps the
+    X-span closure {b XOR x_n} of a vector's support into itself, so it is
+    applied on that closure only, one X-orbit of |V_X| kets for a
+    ``dfs_basis`` vector, and all trials go through one (trials x N) @
+    (N x closure) product.  The test is A |psi_z> = c |psi_z> with one c
+    shared across all z, and the shared c is also compared against the
+    closed form sum_n a_n gamma_n.  Failures are reported, never raised:
+    the same routine is used to demonstrate that cross-irrep
+    superpositions are *not* decoherence-free.
+
+    Raises:
+        ValueError: ``trials`` below 1, a character of another subgroup,
+            or vectors whose length is not 2^K.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    actions = [matrix_action(e) for e in group.elements]
-    gammas = np.array(
-        [basis.character.values[e] for e in group.elements], dtype=complex
+    _check_character(group, basis.character)
+    if basis.dimension != 1 << group.n_qubits:
+        raise ValueError(
+            f"basis vectors have length {basis.dimension}, but the subgroup "
+            f"acts on {1 << group.n_qubits} amplitudes"
+        )
+    coefficients = _trial_coefficients(group.order, trials, seed)
+    predicted = coefficients @ _ROOT_VALUES[_character_exponents(basis.character)]
+    if basis.kets:
+        values, images, starts = _apply_on_closures(group, basis, coefficients)
+        rayleigh = np.add.reduceat(values.conj() * images, starts, axis=1)
+        shared = rayleigh.mean(axis=1)
+        misfit = np.abs(images - shared[:, None] * values) ** 2
+        residuals = np.sqrt(np.add.reduceat(misfit, starts, axis=1)).max(axis=1)
+        spreads = np.abs(rayleigh - shared[:, None]).max(axis=1)
+    else:
+        shared, residuals, spreads = predicted, np.zeros(trials), np.zeros(trials)
+    results = tuple(
+        VerificationTrial(
+            coefficients=row,
+            eigenvalue=complex(c),
+            eigenvalue_predicted=complex(p),
+            max_residual=float(r),
+            eigenvalue_spread=float(d),
+        )
+        for row, c, p, r, d in zip(coefficients, shared, predicted, residuals, spreads)
     )
-    stack = basis.stack()
-    rng = np.random.default_rng(seed)
-    results = []
-    worst = 0.0
-    for _ in range(trials):
-        coeff = rng.standard_normal(group.order) + 1j * rng.standard_normal(
-            group.order
-        )
-        predicted = complex(np.dot(coeff, gammas))
-        if basis.vectors:
-            images = algebra_action(actions, coeff, stack)
-            rayleigh = np.einsum("ij,ij->j", stack.conj(), images)
-            shared = complex(rayleigh.mean())
-            residual = float(np.linalg.norm(images - shared * stack, axis=0).max())
-            spread = float(np.abs(rayleigh - shared).max())
-        else:
-            shared = predicted
-            residual = 0.0
-            spread = 0.0
-        worst = max(worst, residual)
-        results.append(
-            VerificationTrial(
-                coefficients=coeff,
-                eigenvalue=shared,
-                eigenvalue_predicted=predicted,
-                max_residual=residual,
-                eigenvalue_spread=spread,
-            )
-        )
+    worst = float(residuals.max())
     return VerificationReport(
         character_label=basis.character.label,
-        trials=tuple(results),
+        trials=results,
         seed=seed,
         passed=worst < RESIDUAL_PASS_TOL,
         max_residual=worst,

@@ -22,6 +22,7 @@ to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -232,6 +233,27 @@ def matrix_action(p: PauliElement) -> tuple[np.ndarray, np.ndarray]:
     global_phase = 1j ** ((p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4)
     signs = 1.0 - 2.0 * _parity(cols & p.z_mask)
     return rows, global_phase * signs
+
+
+class ActionArrays(NamedTuple):
+    """``matrix_action`` of a sequence of elements, as int64 arrays.
+
+    Element n maps |b> to i^phase[n] (-1)^parity(b & z[n]) |b XOR x[n]>.
+    """
+
+    x: np.ndarray
+    z: np.ndarray
+    phase: np.ndarray
+
+
+def action_arrays(elements) -> ActionArrays:
+    """One ``ActionArrays`` for all of ``elements``, in their order."""
+    rows = [
+        (p.x_mask, p.z_mask, (p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4)
+        for p in elements
+    ]
+    x, z, phase = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    return ActionArrays(x, z, phase)
 
 
 def _require_dense(n_qubits: int, dense_limit: int):

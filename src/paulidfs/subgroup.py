@@ -28,8 +28,10 @@ from operator import mul as int_mul
 import numpy as np
 
 from .pauli import (
+    ActionArrays,
     PauliElement,
     QubitCountError,
+    action_arrays,
     adjoint,
     canonical_key,
     commutes,
@@ -96,6 +98,19 @@ class PauliSubgroup:
 
     def __contains__(self, p: PauliElement) -> bool:
         return p in self.element_set
+
+    @cached_property
+    def action_arrays(self) -> ActionArrays:
+        """The elements' ``action_arrays``, built once per subgroup."""
+        return action_arrays(self.elements)
+
+    @cached_property
+    def coordinate_matrix(self) -> np.ndarray:
+        """``element_coordinates`` as one uint8 (N, r + 1) array."""
+        coords = list(self.element_coordinates.values())
+        matrix = np.array(coords, dtype=np.uint8).reshape(len(coords), -1)
+        matrix.flags.writeable = False
+        return matrix
 
     @property
     def phase_subgroup(self) -> tuple[PauliElement, ...]:
@@ -395,7 +410,7 @@ def _exponents(labels: np.ndarray, coords: Sequence[tuple[int, ...]]) -> np.ndar
 
     uint8 products wrap mod 256, which 4 divides, so the result is exact.
     """
-    columns = np.array(coords, dtype=np.uint8).reshape(len(coords), labels.shape[1])
+    columns = np.asarray(coords, dtype=np.uint8).reshape(len(coords), labels.shape[1])
     return (labels @ columns.T) % 4
 
 
@@ -459,7 +474,7 @@ def exponent_table(group: PauliSubgroup, chars: Sequence[Character]) -> np.ndarr
     if any(c.group is not group for c in chars):
         raise ValueError("characters belong to another subgroup object")
     labels = np.array([c.exponents for c in chars], dtype=np.uint8)
-    return _exponents(labels, list(group.element_coordinates.values()))
+    return _exponents(labels, group.coordinate_matrix)
 
 
 def reducibility_sum(group: PauliSubgroup) -> tuple[float, str]:

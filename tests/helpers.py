@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 
 from paulidfs.channels import (
@@ -16,9 +18,11 @@ from paulidfs.pauli import (
     PauliElement,
     _require_dense,
     adjoint,
+    algebra_action,
     canonical_key,
     commutes,
     identity,
+    matrix_action,
     mul,
     to_matrix,
 )
@@ -178,6 +182,56 @@ def reference_dfs_basis(group, character) -> list[np.ndarray]:
         kept.append(candidate / norm)
     assert len(kept) == proj.multiplicity
     return kept
+
+
+def reference_verify_dfs(group, basis, trials, seed) -> list[tuple]:
+    """(coefficients, eigenvalue, eigenvalue_predicted, max_residual,
+    eigenvalue_spread) of every trial, on dense 2^K columns.
+
+    Reference oracle for ``verify_dfs``: each trial draws its coefficients
+    from the generator in turn, real parts then imaginary parts, applies
+    sum a_n G_n to the stacked dense basis with ``algebra_action``, one
+    2^K gather per element, and reads the shared Rayleigh quotient, the
+    residuals and the spread off the full columns.
+    """
+    actions = [matrix_action(e) for e in group.elements]
+    gammas = np.array([basis.character.values[e] for e in group.elements])
+    stack = basis.stack()
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(trials):
+        coeff = rng.standard_normal(group.order) + 1j * rng.standard_normal(
+            group.order
+        )
+        images = algebra_action(actions, coeff, stack)
+        rayleigh = np.einsum("ij,ij->j", stack.conj(), images)
+        shared = complex(rayleigh.mean())
+        residual = float(np.linalg.norm(images - shared * stack, axis=0).max())
+        spread = float(np.abs(rayleigh - shared).max())
+        out.append((coeff, shared, complex(np.dot(coeff, gammas)), residual, spread))
+    return out
+
+
+def expand_v1(report: dict) -> dict:
+    """A schema v2 report with its sparse basis vectors written out as the
+    v1 dense [re, im] pairs, [0.0, 0.0] off the support, under
+    schema_version 1."""
+    out = copy.deepcopy(report)
+    out["schema_version"] = 1
+    dim = 1 << out["subgroup"]["n_qubits"]
+    for entry in out.get("characters", []):
+        if "basis" not in entry:
+            continue
+        dense = []
+        for vec in entry["basis"]["vectors"]:
+            pairs = [[0.0, 0.0] for _ in range(dim)]
+            for ket_index, amplitude in zip(
+                vec["kets"], vec["amplitudes"], strict=True
+            ):
+                pairs[ket_index] = amplitude
+            dense.append(pairs)
+        entry["basis"]["vectors"] = dense
+    return out
 
 
 def _element_gram(group) -> np.ndarray:

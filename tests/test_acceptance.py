@@ -9,6 +9,7 @@ import contextlib
 import numpy as np
 
 from paulidfs import (
+    DfsBasis,
     apply_channel,
     characters,
     code_fix_residual,
@@ -235,7 +236,7 @@ def test_criterion_7_necessity_probe():
             weights[len(basis_a.vectors)] += 2.0
             vec = sum(w * v for w, v in zip(weights, pieces))
             vec /= np.linalg.norm(vec)
-            mixed = type(basis_a)(character=first, vectors=(vec,), multiplicity=1)
+            mixed = DfsBasis.from_vectors(first, (vec,))
             report = verify_dfs(group, mixed, trials=32, seed=0)
             assert not report.passed
             assert sum(t.max_residual > 1e-6 for t in report.trials) >= 1

@@ -10,6 +10,7 @@ import pytest
 
 from paulidfs import cli
 from paulidfs.cli import main, parse_state_spec
+from helpers import expand_v1
 
 
 def run_cli(capsys, *argv):
@@ -71,7 +72,7 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "ZI", "IZ", "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["subgroup"]["order"] == 4
         assert len(report["characters"]) == 4
         assert all(c["multiplicity"] == 1 for c in report["characters"])
@@ -144,24 +145,20 @@ class TestPreset:
         assert report["inputs"]["preset"] == "q2z"
         trivial = report["characters"][0]
         assert trivial["multiplicity"] == 2
-        supports = [
-            [i for i, (re, im) in enumerate(vec) if abs(re) + abs(im) > 1e-12]
-            for vec in trivial["basis"]["vectors"]
+        assert trivial["basis"]["vectors"] == [
+            {"kets": [0], "amplitudes": [[1.0, 0.0]]},
+            {"kets": [15], "amplitudes": [[1.0, 0.0]]},
         ]
-        assert supports == [[0], [15]]
 
     def test_q4_paired_basis(self, capsys):
         code, out, _ = run_cli(capsys, "preset", "q4", "--json")
         report = json.loads(out)
         trivial = report["characters"][0]
         assert trivial["multiplicity"] == 4
-        supports = [
-            sorted(
-                i for i, (re, im) in enumerate(vec) if abs(re) + abs(im) > 1e-12
-            )
-            for vec in trivial["basis"]["vectors"]
-        ]
-        assert supports == [[0, 15], [3, 12], [5, 10], [6, 9]]
+        vectors = trivial["basis"]["vectors"]
+        assert [vec["kets"] for vec in vectors] == [[0, 15], [3, 12], [5, 10], [6, 9]]
+        for vec in vectors:
+            assert all(abs(re) + abs(im) > 1e-12 for re, im in vec["amplitudes"])
 
     def test_q8_extras(self, capsys):
         code, out, _ = run_cli(capsys, "preset", "q8", "--json", "--trials", "4")
@@ -183,7 +180,8 @@ class TestPreset:
         ],
     )
     def test_json_contract_pinned(self, capsys, name, digest):
-        """The preset JSON stays byte-identical, residuals aside: those are
+        """The preset JSON, its sparse basis vectors written out densely as
+        in schema v1, stays byte-identical, residuals aside: those are
         round-off and depend on the order of floating-point sums."""
 
         def null_residuals(node):
@@ -198,7 +196,7 @@ class TestPreset:
 
         code, out, _ = run_cli(capsys, "preset", name, "--json")
         assert code == 0
-        text = json.dumps(null_residuals(json.loads(out)), indent=2) + "\n"
+        text = json.dumps(null_residuals(expand_v1(json.loads(out))), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_unknown_preset(self, capsys):

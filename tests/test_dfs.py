@@ -4,8 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from paulidfs import (
+    DfsBasis,
     NotAbelianError,
     applicable_phase_class,
     characters,
@@ -25,7 +27,7 @@ from paulidfs.sampling import (
     random_abelian_subgroup,
     random_nonabelian_subgroup,
 )
-from helpers import ket, reference_dfs_basis
+from helpers import ket, reference_dfs_basis, reference_verify_dfs
 
 
 def char_by_row(group, signature: dict[str, complex]):
@@ -215,9 +217,10 @@ class TestDfsBasis:
     def test_json_shape(self, q2z):
         data = dfs_basis(q2z, characters(q2z)[0]).to_json_dict()
         assert data["multiplicity"] == 2
-        assert len(data["vectors"]) == 2
-        assert len(data["vectors"][0]) == 16
-        assert data["vectors"][0][0] == [1.0, 0.0]
+        assert data["vectors"] == [
+            {"kets": [0], "amplitudes": [[1.0, 0.0]]},
+            {"kets": [15], "amplitudes": [[1.0, 0.0]]},
+        ]
 
 
 class TestVerifyDfs:
@@ -242,9 +245,7 @@ class TestVerifyDfs:
         b1 = dfs_basis(qx, chars[0]).vectors[0]
         b2 = dfs_basis(qx, chars[1]).vectors[0]
         mixed = (b1 + b2) / np.sqrt(2)
-        fake = type(dfs_basis(qx, chars[0]))(
-            character=chars[0], vectors=(mixed,), multiplicity=1
-        )
+        fake = DfsBasis.from_vectors(chars[0], (mixed,))
         report = verify_dfs(qx, fake, trials=32, seed=3)
         assert not report.passed
         assert sum(t.max_residual > 1e-3 for t in report.trials) >= 1
@@ -253,7 +254,7 @@ class TestVerifyDfs:
         chars = characters(qx)
         basis = dfs_basis(qx, chars[0])
         mixed = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2)
-        fake = type(basis)(character=chars[0], vectors=(mixed,), multiplicity=1)
+        fake = DfsBasis.from_vectors(chars[0], (mixed,))
         assert verify_dfs(qx, fake, trials=16, seed=5).passed
 
     def test_passes_on_every_example_basis(self, qz, qx, q4, q2z):
@@ -261,6 +262,63 @@ class TestVerifyDfs:
             for c in characters(group):
                 basis = dfs_basis(group, c)
                 assert verify_dfs(group, basis, trials=8, seed=1).passed
+
+    def test_characters_share_one_read_only_draw(self, q2z):
+        first, second = [
+            verify_dfs(q2z, dfs_basis(q2z, c), trials=4, seed=9)
+            for c in characters(q2z)[:2]
+        ]
+        for a, b in zip(first.trials, second.trials, strict=True):
+            assert np.shares_memory(a.coefficients, b.coefficients)
+            assert not a.coefficients.flags.writeable
+
+    def test_foreign_basis_rejected(self, qz):
+        other = closure([parse_pauli("ZII"), parse_pauli("IZI")])
+        with pytest.raises(ValueError, match="does not belong"):
+            verify_dfs(qz, dfs_basis(other, characters(other)[0]))
+        longer = DfsBasis.from_vectors(characters(qz)[0], (ket("000"),))
+        with pytest.raises(ValueError, match="length 8"):
+            verify_dfs(qz, longer)
+
+    @pytest.mark.parametrize("case", ["basis", "cross_irrep", "within_irrep"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_qubits=st.integers(2, 6))
+    def test_matches_dense_oracle(self, case, seed, n_qubits):
+        """The orbit kernel reproduces the dense ``algebra_action`` route
+        with the same draws, to 1e-12: on a ``dfs_basis``, on a
+        superposition across two irreps, which fails, and on one across
+        the several orbits of one irrep, which passes."""
+        rng = np.random.default_rng(seed)
+        # at most K - 1 pivots, so every supported multiplicity is >= 2
+        group = random_abelian_subgroup(rng, n_qubits, max_generators=n_qubits - 1)
+        supported = [c for c in characters(group) if multiplicity(group, c)]
+        picked = rng.permutation(len(supported))
+        first = supported[picked[0]]
+        basis = dfs_basis(group, first)
+        if case != "basis":
+            if case == "cross_irrep":
+                assume(len(supported) > 1)
+                other = dfs_basis(group, supported[picked[1]])
+                pieces = (basis.vectors[0], other.vectors[0])
+            else:
+                pieces = basis.vectors
+            weights = rng.standard_normal(len(pieces)) + 1j * rng.standard_normal(
+                len(pieces)
+            )
+            mixed = sum(w * v for w, v in zip(weights, pieces))
+            basis = DfsBasis.from_vectors(first, (mixed / np.linalg.norm(mixed),))
+        report = verify_dfs(group, basis, trials=4, seed=seed % 1000)
+        expected = reference_verify_dfs(group, basis, trials=4, seed=seed % 1000)
+        for trial, (coeff, eigenvalue, predicted, residual, spread) in zip(
+            report.trials, expected, strict=True
+        ):
+            assert np.array_equal(trial.coefficients, coeff)
+            assert abs(trial.eigenvalue - eigenvalue) < 1e-12
+            assert abs(trial.eigenvalue_predicted - predicted) < 1e-12
+            assert abs(trial.max_residual - residual) < 1e-12
+            assert abs(trial.eigenvalue_spread - spread) < 1e-12
+        assert report.max_residual == max(t.max_residual for t in report.trials)
+        assert report.passed == (case != "cross_irrep")
 
 
 class TestDimensionFormula:
