@@ -1,6 +1,14 @@
 """Command-line front end: subgroup analysis, worked-example presets and
 channel scans, with deterministic JSON or human-readable text output.
 
+The ``analyze``/``preset`` report has O(N * r) size for a subgroup of order
+N with r sifted pivots.  Its ``character_table`` lists the sifted
+``generators`` u = i^e I, b_1, ..., b_r, one ``coordinates`` row
+[m, k_1, ..., k_r] per entry of ``subgroup.elements``, and per character
+its ``label`` and ``exponents`` [w, e_1, ..., e_r], with
+chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  An order above
+``REPORT_ORDER_CAP`` is refused before any element is built.
+
 Exit codes: 0 success, 1 usage or input error, 2 analysis refusal
 (non-Abelian subgroup under --require-dfs), 3 numeric failure or no memory.
 """
@@ -31,6 +39,7 @@ from .dfs import (
 )
 from .pauli import (
     DENSE_QUBIT_LIMIT,
+    PauliElement,
     _require_dense,
     format_pauli,
     parse_pauli,
@@ -41,18 +50,14 @@ from .presets import (
     preset_generators,
     preset_group,
 )
-from .subgroup import (
-    characters,
-    closure,
-    exponent_table,
-    reducibility_sum,
-)
+from .subgroup import characters, closure, reducibility_sum
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
-#: Names of i^k indexed by k.  An object array, so that every cell of a
-#: character table refers to one of these four strings.
-_EXPONENT_NAMES = np.array(["+1", "+i", "-1", "-i"], dtype=object)
+#: Largest order ``analyze`` and ``preset`` report on, checked by ``closure``
+#: before any element is built.  On a 2-vCPU VM, ``analyze --json`` took
+#: 3-5 s and 370 MB at order 2^16, and 6-10.5 s and 731 MB at 2^17.
+REPORT_ORDER_CAP = 1 << 16
 
 
 def _state_json(state: np.ndarray) -> list:
@@ -121,7 +126,7 @@ def build_analysis_report(
     dense_limit: int,
 ) -> dict:
     generators = [parse_pauli(s) for s in generator_strings]
-    group = closure(generators)
+    group = closure(generators, order_cap=REPORT_ORDER_CAP)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -151,13 +156,12 @@ def build_analysis_report(
 
     report["verdict"] = "abelian"
     chars = characters(group)
-    element_strings = [format_pauli(e) for e in group.elements]
-    table = _EXPONENT_NAMES[exponent_table(group, chars)].tolist()
+    sifted = group.sifted
+    u = PauliElement(sifted.phase_exp_generator, 0, 0, group.n_qubits)
     report["character_table"] = {
-        "elements": element_strings,
-        "rows": [
-            {"label": c.label, "values": values} for c, values in zip(chars, table)
-        ],
+        "generators": [format_pauli(g) for g in (u, *sifted.pivots)],
+        "coordinates": group.coordinate_matrix.tolist(),
+        "rows": [{"label": c.label, "exponents": list(c.exponents)} for c in chars],
     }
     entries = []
     multiplicities = {}

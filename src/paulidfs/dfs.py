@@ -42,7 +42,6 @@ from .subgroup import (
     Character,
     NotAbelianError,
     PauliSubgroup,
-    decompose,
     exponent_table,
 )
 
@@ -565,13 +564,13 @@ def _extend_assignment(
     assignment: dict[PauliElement, complex],
 ) -> dict[PauliElement, complex]:
     """Extend generator eigenvalues multiplicatively to every element."""
+    e = group.sifted.phase_exp_generator
     pivot_values = [assignment[p] for p in group.sifted.pivots]
     full: dict[PauliElement, complex] = {}
-    for element in group.elements:
-        selection, c = decompose(element, group.sifted)
-        value = 1j**c
-        for picked, lam in zip(selection, pivot_values):
-            if picked:
+    for element, (m, *ks) in zip(group.elements, group.coordinate_matrix.tolist()):
+        value = 1j ** (e * m)
+        for k, lam in zip(ks, pivot_values):
+            if k:
                 value *= lam.conjugate()
         full[element] = value
     return full

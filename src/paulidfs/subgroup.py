@@ -61,20 +61,18 @@ class PauliSubgroup:
 
     ``elements`` is sorted by ``canonical_key`` so iteration order, JSON
     output and downstream reports are reproducible.  ``sifted`` is the
-    canonical form the elements were enumerated from, and
-    ``element_coordinates`` maps each element, in element order, to its
-    exponents (m, k_1, ..., k_r) with p = u^m * b_r^k_r * ... * b_1^k_1 over
-    ``sifted``; each k_j is 0 or 3, since a Pauli element's inverse is its
-    cube.
+    canonical form the elements were enumerated from, and row n of the
+    read-only uint8 (N, r + 1) ``coordinate_matrix`` holds the exponents
+    (m, k_1, ..., k_r) of element n, with p = u^m * b_r^k_r * ... * b_1^k_1
+    over ``sifted``; each k_j is 0 or 3, since a Pauli element's inverse is
+    its cube.
     """
 
     n_qubits: int
     elements: tuple[PauliElement, ...]
     generators: tuple[PauliElement, ...]
     sifted: SiftedGenerators
-    element_coordinates: dict[PauliElement, tuple[int, ...]] = field(
-        repr=False, compare=False
-    )
+    coordinate_matrix: np.ndarray = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
@@ -92,12 +90,8 @@ class PauliSubgroup:
     def contains_imaginary_identity(self) -> bool:
         return self.sifted.phase_exp_generator == 1
 
-    @cached_property
-    def element_set(self) -> frozenset[PauliElement]:
-        return frozenset(self.elements)
-
     def __contains__(self, p: PauliElement) -> bool:
-        return p in self.element_set
+        return p in self.element_coordinates
 
     @cached_property
     def action_arrays(self) -> ActionArrays:
@@ -105,12 +99,10 @@ class PauliSubgroup:
         return action_arrays(self.elements)
 
     @cached_property
-    def coordinate_matrix(self) -> np.ndarray:
-        """``element_coordinates`` as one uint8 (N, r + 1) array."""
-        coords = list(self.element_coordinates.values())
-        matrix = np.array(coords, dtype=np.uint8).reshape(len(coords), -1)
-        matrix.flags.writeable = False
-        return matrix
+    def element_coordinates(self) -> dict[PauliElement, tuple[int, ...]]:
+        """Each element, in element order, mapped to its coordinate row."""
+        rows = map(tuple, self.coordinate_matrix.tolist())
+        return dict(zip(self.elements, rows))
 
     @property
     def phase_subgroup(self) -> tuple[PauliElement, ...]:
@@ -172,20 +164,27 @@ def closure(
         )
     # pivot inverses are appended from b_r down to b_1, the reverse of the
     # order in which decompose strips them, so the coordinates stay exact
-    # when pivots anticommute; an inverse is a cube, hence the 3
-    pairs = [(z, (m,) + (0,) * r) for m, z in enumerate(sifted.phase_subgroup)]
+    # when pivots anticommute.  Enumeration position t thus holds
+    # u^(t mod |Z|) times the inverse of b_j exactly where bit r - j of
+    # t // |Z| is set; an inverse is a cube, hence the 3.
+    enumerated = list(sifted.phase_subgroup)
     for j in reversed(range(r)):
         inverse = adjoint(sifted.pivots[j])
-        pairs += [
-            (mul(p, inverse), c[: j + 1] + (3,) + c[j + 2 :]) for p, c in pairs
-        ]
-    pairs.sort(key=lambda pair: canonical_key(pair[0]))
+        enumerated += [mul(p, inverse) for p in enumerated]
+    positions = sorted(range(order), key=lambda t: canonical_key(enumerated[t]))
+    stripes = np.array(positions, dtype=np.int64)
+    coordinates = np.empty((order, r + 1), dtype=np.uint8)
+    coordinates[:, 0] = stripes % sifted.phase_subgroup_size
+    stripes //= sifted.phase_subgroup_size
+    for j in range(1, r + 1):
+        coordinates[:, j] = 3 * ((stripes >> (r - j)) & 1)
+    coordinates.flags.writeable = False
     return PauliSubgroup(
         n_qubits=n,
-        elements=tuple(p for p, _ in pairs),
+        elements=tuple(enumerated[t] for t in positions),
         generators=generators,
         sifted=sifted,
-        element_coordinates=dict(pairs),
+        coordinate_matrix=coordinates,
     )
 
 
@@ -296,30 +295,6 @@ def sift_generators(
     )
 
 
-def decompose(
-    p: PauliElement, sifted: SiftedGenerators
-) -> tuple[tuple[int, ...], int]:
-    """Express ``p`` as i^c I times a product of pivot inverses.
-
-    Returns ``(selection, c)`` where ``selection[i]`` flags whether pivot
-    i participates, such that p = (i^c I) * prod(selected pivots)^(-1) in
-    an Abelian subgroup.  Raises ValueError if ``p`` is not in the span.
-    """
-    w = p
-    chosen = [0] * len(sifted.pivots)
-    while True:
-        vec = _vector_key(w)
-        if vec == 0:
-            return tuple(chosen), w.phase_exp
-        bit = vec.bit_length() - 1
-        try:
-            index = sifted.pivot_bits.index(bit)
-        except ValueError:
-            raise ValueError(f"{format_pauli(p)} is outside the sifted span")
-        chosen[index] = 1
-        w = mul(w, sifted.pivots[index])
-
-
 # ---------------------------------------------------------------------------
 # characters
 # ---------------------------------------------------------------------------
@@ -381,8 +356,9 @@ class _CharacterValues(Mapping):
         return self._character.group.order
 
 
-def _canonical_basis(group: PauliSubgroup) -> list[PauliElement]:
-    """Elements, in canonical order, that no earlier element generates.
+def _canonical_basis(group: PauliSubgroup) -> list[int]:
+    """Indices of the elements, in canonical order, that no earlier element
+    generates.
 
     The scan keeps each element outside the subgroup generated by the
     ones kept so far and stops once they generate the whole group, so at
@@ -391,27 +367,42 @@ def _canonical_basis(group: PauliSubgroup) -> list[PauliElement]:
     two characters differ is always kept: comparing characters on this
     basis orders them exactly as comparing their full value rows in
     canonical element order.
+
+    The scan sifts coordinate rows (m, s), s the pivot selection as a bit
+    mask, which multiply as (m + m' + |Z|/2 * |s & s' & a|, s ^ s') for a
+    the anti-Hermitian pivots, whose squares are -I = u^(|Z|/2).
     """
-    basis: list[PauliElement] = []
-    pivots: dict[int, PauliElement] = {}
-    phase_step = 4
-    for element in group.elements:
-        if (4 // phase_step) << len(pivots) == group.order:
+    sifted = group.sifted
+    z_size = sifted.phase_subgroup_size
+    anti_hermitian = sum(
+        1 << j for j, b in enumerate(sifted.pivots) if b.phase_exp % 2
+    )
+
+    def times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+        twists = (a[1] & b[1] & anti_hermitian).bit_count()
+        return (a[0] + b[0] + z_size // 2 * twists) % z_size, a[1] ^ b[1]
+
+    coords = group.coordinate_matrix
+    weights = 1 << np.arange(len(sifted.pivots), dtype=np.int64)
+    masks = (coords[:, 1:] // 3).astype(np.int64) @ weights
+    basis: list[int] = []
+    pivots: dict[int, tuple[int, int]] = {}
+    step = z_size
+    for index, w in enumerate(zip(coords[:, 0].tolist(), masks.tolist())):
+        if (z_size // step) << len(pivots) == group.order:
             break
-        before = (len(pivots), phase_step)
-        phase_step = _sift_into(element, pivots, phase_step)
-        if (len(pivots), phase_step) != before:
-            basis.append(element)
+        before = (len(pivots), step)
+        while w[1]:
+            top = w[1].bit_length() - 1
+            if top not in pivots:
+                pivots[top] = w
+                w = times(w, w)  # its square joins the phase part
+                break
+            w = times(w, pivots[top])
+        step = math.gcd(step, w[0])
+        if (len(pivots), step) != before:
+            basis.append(index)
     return basis
-
-
-def _exponents(labels: np.ndarray, coords: Sequence[tuple[int, ...]]) -> np.ndarray:
-    """Z4 exponents of every labelled character on every coordinate row.
-
-    uint8 products wrap mod 256, which 4 divides, so the result is exact.
-    """
-    columns = np.asarray(coords, dtype=np.uint8).reshape(len(coords), labels.shape[1])
-    return (labels @ columns.T) % 4
 
 
 def characters(group: PauliSubgroup) -> list[Character]:
@@ -455,7 +446,8 @@ def characters(group: PauliSubgroup) -> list[Character]:
     labels = np.concatenate(blocks).astype(np.uint8)
 
     basis = _canonical_basis(group)
-    keys = _exponents(labels, [group.element_coordinates[b] for b in basis])
+    # uint8 products wrap mod 256, which 4 divides, so the keys are exact
+    keys = labels @ group.coordinate_matrix[basis].T % 4
     _, order = np.unique(keys, axis=0, return_index=True)
     if len(order) != group.order:
         raise AssertionError("character enumeration produced duplicates")
@@ -468,13 +460,14 @@ def characters(group: PauliSubgroup) -> list[Character]:
 def exponent_table(group: PauliSubgroup, chars: Sequence[Character]) -> np.ndarray:
     """uint8 table with chi_k(G_n) = i^table[k, n] over ``group.elements``.
 
-    One integer product of the characters' labels with the elements'
-    coordinates.  ``chars`` must come from ``characters(group)``.
+    One uint8 product of the characters' labels with the elements'
+    coordinates, exact since 4 divides 256.  ``chars`` must come from
+    ``characters(group)``.
     """
     if any(c.group is not group for c in chars):
         raise ValueError("characters belong to another subgroup object")
     labels = np.array([c.exponents for c in chars], dtype=np.uint8)
-    return _exponents(labels, group.coordinate_matrix)
+    return labels @ group.coordinate_matrix.T % 4
 
 
 def reducibility_sum(group: PauliSubgroup) -> tuple[float, str]:

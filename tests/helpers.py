@@ -21,13 +21,14 @@ from paulidfs.pauli import (
     algebra_action,
     canonical_key,
     commutes,
+    format_pauli,
     identity,
     matrix_action,
     mul,
     to_matrix,
 )
 from paulidfs.sampling import random_abelian_subgroup
-from paulidfs.subgroup import closure, decompose, sift_generators
+from paulidfs.subgroup import closure, sift_generators
 
 
 def ket(bits: str) -> np.ndarray:
@@ -81,6 +82,31 @@ def reference_closure(generators, n_qubits) -> dict:
         or PauliElement(3, 0, 0, n_qubits) in seen,
         "phase_subgroup": tuple(e for e in elements if e.is_identity_multiple),
     }
+
+
+def decompose(p, sifted) -> tuple[tuple[int, ...], int]:
+    """Express ``p`` as i^c I times a product of pivot inverses.
+
+    Reference oracle for the coordinate rows of ``closure``: strips the
+    pivots off ``p`` by exact group multiplication.
+
+    Returns ``(selection, c)`` where ``selection[i]`` flags whether pivot
+    i participates, such that p = (i^c I) * prod(selected pivots)^(-1) in
+    an Abelian subgroup.  Raises ValueError if ``p`` is not in the span.
+    """
+    w = p
+    chosen = [0] * len(sifted.pivots)
+    while True:
+        vec = (w.x_mask << w.n_qubits) | w.z_mask
+        if vec == 0:
+            return tuple(chosen), w.phase_exp
+        bit = vec.bit_length() - 1
+        try:
+            index = sifted.pivot_bits.index(bit)
+        except ValueError:
+            raise ValueError(f"{format_pauli(p)} is outside the sifted span")
+        chosen[index] = 1
+        w = mul(w, sifted.pivots[index])
 
 
 def reference_multiplicity(group, character) -> int:
@@ -212,12 +238,37 @@ def reference_verify_dfs(group, basis, trials, seed) -> list[tuple]:
     return out
 
 
+#: v1 names of the character values i^k, indexed by k.
+V1_VALUE_NAMES = ("+1", "+i", "-1", "-i")
+
+
 def expand_v1(report: dict) -> dict:
-    """A schema v2 report with its sparse basis vectors written out as the
-    v1 dense [re, im] pairs, [0.0, 0.0] off the support, under
-    schema_version 1."""
+    """A schema v3 report written out in schema v1, under schema_version 1.
+
+    The character table gets back its element strings and, per row, the
+    named value i^k of every element, k = exponents . coordinates[n] mod 4.
+    Each sparse basis vector becomes 2^K dense [re, im] pairs, [0.0, 0.0]
+    off its support.
+    """
     out = copy.deepcopy(report)
     out["schema_version"] = 1
+    if "character_table" in out:
+        table = out["character_table"]
+        coordinates = np.array(table["coordinates"], dtype=np.int64)
+        coordinates = coordinates.reshape(len(table["coordinates"]), -1)
+        out["character_table"] = {
+            "elements": out["subgroup"]["elements"],
+            "rows": [
+                {
+                    "label": row["label"],
+                    "values": [
+                        V1_VALUE_NAMES[k]
+                        for k in (coordinates @ row["exponents"]) % 4
+                    ],
+                }
+                for row in table["rows"]
+            ],
+        }
     dim = 1 << out["subgroup"]["n_qubits"]
     for entry in out.get("characters", []):
         if "basis" not in entry:

@@ -37,7 +37,7 @@ from paulidfs.sampling import (
     random_nonabelian_subgroup,
     random_state,
 )
-from helpers import ket
+from helpers import expand_v1, ket
 
 
 @contextlib.contextmanager
@@ -57,7 +57,7 @@ def supported_characters(group):
 def test_criterion_1_qx_reproduction():
     with criterion(1, "Q_X characters, multiplicities, basis span, eigenvalues"):
         report = build_preset_report("qx", trials=8, seed=0, dense_limit=12)
-        table = report["character_table"]
+        table = expand_v1(report)["character_table"]
         table_order = ["+IIII", "+XXII", "+IIXX", "+XXXX"]
         index = [table["elements"].index(e) for e in table_order]
         rows = {

@@ -7,10 +7,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paulidfs import cli
-from paulidfs.cli import main, parse_state_spec
-from helpers import expand_v1
+from paulidfs.cli import build_analysis_report, main, parse_state_spec
+from paulidfs.pauli import format_pauli, identity
+from helpers import (
+    V1_VALUE_NAMES,
+    abelian_group,
+    expand_v1,
+    reference_characters,
+    root_exponent,
+)
 
 
 def run_cli(capsys, *argv):
@@ -72,7 +80,7 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "ZI", "IZ", "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["subgroup"]["order"] == 4
         assert len(report["characters"]) == 4
         assert all(c["multiplicity"] == 1 for c in report["characters"])
@@ -125,6 +133,48 @@ class TestAnalyze:
         _, out, _ = run_cli(capsys, "analyze", "ZZII,ZIIZ,IIZZ", "--json")
         labels = [c["label"] for c in json.loads(out)["characters"]]
         assert labels == sorted(labels)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 5),
+        phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
+    )
+    def test_v3_table_matches_dense_oracle(self, seed, n_qubits, phases):
+        """The values rebuilt from the generators, coordinates and label
+        rows of the JSON table are the oracle's characters, row by row."""
+        group = abelian_group(np.random.default_rng(seed), n_qubits, phases)
+        strings = [format_pauli(g) for g in group.generators] or [
+            format_pauli(identity(n_qubits))
+        ]
+        report = json.loads(json.dumps(build_analysis_report(strings, 1, 0, 0)))
+        table = report["character_table"]
+        r = len(table["generators"]) - 1
+        assert 2**r <= group.order <= 4 * 2**r
+        assert len(table["coordinates"]) == len(table["rows"]) == group.order
+        assert all(len(row["exponents"]) == r + 1 for row in table["rows"])
+        v1 = expand_v1(report)["character_table"]
+        assert v1["elements"] == [format_pauli(e) for e in group.elements]
+        assert [row["values"] for row in v1["rows"]] == [
+            [V1_VALUE_NAMES[root_exponent(values[e])] for e in group.elements]
+            for values in reference_characters(group)
+        ]
+
+    def test_report_order_cap_refused_before_work(self, capsys):
+        """Twice the report cap, as independent Z strings, is refused by the
+        order read off the sift, before any element is built."""
+        k = cli.REPORT_ORDER_CAP.bit_length()
+        generators = ["I" * j + "Z" + "I" * (k - 1 - j) for j in range(k)]
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "analyze", *generators, "--json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert f"closure order {1 << k} exceeds the order cap" in err
+        assert peak < 4 << 20
 
     def test_dense_limit_skips_matrices(self, capsys):
         code, out, _ = run_cli(

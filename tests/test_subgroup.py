@@ -25,9 +25,10 @@ from paulidfs import (
 )
 import paulidfs.subgroup as subgroup_module
 from paulidfs.sampling import random_abelian_subgroup, random_nonabelian_subgroup
-from paulidfs.subgroup import ClosureCapError, decompose, exponent_table
+from paulidfs.subgroup import ClosureCapError, exponent_table
 from helpers import (
     abelian_group,
+    decompose,
     reference_characters,
     reference_closure,
     reference_multiplicity,
@@ -328,6 +329,37 @@ class TestCharacters:
                         assert char.values[mul(a, b)] == (
                             char.values[a] * char.values[b]
                         )
+
+    @staticmethod
+    def _assert_greedy_scan(group):
+        """An element is kept exactly when the kept elements before it do
+        not generate it, and the scan stops once they generate the group,
+        both checked by breadth-first closure."""
+        basis = subgroup_module._canonical_basis(group)
+        scanned = group.elements[: basis[-1] + 1] if basis else ()
+        kept = []
+        for index, element in enumerate(scanned):
+            generated = reference_closure(kept, group.n_qubits)["elements"]
+            assert (index in basis) == (element not in generated)
+            if index in basis:
+                kept.append(element)
+        assert len(reference_closure(kept, group.n_qubits)["elements"]) == group.order
+
+    @pytest.mark.parametrize("phases", ["plus", "minus", "full", "trivial"])
+    def test_canonical_basis_is_a_greedy_scan(self, phases):
+        seeds = {"plus": 61, "minus": 62, "full": 63, "trivial": 64}
+        rng = np.random.default_rng(seeds[phases])
+        for n_qubits in range(1, 5):
+            for _ in range(4):
+                self._assert_greedy_scan(abelian_group(rng, n_qubits, phases))
+
+    @pytest.mark.parametrize(
+        "strings",
+        [("iX",), ("iXI", "iIX", "ZZ"), ("iXX", "ZZ"), ("-iZI", "IX")],
+    )
+    def test_canonical_basis_with_anti_hermitian_pivots(self, strings):
+        """A pivot squaring to -I puts -I into the span of the kept ones."""
+        self._assert_greedy_scan(closure([parse_pauli(s) for s in strings]))
 
     @pytest.mark.parametrize("phases", ["none", "full", "any"])
     def test_matches_reference_enumeration(self, phases):
