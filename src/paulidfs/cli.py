@@ -6,8 +6,8 @@ N with r sifted pivots.  Its ``character_table`` lists the sifted
 ``generators`` u = i^e I, b_1, ..., b_r, one ``coordinates`` row
 [m, k_1, ..., k_r] per entry of ``subgroup.elements``, and per character
 its ``label`` and ``exponents`` [w, e_1, ..., e_r], with
-chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  An order above
-``REPORT_ORDER_CAP`` is refused before any element is built.
+chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  An Abelian
+order above ``REPORT_ORDER_CAP`` is refused before any element is built.
 
 Exit codes: 0 success, 1 usage or input error, 2 analysis refusal
 (non-Abelian subgroup under --require-dfs), 3 numeric failure or no memory.
@@ -50,12 +50,12 @@ from .presets import (
     preset_generators,
     preset_group,
 )
-from .subgroup import characters, closure, reducibility_sum
+from .subgroup import DEFAULT_ORDER_CAP, characters, closure, reducibility_sum
 
 SCHEMA_VERSION = 3
 
-#: Largest order ``analyze`` and ``preset`` report on, checked by ``closure``
-#: before any element is built.  On a 2-vCPU VM, ``analyze --json`` took
+#: Largest Abelian order ``analyze`` and ``preset`` report on; a non-Abelian
+#: report has no character table.  On a 2-vCPU VM, ``analyze --json`` took
 #: 3-5 s and 370 MB at order 2^16, and 6-10.5 s and 731 MB at 2^17.
 REPORT_ORDER_CAP = 1 << 16
 
@@ -126,7 +126,10 @@ def build_analysis_report(
     dense_limit: int,
 ) -> dict:
     generators = [parse_pauli(s) for s in generator_strings]
-    group = closure(generators, order_cap=REPORT_ORDER_CAP)
+    group = closure(
+        generators,
+        order_cap=lambda s: REPORT_ORDER_CAP if s.is_abelian else DEFAULT_ORDER_CAP,
+    )
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",

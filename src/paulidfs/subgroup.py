@@ -20,7 +20,7 @@ involved, so the same code works far beyond the dense-matrix limit.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul as int_mul
@@ -123,7 +123,7 @@ class PauliSubgroup:
 def closure(
     generators: list[PauliElement] | tuple[PauliElement, ...],
     n_qubits: int | None = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
+    order_cap: int | Callable[[SiftedGenerators], int] = DEFAULT_ORDER_CAP,
 ) -> PauliSubgroup:
     """Smallest subgroup containing ``generators``.
 
@@ -135,8 +135,8 @@ def closure(
     Raises:
         QubitCountError: generators act on different qubit counts, or no
             count is available for an empty list.
-        ClosureCapError: the order exceeds ``order_cap``; raised before any
-            element is enumerated.
+        ClosureCapError: the order exceeds ``order_cap``, or
+            ``order_cap(sifted)`` if callable; raised before enumeration.
     """
     generators = tuple(generators)
     if generators:
@@ -158,6 +158,7 @@ def closure(
     sifted = sift_generators(generators, n)
     r = len(sifted.pivots)
     order = sifted.phase_subgroup_size << r
+    order_cap = order_cap(sifted) if callable(order_cap) else order_cap
     if order > order_cap:
         raise ClosureCapError(
             f"closure order {order} exceeds the order cap of {order_cap}"

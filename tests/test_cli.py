@@ -176,6 +176,19 @@ class TestAnalyze:
         assert f"closure order {1 << k} exceeds the order cap" in err
         assert peak < 4 << 20
 
+    def test_report_order_cap_spares_non_abelian(self, capsys):
+        """A non-Abelian report has no character table, so X_j and Z_j on 8
+        qubits (order 2^17, above the report cap) still complete."""
+        generators = [
+            "I" * j + letter + "I" * (7 - j) for j in range(8) for letter in "XZ"
+        ]
+        code, out, _ = run_cli(capsys, "analyze", *generators, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["subgroup"]["order"] == 1 << 17 > cli.REPORT_ORDER_CAP
+        assert report["verdict"] == "non_abelian"
+        assert "character_table" not in report
+
     def test_dense_limit_skips_matrices(self, capsys):
         code, out, _ = run_cli(
             capsys, "analyze", "ZI", "IZ", "--json", "--dense-limit", "1"
