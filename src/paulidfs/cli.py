@@ -21,6 +21,7 @@ import math
 import re
 import sys
 import time
+from itertools import islice
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -56,8 +57,13 @@ SCHEMA_VERSION = 3
 
 #: Largest Abelian order ``analyze`` and ``preset`` report on; a non-Abelian
 #: report has no character table.  On a 2-vCPU VM, ``analyze --json`` took
-#: 3-5 s and 370 MB at order 2^16, and 6-10.5 s and 731 MB at 2^17.
+#: 3.1-3.9 s and 139 MB at order 2^16, and 6.7-8.1 s and 251 MB at 2^17.
 REPORT_ORDER_CAP = 1 << 16
+
+#: Encoder chunks joined into one stdout write by ``--json``: one write per
+#: chunk doubled the emission time at order 2^16, one write for the whole
+#: document held two to three copies of it.
+EMIT_BATCH_CHUNKS = 8192
 
 
 def _state_json(state: np.ndarray) -> list:
@@ -395,8 +401,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(report: dict, as_json: bool, elapsed_s: float):
+    """Write the report to stdout.  JSON goes out as it is encoded, in
+    batches of ``EMIT_BATCH_CHUNKS`` encoder chunks, so the document is
+    never held whole; the bytes equal ``json.dumps(report, indent=2)``."""
     if as_json:
-        print(json.dumps(report, indent=2))
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        while batch := list(islice(chunks, EMIT_BATCH_CHUNKS)):
+            sys.stdout.write("".join(batch))
+        sys.stdout.write("\n")
         print(f"elapsed: {elapsed_s * 1000:.1f} ms", file=sys.stderr)
     else:
         print(render_text(report, elapsed_s))
@@ -439,7 +451,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     elapsed = time.perf_counter() - started
-    _emit(report, args.json, elapsed)
+    try:
+        _emit(report, args.json, elapsed)
+    except MemoryError as error:
+        # stdout may already hold the first batches of the document
+        print(f"numeric failure: {error}", file=sys.stderr)
+        return 3
     if getattr(args, "require_dfs", False) and report.get("verdict") == "non_abelian":
         print(
             "refusing: subgroup is non-Abelian, no DFS exists", file=sys.stderr

@@ -233,8 +233,8 @@ def dfs_basis(
         raise AssertionError(
             f"basis extraction found {len(seeds)} seed kets, expected {target}"
         )
-    x, z, phase = group.action_arrays
-    span, first = np.unique(x, return_index=True)
+    _, z, phase = group.action_arrays
+    span, first = group.x_span
     exponents = (
         phase[first]
         - _character_exponents(character)[first]
@@ -326,7 +326,7 @@ def _apply_on_closures(
     """
     n = group.n_qubits
     x, z, phase = group.action_arrays
-    span = np.unique(x)
+    span, _ = group.x_span
     owners = np.repeat(np.arange(len(basis.kets)), [len(k) for k in basis.kets])
     support = owners << n | np.concatenate(basis.kets)
     # one representative per coset of V_X: the ket with no lead bit, found
@@ -336,7 +336,12 @@ def _apply_on_closures(
         if pivot.x_mask:
             lead = pivot.x_mask.bit_length() - 1
             seeds = np.where(seeds >> lead & 1, seeds ^ pivot.x_mask, seeds)
-    keys = np.sort((np.unique(seeds)[:, None] ^ span).ravel())
+    # sorted and compared with their neighbours: a plain np.unique would
+    # import numpy.ma for its masked-array check
+    seeds = np.sort(seeds)
+    distinct = np.ones(len(seeds), dtype=bool)
+    distinct[1:] = seeds[1:] != seeds[:-1]
+    keys = np.sort((seeds[distinct][:, None] ^ span).ravel())
     values = np.zeros(len(keys), dtype=complex)
     values[np.searchsorted(keys, support)] = np.concatenate(basis.amplitudes)
     # (G_n v)[c] = i^phase_n (-1)^parity(s & z_n) v[s] with s = c XOR x_n,

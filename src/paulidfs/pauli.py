@@ -21,6 +21,7 @@ to share across threads.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -164,6 +165,34 @@ def format_pauli(p: PauliElement) -> str:
         bits = ((p.x_mask >> j) & 1, (p.z_mask >> j) & 1)
         letters.append(_LETTER_BY_BITS[bits])
     return _SIGN_BY_PHASE[p.phase_exp] + "".join(letters)
+
+
+#: Letter codes indexed by x + 2 z of one qubit, as uint32 so that a row of
+#: K codes views as one K-letter str.
+_LETTER_CODES = np.array([ord(c) for c in "IXZY"], dtype=np.uint32)
+
+
+def format_paulis(elements: Sequence[PauliElement], n_qubits: int) -> list[str]:
+    """``format_pauli`` of every element on ``n_qubits`` qubits, in order.
+
+    The masks go through ``int.to_bytes`` and ``np.unpackbits``, so any
+    qubit count works, and all letters are looked up in one array pass.
+    """
+    width = (n_qubits + 7) // 8
+
+    def bits(masks) -> np.ndarray:
+        raw = b"".join(mask.to_bytes(width, "big") for mask in masks)
+        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
+        return np.unpackbits(rows, axis=1)[:, 8 * width - n_qubits :]
+
+    codes = _LETTER_CODES[
+        bits(p.x_mask for p in elements) + 2 * bits(p.z_mask for p in elements)
+    ]
+    bodies = codes.view(np.dtype((np.str_, n_qubits)))
+    return [
+        _SIGN_BY_PHASE[p.phase_exp] + body
+        for p, body in zip(elements, bodies[:, 0].tolist(), strict=True)
+    ]
 
 
 def _require_same_qubits(p: PauliElement, q: PauliElement):

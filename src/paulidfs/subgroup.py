@@ -35,7 +35,7 @@ from .pauli import (
     adjoint,
     canonical_key,
     commutes,
-    format_pauli,
+    format_paulis,
     mul,
 )
 
@@ -99,6 +99,14 @@ class PauliSubgroup:
         return action_arrays(self.elements)
 
     @cached_property
+    def x_span(self) -> tuple[np.ndarray, np.ndarray]:
+        """The X-span V_X: the distinct x masks of ``action_arrays`` in
+        increasing order, and for each the index of its first element."""
+        span, first = np.unique(self.action_arrays.x, return_index=True)
+        span.flags.writeable = first.flags.writeable = False
+        return span, first
+
+    @cached_property
     def element_coordinates(self) -> dict[PauliElement, tuple[int, ...]]:
         """Each element, in element order, mapped to its coordinate row."""
         rows = map(tuple, self.coordinate_matrix.tolist())
@@ -112,8 +120,8 @@ class PauliSubgroup:
     def to_json_dict(self) -> dict:
         return {
             "n_qubits": self.n_qubits,
-            "generators": [format_pauli(g) for g in self.generators],
-            "elements": [format_pauli(e) for e in self.elements],
+            "generators": format_paulis(self.generators, self.n_qubits),
+            "elements": format_paulis(self.elements, self.n_qubits),
             "order": self.order,
             "is_abelian": self.is_abelian,
             "contains_minus_identity": self.contains_minus_identity,

@@ -2,16 +2,27 @@
 
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import paulidfs
 from paulidfs import cli
-from paulidfs.cli import build_analysis_report, main, parse_state_spec
+from paulidfs.cli import (
+    build_analysis_report,
+    build_preset_report,
+    main,
+    parse_state_spec,
+)
 from paulidfs.pauli import format_pauli, identity
+from paulidfs.presets import PRESET_NAMES
 from helpers import (
     V1_VALUE_NAMES,
     abelian_group,
@@ -273,6 +284,98 @@ class TestPreset:
         assert code == 0
         assert "character 1: multiplicity 1" in out
         assert "elapsed" in out
+
+
+def z_strings(count, n_qubits):
+    """``count`` single-qubit Z strings on ``n_qubits`` qubits: order 2^count."""
+    return ["I" * j + "Z" + "I" * (n_qubits - 1 - j) for j in range(count)]
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+
+
+class TestEmit:
+    def test_multi_batch_json_equals_dumps(self, capsys):
+        """Order 2^12 at K=13, above the dense limit of 12."""
+        report = build_analysis_report(z_strings(12, 13), 4, 0, 12)
+        chunks = json.JSONEncoder(indent=2).iterencode(report)
+        assert sum(1 for _ in chunks) > 4 * cli.EMIT_BATCH_CHUNKS
+        cli._emit(report, True, 0.0)
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_preset_json_equals_dumps(self, capsys, name):
+        report = build_preset_report(name, 4, 0, 12)
+        cli._emit(report, True, 0.0)
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+    def test_emission_memory_bounded(self, capsys, monkeypatch):
+        """Writing a report of several MB holds a small share of it: the
+        document is never joined whole, nor are all its chunks kept."""
+        report = build_analysis_report(z_strings(14, 15), 1, 0, 12)
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            cli._emit(report, True, 0.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size >= 5_000_000
+        assert peak < sink.size / 4, (peak, sink.size)
+
+    def test_memory_error_while_writing_is_numeric_failure(
+        self, capsys, monkeypatch
+    ):
+        """A failure after the first batch exits 3 with the numeric-failure
+        message; stdout then holds only the first batch of the document."""
+        generators = z_strings(10, 13)
+        report = build_analysis_report(generators, 32, 0, 12)
+        document = json.dumps(report, indent=2)
+        encode = json.JSONEncoder.iterencode
+
+        def fail_after_first_batch(self, o):
+            chunks = encode(self, o)
+            for _ in range(cli.EMIT_BATCH_CHUNKS):
+                yield next(chunks)
+            raise MemoryError("Unable to allocate 8.00 GiB")
+
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", fail_after_first_batch)
+        code, out, err = run_cli(capsys, "analyze", *generators, "--json")
+        assert code == 3
+        assert "numeric failure: Unable to allocate 8.00 GiB" in err
+        assert 0 < len(out) < len(document)
+        assert document.startswith(out)
+
+    def test_abelian_analyze_imports_no_masked_arrays(self):
+        """``np.unique`` without return arrays imports ``numpy.ma``; an
+        Abelian report with bases and verification needs none of it."""
+        script = (
+            "import sys\n"
+            "from paulidfs.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = str(Path(paulidfs.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run(
+            [sys.executable, "-c", script, "analyze", "XXXX", "ZZZZ", "ZZII", "--json"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["characters"][0]["verification"]["passed"]
+        assert done.stderr.splitlines()[-1] == "False"
 
 
 class TestChannel:

@@ -19,7 +19,12 @@ from paulidfs import (
     pauli_string_count,
     to_matrix,
 )
-from paulidfs.pauli import DenseLimitError, algebra_action, matrix_action
+from paulidfs.pauli import (
+    DenseLimitError,
+    algebra_action,
+    format_paulis,
+    matrix_action,
+)
 from paulidfs.sampling import random_element
 
 
@@ -95,6 +100,27 @@ class TestParse:
         assert format_pauli(parse_pauli("XX")).startswith("+")
         assert format_pauli(PauliElement(2, 0, 0, 1)) == "-I"
         assert format_pauli(PauliElement(3, 1, 1, 1)) == "-iY"
+
+
+@st.composite
+def element_lists(draw, max_qubits=70):
+    """Up to 12 elements on one qubit count, beyond 64-bit masks."""
+    n = draw(st.integers(1, max_qubits))
+    masks = st.integers(0, (1 << n) - 1)
+    rows = draw(st.lists(st.tuples(st.integers(0, 3), masks, masks), max_size=12))
+    return n, [PauliElement(phase, x, z, n) for phase, x, z in rows]
+
+
+class TestFormatPaulis:
+    @given(element_lists())
+    @settings(max_examples=300)
+    def test_matches_format_pauli(self, drawn):
+        n, ps = drawn
+        assert format_paulis(ps, n) == [format_pauli(p) for p in ps]
+
+    def test_every_phase_and_letter(self):
+        ps = [PauliElement(phase, 0b0101, 0b0011, 4) for phase in range(4)]
+        assert format_paulis(ps, 4) == ["+IXZY", "+iIXZY", "-IXZY", "-iIXZY"]
 
 
 class TestMul:
