@@ -317,8 +317,21 @@ def random_group_algebra_kraus(
     """
     _require_dense(group.n_qubits, dense_limit)
     algebra = _StringAlgebra(group)
-    hat = _draw(algebra, n_ops, seed)
     matrices = [to_matrix(w, dense_limit=dense_limit) for w in algebra.strings]
+    return _algebra_kraus(group, algebra, matrices, n_ops, seed)
+
+
+def _algebra_kraus(
+    group: PauliSubgroup,
+    algebra: _StringAlgebra,
+    matrices: list[np.ndarray],
+    n_ops: int,
+    seed: int,
+) -> KrausSet:
+    """``random_group_algebra_kraus`` over a built string algebra and the
+    dense matrices of its strings, which a caller drawing many channels of
+    one group builds once."""
+    hat = _draw(algebra, n_ops, seed)
     spread = len(algebra.strings) / group.order
     return KrausSet(
         n_qubits=group.n_qubits,
@@ -491,6 +504,20 @@ def q8_constrained_kraus(
         ChannelConstraintError: some normalization or orthogonality
             constraint is violated; the message names it.
     """
+    from .presets import preset_group
+
+    return _q8_kraus(
+        preset_group("q8"), _q8_term_matrices(), c1, c2, d1, d2, e1, e2, atol
+    )
+
+
+def _q8_term_matrices() -> list[np.ndarray]:
+    return [to_matrix(parse_pauli(s)) for s in _Q8_TERMS]
+
+
+def _q8_kraus(group, terms, c1, c2, d1, d2, e1, e2, atol=1e-10) -> KrausSet:
+    """``q8_constrained_kraus`` over the built q8 group and the dense
+    matrices of ``_Q8_TERMS``."""
     ortho = np.conj(c1) * d1 + np.conj(c2) * d2
     if abs(ortho) > atol:
         raise ChannelConstraintError(
@@ -504,16 +531,11 @@ def q8_constrained_kraus(
         raise ChannelConstraintError(
             f"|d1|^2 + |d2|^2 + |e1|^2 + |e2|^2 = {de_norm}, expected 1"
         )
-    from .presets import preset_group
-
-    terms = [to_matrix(parse_pauli(s)) for s in _Q8_TERMS]
     operators = []
     for c, d, e in ((c1, d1, e1), (c2, d2, e2)):
         weights = ((c + e) / 2, d / 2, (c - e) / 2, d / 2)
         operators.append(sum(w * m for w, m in zip(weights, terms)))
-    kraus = KrausSet(
-        n_qubits=3, operators=tuple(operators), group=preset_group("q8")
-    )
+    kraus = KrausSet(n_qubits=3, operators=tuple(operators), group=group)
     kraus.validate()
     return kraus
 
@@ -571,13 +593,16 @@ def q8_genericity_probe(
     from .presets import preset_group, q8_code_states
 
     group = preset_group("q8")
+    algebra = _StringAlgebra(group)
+    matrices = [to_matrix(w) for w in algebra.strings]
+    terms = _q8_term_matrices()
     code = q8_code_states()
     rng = np.random.default_rng(seed)
 
     unconstrained_failures = 0
     min_residual = np.inf
     for t in range(draws):
-        kraus = random_group_algebra_kraus(group, 2, seed * 131 + t)
+        kraus = _algebra_kraus(group, algebra, matrices, 2, seed * 131 + t)
         residual = code_fix_residual(kraus, code)
         min_residual = min(min_residual, residual)
         if residual > threshold:
@@ -593,7 +618,7 @@ def q8_genericity_probe(
         e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
         tail = np.concatenate([d, e])
         tail = tail / np.linalg.norm(tail)
-        kraus = q8_constrained_kraus(c[0], c[1], tail[0], tail[1], tail[2], tail[3])
+        kraus = _q8_kraus(group, terms, c[0], c[1], *tail)
         residual = code_fix_residual(kraus, code)
         max_residual = max(max_residual, residual)
         if residual > threshold:

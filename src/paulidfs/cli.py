@@ -9,19 +9,29 @@ its ``label`` and ``exponents`` [w, e_1, ..., e_r], with
 chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  An Abelian
 order above ``REPORT_ORDER_CAP`` is refused before any element is built.
 
-Exit codes: 0 success, 1 usage or input error, 2 analysis refusal
-(non-Abelian subgroup under --require-dfs), 3 numeric failure or no memory.
+``--json`` writes the bytes of ``json.dumps(report, indent=2)`` through
+``_write_json``, to stdout in pieces of ``EMIT_FLUSH_CHARS`` characters,
+so the document is never held whole.  The ``paulidfs`` script and
+``python -m paulidfs.cli`` both enter through ``run``, which freezes the
+garbage collector after ``main`` returns.
+
+Exit codes: 0 success, 1 usage or input error (or stdout closed before the
+whole report was written), 2 analysis refusal (non-Abelian subgroup under
+--require-dfs), 3 numeric failure or no memory.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
+import os
 import re
 import sys
 import time
-from itertools import islice
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -60,10 +70,20 @@ SCHEMA_VERSION = 3
 #: 3.1-3.9 s and 139 MB at order 2^16, and 6.7-8.1 s and 251 MB at 2^17.
 REPORT_ORDER_CAP = 1 << 16
 
-#: Encoder chunks joined into one stdout write by ``--json``: one write per
-#: chunk doubled the emission time at order 2^16, one write for the whole
-#: document held two to three copies of it.
-EMIT_BATCH_CHUNKS = 8192
+#: Characters of ``--json`` text gathered into one stdout write: one write
+#: per encoder chunk doubled the emission time at order 2^16 with stdout
+#: unbuffered, one write for the whole document held two to three copies
+#: of it.
+EMIT_FLUSH_CHARS = 1 << 16
+
+#: Items of a scalar list joined, or numbers of a block of rows formatted,
+#: into one piece of ``--json`` text: at 10-25 characters an indented
+#: number, about one flush, and never more however long the list.
+_EMIT_BLOCK_ITEMS = EMIT_FLUSH_CHARS // 16
+
+_STDLIB_ENCODER = json.JSONEncoder()
+#: The exact scalar types ``--json`` encodes itself, finite floats only.
+_SCALAR_ENCODERS = {int: repr, float: repr, str: encode_basestring_ascii}
 
 
 def _state_json(state: np.ndarray) -> list:
@@ -400,15 +420,119 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _flush(text: str):
+    sys.stdout.write(text)
+
+
+def _scalar_json(value) -> str:
+    """One scalar as ``json.dumps`` writes it."""
+    kind = type(value)
+    encode = _SCALAR_ENCODERS.get(kind)
+    if encode is None or (kind is float and not math.isfinite(value)):
+        # bool, None, NaN and infinities, subclasses of int, float and str
+        return _STDLIB_ENCODER.encode(value)
+    return encode(value)
+
+
+def _write_json(value):
+    """Write ``json.dumps(value, indent=2) + "\n"`` through ``_flush``, in
+    pieces of at least ``EMIT_FLUSH_CHARS`` characters (the last aside).
+
+    A list of one exact scalar type (int, str or finite float) is joined
+    in blocks, and a list of equal-length lists of one exact number type
+    goes through one ``%`` template per block of rows; every other value
+    is written item by item, its scalars as ``json.dumps`` writes them.
+    """
+    pending: list[str] = []
+    held = 0
+
+    def put(text: str):
+        nonlocal held
+        pending.append(text)
+        held += len(text)
+        if held >= EMIT_FLUSH_CHARS:
+            _flush("".join(pending))
+            pending.clear()
+            held = 0
+
+    def put_list(value: list, head: str, pad: str) -> str:
+        inner = pad + "  "
+        sep = "," + inner
+        kinds = set(map(type, value))
+        kind = kinds.pop() if len(kinds) == 1 else None
+        if kind in _SCALAR_ENCODERS and (
+            kind is not float or all(map(math.isfinite, value))
+        ):
+            encode = _SCALAR_ENCODERS[kind]
+            blocks = (
+                sep.join(map(encode, items))
+                for items in _slices(value, _EMIT_BLOCK_ITEMS)
+            )
+        elif kind is list and _number_rows(value):
+            width = len(value[0])
+            row_pad = inner + "  "
+            row = "[" + row_pad + ("," + row_pad).join(["%r"] * width) + inner + "]"
+            blocks = (
+                sep.join([row] * len(rows)) % tuple(chain.from_iterable(rows))
+                for rows in _slices(value, max(1, _EMIT_BLOCK_ITEMS // width))
+            )
+        else:
+            opening = "[" + inner
+            for item in value:
+                head = put_value(item, head + opening, inner)
+                put(head)
+                head, opening = "", sep
+            return pad + "]"
+        opening = "[" + inner
+        for text in blocks:
+            put(head + opening + text)
+            head, opening = "", sep
+        return pad + "]"
+
+    def put_value(value, head: str, pad: str) -> str:
+        """Put ``head`` and the JSON of ``value``, but return the end of that
+        text for the caller to continue; ``pad`` is a newline and the
+        value's indent."""
+        if isinstance(value, dict) and value:
+            inner = pad + "  "
+            opening = "{" + inner
+            for key, item in value.items():
+                head += opening + encode_basestring_ascii(key) + ": "
+                if isinstance(item, (dict, list, tuple)):
+                    head = put_value(item, head, inner)
+                else:
+                    head += _scalar_json(item)
+                opening = "," + inner
+            return head + pad + "}"
+        if isinstance(value, (list, tuple)) and value:
+            return put_list(value, head, pad)
+        if isinstance(value, (dict, list, tuple)):
+            return head + ("{}" if isinstance(value, dict) else "[]")
+        return head + _scalar_json(value)
+
+    pending.append(put_value(value, "", "\n") + "\n")
+    _flush("".join(pending))
+
+
+def _slices(items: list, step: int):
+    return (items[start : start + step] for start in range(0, len(items), step))
+
+
+def _number_rows(value: list) -> bool:
+    """Whether ``value`` holds lists of one nonzero length, all of exact
+    int or all of finite exact float."""
+    if len(set(map(len, value))) != 1 or not value[0]:
+        return False
+    kinds = set(map(type, chain.from_iterable(value)))
+    return kinds == {int} or (
+        kinds == {float} and all(map(math.isfinite, chain.from_iterable(value)))
+    )
+
+
 def _emit(report: dict, as_json: bool, elapsed_s: float):
-    """Write the report to stdout.  JSON goes out as it is encoded, in
-    batches of ``EMIT_BATCH_CHUNKS`` encoder chunks, so the document is
-    never held whole; the bytes equal ``json.dumps(report, indent=2)``."""
+    """Write the report to stdout, as JSON or as text."""
     if as_json:
-        chunks = json.JSONEncoder(indent=2).iterencode(report)
-        while batch := list(islice(chunks, EMIT_BATCH_CHUNKS)):
-            sys.stdout.write("".join(batch))
-        sys.stdout.write("\n")
+        _write_json(report)
         print(f"elapsed: {elapsed_s * 1000:.1f} ms", file=sys.stderr)
     else:
         print(render_text(report, elapsed_s))
@@ -465,5 +589,30 @@ def main(argv: list[str] | None = None) -> int:
     return 0
 
 
+def run(argv: list[str] | None = None) -> int:
+    """Process entry point of ``paulidfs`` and ``python -m paulidfs.cli``.
+
+    Runs ``main`` and then freezes the garbage collector, so that the
+    interpreter's collections at shutdown skip every object left from the
+    imports and the run; ``main`` never freezes, since tests and library
+    callers run it inside long-lived processes.  A reader that closes
+    stdout before the report is written in full exits 1 with a message.
+    """
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit, so send it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(
+            "output error: stdout closed before the whole report was written",
+            file=sys.stderr,
+        )
+        return 1
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

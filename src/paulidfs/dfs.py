@@ -45,9 +45,10 @@ from .subgroup import (
     exponent_table,
 )
 
-#: A verification trial passes when the worst eigenvalue residual is below
-#: this; sits far above double-precision noise at dim <= 4096 and far
-#: below any genuine gap between fourth-root-of-unity eigenvalues.
+#: A verification trial passes when the worst eigenvalue residual, and the
+#: gap between the shared eigenvalue and its closed form, are below this;
+#: sits far above double-precision noise at dim <= 4096 and far below any
+#: genuine gap between fourth-root-of-unity eigenvalues.
 RESIDUAL_PASS_TOL = 1e-9
 
 #: Entries of each (elements x closure kets) block ``verify_dfs`` builds.
@@ -374,10 +375,10 @@ def verify_dfs(
     applied on that closure only, one X-orbit of |V_X| kets for a
     ``dfs_basis`` vector, and all trials go through one (trials x N) @
     (N x closure) product.  The test is A |psi_z> = c |psi_z> with one c
-    shared across all z, and the shared c is also compared against the
-    closed form sum_n a_n gamma_n.  Failures are reported, never raised:
-    the same routine is used to demonstrate that cross-irrep
-    superpositions are *not* decoherence-free.
+    shared across all z, and the shared c must also match the closed
+    form sum_n a_n gamma_n within ``RESIDUAL_PASS_TOL``.  Failures are
+    reported, never raised: the same routine is used to demonstrate that
+    cross-irrep superpositions are *not* decoherence-free.
 
     Raises:
         ValueError: ``trials`` below 1, a character of another subgroup,
@@ -413,11 +414,12 @@ def verify_dfs(
         for row, c, p, r, d in zip(coefficients, shared, predicted, residuals, spreads)
     )
     worst = float(residuals.max())
+    gap = float(np.abs(shared - predicted).max())
     return VerificationReport(
         character_label=basis.character.label,
         trials=results,
         seed=seed,
-        passed=worst < RESIDUAL_PASS_TOL,
+        passed=worst < RESIDUAL_PASS_TOL and gap < RESIDUAL_PASS_TOL,
         max_residual=worst,
     )
 

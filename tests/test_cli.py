@@ -1,7 +1,9 @@
 """Command-line surface: exit codes, JSON determinism, state parsing."""
 
+import gc
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import paulidfs
 from paulidfs import cli
@@ -286,6 +288,12 @@ class TestPreset:
         assert "elapsed" in out
 
 
+def child_env() -> dict:
+    """The environment of a child process that imports this package."""
+    src = str(Path(paulidfs.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": src}
+
+
 def z_strings(count, n_qubits):
     """``count`` single-qubit Z strings on ``n_qubits`` qubits: order 2^count."""
     return ["I" * j + "Z" + "I" * (n_qubits - 1 - j) for j in range(count)]
@@ -301,13 +309,52 @@ class _CountingSink:
         self.size += len(text)
 
 
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([-0.0, 1e-300, math.nan, math.inf, -math.inf]),
+    st.text(),
+)
+
+
+def _rows_of_width(width):
+    """Lists of ``width`` numbers each: one exact type, or mixed with bool."""
+    numbers = st.sampled_from(
+        [st.integers(), st.floats(), st.one_of(st.integers(), st.booleans())]
+    )
+    return numbers.flatmap(
+        lambda number: st.lists(st.lists(number, min_size=width, max_size=width))
+    )
+
+
+_json_values = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children),
+        st.dictionaries(st.text(), children),
+        st.integers(0, 3).flatmap(_rows_of_width),
+        st.lists(st.lists(st.integers() | st.floats(), max_size=3)),
+    ),
+    max_leaves=30,
+)
+
+
 class TestEmit:
-    def test_multi_batch_json_equals_dumps(self, capsys):
+    def test_multi_batch_json_equals_dumps(self, capsys, monkeypatch):
         """Order 2^12 at K=13, above the dense limit of 12."""
         report = build_analysis_report(z_strings(12, 13), 4, 0, 12)
-        chunks = json.JSONEncoder(indent=2).iterencode(report)
-        assert sum(1 for _ in chunks) > 4 * cli.EMIT_BATCH_CHUNKS
+        flush = cli._flush
+        batches = []
+
+        def counting_flush(text):
+            batches.append(len(text))
+            flush(text)
+
+        monkeypatch.setattr(cli, "_flush", counting_flush)
         cli._emit(report, True, 0.0)
+        assert len(batches) > 4
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
@@ -339,20 +386,35 @@ class TestEmit:
         generators = z_strings(10, 13)
         report = build_analysis_report(generators, 32, 0, 12)
         document = json.dumps(report, indent=2)
-        encode = json.JSONEncoder.iterencode
+        flush = cli._flush
+        batches = []
 
-        def fail_after_first_batch(self, o):
-            chunks = encode(self, o)
-            for _ in range(cli.EMIT_BATCH_CHUNKS):
-                yield next(chunks)
-            raise MemoryError("Unable to allocate 8.00 GiB")
+        def fail_after_first_batch(text):
+            if batches:
+                raise MemoryError("Unable to allocate 8.00 GiB")
+            batches.append(text)
+            flush(text)
 
-        monkeypatch.setattr(json.JSONEncoder, "iterencode", fail_after_first_batch)
+        monkeypatch.setattr(cli, "_flush", fail_after_first_batch)
         code, out, err = run_cli(capsys, "analyze", *generators, "--json")
         assert code == 3
         assert "numeric failure: Unable to allocate 8.00 GiB" in err
         assert 0 < len(out) < len(document)
         assert document.startswith(out)
+
+    @example(list(range(10_000)))
+    @example([[float(n), -0.0] for n in range(5_000)])
+    @example([np.float64(0.5), 1.5, True, 1, None])
+    @example({"huge": 10**400, "rows": [[10**400, 1]]})
+    @settings(max_examples=200, deadline=None)
+    @given(value=_json_values)
+    def test_writer_equals_dumps(self, value):
+        pieces = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_flush", pieces.append)
+            cli._write_json(value)
+        assert "".join(pieces) == json.dumps(value, indent=2) + "\n"
+        assert all(len(piece) >= cli.EMIT_FLUSH_CHARS for piece in pieces[:-1])
 
     def test_abelian_analyze_imports_no_masked_arrays(self):
         """``np.unique`` without return arrays imports ``numpy.ma``; an
@@ -364,18 +426,88 @@ class TestEmit:
             "print('numpy.ma' in sys.modules, file=sys.stderr)\n"
             "sys.exit(code)\n"
         )
-        src = str(Path(paulidfs.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": src}
         done = subprocess.run(
             [sys.executable, "-c", script, "analyze", "XXXX", "ZZZZ", "ZZII", "--json"],
             capture_output=True,
             text=True,
-            env=env,
+            env=child_env(),
             timeout=60,
         )
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["characters"][0]["verification"]["passed"]
         assert done.stderr.splitlines()[-1] == "False"
+
+
+#: 2^50 amplitudes of 16 bytes: more than any address space, so the state
+#: allocation fails at once with a MemoryError.
+_UNALLOCATABLE = ["Z" + "I" * 49, "--state", "|" + "0" * 50 + ">", "--dense-limit", "50"]
+
+
+class TestEntryPoint:
+    def test_only_run_freezes_the_collector(self, capsys):
+        assert gc.get_freeze_count() == 0
+        assert main(["preset", "qz", "--json"]) == 0
+        assert gc.get_freeze_count() == 0
+        try:
+            assert cli.run(["preset", "qz", "--json"]) == 0
+            assert gc.get_freeze_count() > 0
+        finally:
+            gc.unfreeze()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (["preset", "qz", "--json"], 0),
+            (["analyze", "XQ", "--json"], 1),
+            (["analyze", "XXI", "IZZ", "--require-dfs", "--json"], 2),
+            (["channel", *_UNALLOCATABLE, "--json"], 3),
+        ],
+    )
+    def test_module_run_equals_main(self, capsys, argv, status):
+        code, out, err = run_cli(capsys, *argv)
+        done = subprocess.run(
+            [sys.executable, "-m", "paulidfs.cli", *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert code == done.returncode == status
+        assert done.stdout == out
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize(
+        "argv, lines_read, unbuffered",
+        [
+            (["analyze", *z_strings(12, 14), "--json"], 1, "1"),
+            (["analyze", *z_strings(12, 14), "--json"], 1, ""),
+            (["preset", "qz"], 0, ""),
+        ],
+    )
+    def test_closed_stdout_exits_one_without_traceback(
+        self, argv, lines_read, unbuffered
+    ):
+        """The reader closes the pipe after the first line of a report of
+        about 2 MB, far more than the pipe holds, or before a short text
+        report, held in the stdout buffer, is flushed."""
+        child = subprocess.Popen(
+            [sys.executable, "-m", "paulidfs.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**child_env(), "PYTHONUNBUFFERED": unbuffered},
+        )
+        try:
+            for _ in range(lines_read):
+                assert child.stdout.readline() == b"{\n"
+            child.stdout.close()
+            assert child.wait(timeout=60) == 1
+        finally:
+            child.kill()
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert "output error: stdout closed before the whole report was written" in err
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 class TestChannel:

@@ -257,6 +257,17 @@ class TestVerifyDfs:
         fake = DfsBasis.from_vectors(chars[0], (mixed,))
         assert verify_dfs(qx, fake, trials=16, seed=5).passed
 
+    def test_relabelled_basis_fails(self, q2z):
+        """One character's vectors labelled as another's are still shared
+        eigenvectors, residual 0, but their eigenvalue misses the closed
+        form of the label."""
+        chars = {c.label: c for c in characters(q2z)}
+        vectors = dfs_basis(q2z, chars[1]).vectors
+        relabelled = DfsBasis.from_vectors(chars[2], vectors)
+        report = verify_dfs(q2z, relabelled, trials=32, seed=0)
+        assert report.max_residual < 1e-12
+        assert not report.passed
+
     def test_passes_on_every_example_basis(self, qz, qx, q4, q2z):
         for group in (qz, qx, q4, q2z):
             for c in characters(group):
