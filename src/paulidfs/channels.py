@@ -119,12 +119,6 @@ def _unit_vector(state: np.ndarray) -> np.ndarray:
     return psi / norm
 
 
-def density_matrix_from_state(state: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a normalized state vector."""
-    psi = _unit_vector(state)
-    return np.outer(psi, psi.conj())
-
-
 def assert_density_matrix(rho: np.ndarray, eig_floor: float = -1e-8):
     """Check unit trace, Hermiticity and positivity of ``rho``."""
     trace = complex(np.trace(rho))
@@ -135,17 +129,6 @@ def assert_density_matrix(rho: np.ndarray, eig_floor: float = -1e-8):
     smallest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
     if smallest < eig_floor:
         raise ValueError(f"negative eigenvalue {smallest}")
-
-
-def purity(rho: np.ndarray) -> float:
-    """tr(rho^2); equals 1 exactly for pure states."""
-    return float(np.real(np.trace(rho @ rho)))
-
-
-def state_fidelity(state: np.ndarray, rho: np.ndarray) -> float:
-    """<psi| rho |psi> for a pure reference state."""
-    psi = np.asarray(state, dtype=complex)
-    return float(np.real(np.vdot(psi, rho @ psi)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,30 +321,6 @@ def _algebra_kraus(
         operators=tuple(sum(c * m for c, m in zip(row, matrices)) for row in hat),
         group=group,
         coefficients=hat @ algebra.draw_map.conj().T * spread,
-    )
-
-
-def uniform_group_channel(
-    group: PauliSubgroup, dense_limit: int = DENSE_QUBIT_LIMIT
-) -> KrausSet:
-    """The channel whose Kraus operators are the elements over sqrt(N).
-
-    For the two-qubit phase-damping subgroup this is the equal-weight
-    dephasing channel (1/2){II, ZI, IZ, ZZ}: it zeroes every off-diagonal
-    density-matrix entry in the computational basis in one application
-    while leaving populations untouched.
-    """
-    n = group.order
-    scale = 1.0 / np.sqrt(n)
-    operators = tuple(
-        scale * to_matrix(e, dense_limit=dense_limit) for e in group.elements
-    )
-    coefficients = np.eye(n, dtype=complex) * scale
-    return KrausSet(
-        n_qubits=group.n_qubits,
-        operators=operators,
-        group=group,
-        coefficients=coefficients,
     )
 
 
@@ -564,10 +523,6 @@ class ProbeReport:
     min_unconstrained_residual: float
     max_constrained_residual: float
     failure_threshold: float
-
-    @property
-    def unconstrained_failure_fraction(self) -> float:
-        return self.unconstrained_failures / self.draws
 
     def to_json_dict(self) -> dict:
         return {

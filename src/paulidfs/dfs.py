@@ -103,8 +103,18 @@ class DfsBasis:
 
     @classmethod
     def from_vectors(cls, character: Character, vectors) -> DfsBasis:
-        """A basis of given dense vectors, such as hand-built superpositions."""
+        """A basis of given dense vectors, such as hand-built superpositions.
+
+        Raises:
+            ValueError: no vectors, vectors of unequal length, or a zero
+                vector.
+        """
         vectors = [np.asarray(v, dtype=complex) for v in vectors]
+        if not vectors:
+            raise ValueError("a basis needs at least one vector")
+        lengths = {len(v) for v in vectors}
+        if len(lengths) > 1:
+            raise ValueError(f"basis vectors have unequal lengths {sorted(lengths)}")
         kets = tuple(np.flatnonzero(v) for v in vectors)
         if not all(len(k) for k in kets):
             raise ValueError("basis vectors must be nonzero")
@@ -282,26 +292,6 @@ class VerificationReport:
     seed: int
     passed: bool
     max_residual: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "character_label": self.character_label,
-            "seed": self.seed,
-            "passed": self.passed,
-            "max_residual": self.max_residual,
-            "trials": [
-                {
-                    "eigenvalue": [t.eigenvalue.real, t.eigenvalue.imag],
-                    "eigenvalue_predicted": [
-                        t.eigenvalue_predicted.real,
-                        t.eigenvalue_predicted.imag,
-                    ],
-                    "max_residual": t.max_residual,
-                    "eigenvalue_spread": t.eigenvalue_spread,
-                }
-                for t in self.trials
-            ],
-        }
 
 
 @lru_cache(maxsize=1)
@@ -582,40 +572,3 @@ def _extend_assignment(
         full[element] = value
     return full
 
-
-# ---------------------------------------------------------------------------
-# subspace geometry helpers
-# ---------------------------------------------------------------------------
-
-
-def subspace_distance(vectors_a, vectors_b) -> float:
-    """Spectral distance between the projectors onto two spans.
-
-    Arguments are sequences of vectors (not necessarily orthonormal).
-    Returns ||P_A - P_B||_2, which is 0 for equal spans and 1 for spans
-    with any orthogonal mismatch direction.
-    """
-    a = _orthonormal_matrix(vectors_a)
-    b = _orthonormal_matrix(vectors_b)
-    if a.shape[1] == 0 and b.shape[1] == 0:
-        return 0.0
-    dim = a.shape[0] if a.shape[1] else b.shape[0]
-    pa = a @ a.conj().T if a.shape[1] else np.zeros((dim, dim), dtype=complex)
-    pb = b @ b.conj().T if b.shape[1] else np.zeros((dim, dim), dtype=complex)
-    return float(np.linalg.norm(pa - pb, ord=2))
-
-
-def _orthonormal_matrix(vectors) -> np.ndarray:
-    vecs = [np.asarray(v, dtype=complex) for v in vectors]
-    if not vecs:
-        return np.zeros((1, 0), dtype=complex)
-    stacked = np.column_stack(vecs)
-    q, r = np.linalg.qr(stacked)
-    keep = np.abs(np.diag(r)) > 1e-10
-    return q[:, keep]
-
-
-def projector_rank(matrix: np.ndarray, threshold: float = 0.5) -> int:
-    """Rank of an (approximate) projector via its eigenvalues."""
-    eigenvalues = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)
-    return int(np.sum(eigenvalues > threshold))

@@ -107,16 +107,6 @@ def identity(n_qubits: int) -> PauliElement:
     return PauliElement(0, 0, 0, n_qubits)
 
 
-def pauli_group_order(n_qubits: int) -> int:
-    """Total number of group elements, phases included: 4^(K+1)."""
-    return 4 ** (n_qubits + 1)
-
-
-def pauli_string_count(n_qubits: int) -> int:
-    """Number of distinct Pauli strings ignoring the four phases: 4^K."""
-    return 4**n_qubits
-
-
 def parse_pauli(text: str, n_qubits: int | None = None) -> PauliElement:
     """Parse a string like ``"ZI"``, ``"-XX"`` or ``"+iXYZ"``.
 

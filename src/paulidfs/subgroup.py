@@ -197,22 +197,6 @@ def closure(
     )
 
 
-def subgroup_from_error_generators(
-    terms: list[PauliElement] | tuple[PauliElement, ...],
-    n_qubits: int | None = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
-) -> PauliSubgroup:
-    """Subgroup spanned by the Kraus operators of a Pauli-string coupling.
-
-    When the system side of a system-bath Hamiltonian consists of the
-    given Pauli strings, the time-evolution Kraus operators expand over
-    the multiplicative closure of those strings, so the error group is
-    exactly ``closure(terms)``.  Provided as a semantically named entry
-    point for Hamiltonian-driven workflows.
-    """
-    return closure(terms, n_qubits=n_qubits, order_cap=order_cap)
-
-
 # ---------------------------------------------------------------------------
 # generator sifting and element decomposition
 # ---------------------------------------------------------------------------

@@ -7,10 +7,8 @@ from paulidfs.channels import (
     DegenerateKrausError,
     KrausSet,
     _raw_coefficients,
+    _unit_vector,
     apply_channel,
-    density_matrix_from_state,
-    purity,
-    state_fidelity,
 )
 from paulidfs.dfs import projector
 from paulidfs.pauli import (
@@ -27,7 +25,7 @@ from paulidfs.pauli import (
     mul,
     to_matrix,
 )
-from paulidfs.sampling import random_abelian_subgroup
+from sampling import random_abelian_subgroup
 from paulidfs.subgroup import closure, sift_generators
 
 
@@ -364,6 +362,47 @@ def reference_group_algebra_kraus(
     return kraus
 
 
+def uniform_group_channel(
+    group, dense_limit: int = DENSE_QUBIT_LIMIT
+) -> KrausSet:
+    """The channel whose Kraus operators are the elements over sqrt(N).
+
+    For the two-qubit phase-damping subgroup this is the equal-weight
+    dephasing channel (1/2){II, ZI, IZ, ZZ}: it zeroes every off-diagonal
+    density-matrix entry in the computational basis in one application
+    while leaving populations untouched.
+    """
+    n = group.order
+    scale = 1.0 / np.sqrt(n)
+    operators = tuple(
+        scale * to_matrix(e, dense_limit=dense_limit) for e in group.elements
+    )
+    coefficients = np.eye(n, dtype=complex) * scale
+    return KrausSet(
+        n_qubits=group.n_qubits,
+        operators=operators,
+        group=group,
+        coefficients=coefficients,
+    )
+
+
+def density_matrix_from_state(state: np.ndarray) -> np.ndarray:
+    """|psi><psi| for a normalized state vector."""
+    psi = _unit_vector(state)
+    return np.outer(psi, psi.conj())
+
+
+def purity(rho: np.ndarray) -> float:
+    """tr(rho^2); equals 1 exactly for pure states."""
+    return float(np.real(np.trace(rho @ rho)))
+
+
+def state_fidelity(state: np.ndarray, rho: np.ndarray) -> float:
+    """<psi| rho |psi> for a pure reference state."""
+    psi = np.asarray(state, dtype=complex)
+    return float(np.real(np.vdot(psi, rho @ psi)))
+
+
 def reference_decoherence_scan(group, state, trials, seed, n_ops=2):
     """Purities and fidelities of a scan through dense Kraus operators.
 
@@ -392,3 +431,36 @@ def reference_decoherence_scan(group, state, trials, seed, n_ops=2):
         purities.append(purity(rho))
         fidelities.append(state_fidelity(state, rho))
     return purities, fidelities
+
+
+def subspace_distance(vectors_a, vectors_b) -> float:
+    """Spectral distance between the projectors onto two spans.
+
+    Arguments are sequences of vectors (not necessarily orthonormal).
+    Returns ||P_A - P_B||_2, which is 0 for equal spans and 1 for spans
+    with any orthogonal mismatch direction.
+    """
+    a = _orthonormal_matrix(vectors_a)
+    b = _orthonormal_matrix(vectors_b)
+    if a.shape[1] == 0 and b.shape[1] == 0:
+        return 0.0
+    dim = a.shape[0] if a.shape[1] else b.shape[0]
+    pa = a @ a.conj().T if a.shape[1] else np.zeros((dim, dim), dtype=complex)
+    pb = b @ b.conj().T if b.shape[1] else np.zeros((dim, dim), dtype=complex)
+    return float(np.linalg.norm(pa - pb, ord=2))
+
+
+def _orthonormal_matrix(vectors) -> np.ndarray:
+    vecs = [np.asarray(v, dtype=complex) for v in vectors]
+    if not vecs:
+        return np.zeros((1, 0), dtype=complex)
+    stacked = np.column_stack(vecs)
+    q, r = np.linalg.qr(stacked)
+    keep = np.abs(np.diag(r)) > 1e-10
+    return q[:, keep]
+
+
+def projector_rank(matrix: np.ndarray, threshold: float = 0.5) -> int:
+    """Rank of an (approximate) projector via its eigenvalues."""
+    eigenvalues = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2)
+    return int(np.sum(eigenvalues > threshold))

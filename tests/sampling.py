@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliElement, commutes
-from .subgroup import PauliSubgroup, closure
+from paulidfs.pauli import PauliElement, commutes
+from paulidfs.subgroup import PauliSubgroup, closure
 
 
 def random_element(

@@ -14,7 +14,6 @@ from paulidfs import (
     characters,
     code_fix_residual,
     decoherence_scan,
-    density_matrix_from_state,
     dfs_basis,
     dimension_formula,
     format_pauli,
@@ -22,22 +21,26 @@ from paulidfs import (
     nonabelian_one_dim_search,
     parse_pauli,
     projector,
-    projector_rank,
     q8_code_states,
     q8_genericity_probe,
     random_group_algebra_kraus,
-    subspace_distance,
-    uniform_group_channel,
     verify_dfs,
 )
 from paulidfs.cli import build_preset_report
 from paulidfs.presets import plane_invariance_residual, preset_group
-from paulidfs.sampling import (
+from sampling import (
     random_abelian_subgroup,
     random_nonabelian_subgroup,
     random_state,
 )
-from helpers import expand_v1, ket
+from helpers import (
+    density_matrix_from_state,
+    expand_v1,
+    ket,
+    projector_rank,
+    subspace_distance,
+    uniform_group_channel,
+)
 
 
 @contextlib.contextmanager

@@ -15,28 +15,28 @@ from paulidfs import (
     closure,
     code_fix_residual,
     decoherence_scan,
-    density_matrix_from_state,
     dfs_basis,
     multiplicity,
     parse_pauli,
-    purity,
     q8_code_states,
     q8_constrained_kraus,
     q8_genericity_probe,
     q8_invariant_planes,
     random_group_algebra_kraus,
-    state_fidelity,
     to_matrix,
-    uniform_group_channel,
 )
 from paulidfs import channels
 from paulidfs.presets import plane_invariance_residual
-from paulidfs.sampling import random_nonabelian_subgroup, random_state
+from sampling import random_nonabelian_subgroup, random_state
 from helpers import (
     abelian_group,
+    density_matrix_from_state,
     ket,
+    purity,
     reference_decoherence_scan,
     reference_group_algebra_kraus,
+    state_fidelity,
+    uniform_group_channel,
 )
 
 

@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -508,6 +509,23 @@ class TestEntryPoint:
         child.stderr.close()
         assert "output error: stdout closed before the whole report was written" in err
         assert "Traceback" not in err and "Exception ignored" not in err
+
+
+def test_traced_benchmark_layers_resolve():
+    """Every (module, function) that perfbench/traced_cli.py wraps by name
+    is still a function of that package module; a moved or renamed one
+    would otherwise fail only the traced benchmark's jobs."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+    namespace = {"__name__": "traced_cli"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    missing = [
+        f"paulidfs.{module}.{name}"
+        for module, name, *_ in namespace["LAYERS"]
+        if not callable(
+            getattr(importlib.import_module(f"paulidfs.{module}"), name, None)
+        )
+    ]
+    assert missing == []
 
 
 class TestChannel:

@@ -18,16 +18,20 @@ from paulidfs import (
     nonabelian_one_dim_search,
     parse_pauli,
     projector,
-    projector_rank,
-    subspace_distance,
     to_matrix,
     verify_dfs,
 )
-from paulidfs.sampling import (
+from sampling import (
     random_abelian_subgroup,
     random_nonabelian_subgroup,
 )
-from helpers import ket, reference_dfs_basis, reference_verify_dfs
+from helpers import (
+    ket,
+    projector_rank,
+    reference_dfs_basis,
+    reference_verify_dfs,
+    subspace_distance,
+)
 
 
 def char_by_row(group, signature: dict[str, complex]):
@@ -290,6 +294,14 @@ class TestVerifyDfs:
         longer = DfsBasis.from_vectors(characters(qz)[0], (ket("000"),))
         with pytest.raises(ValueError, match="length 8"):
             verify_dfs(qz, longer)
+
+    def test_from_vectors_rejects_empty_list(self, qx):
+        with pytest.raises(ValueError, match="at least one vector"):
+            DfsBasis.from_vectors(characters(qx)[0], [])
+
+    def test_from_vectors_rejects_unequal_lengths(self, qx):
+        with pytest.raises(ValueError, match=r"unequal lengths \[4, 16\]"):
+            DfsBasis.from_vectors(characters(qx)[0], [np.eye(16)[0], np.ones(4)])
 
     @pytest.mark.parametrize("case", ["basis", "cross_irrep", "within_irrep"])
     @settings(max_examples=25, deadline=None)

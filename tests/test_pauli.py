@@ -15,8 +15,6 @@ from paulidfs import (
     identity,
     mul,
     parse_pauli,
-    pauli_group_order,
-    pauli_string_count,
     to_matrix,
 )
 from paulidfs.pauli import (
@@ -25,7 +23,7 @@ from paulidfs.pauli import (
     format_paulis,
     matrix_action,
 )
-from paulidfs.sampling import random_element
+from sampling import random_element
 
 
 def elements(max_qubits=6):
@@ -343,8 +341,3 @@ class TestAlgebraAction:
                 out = algebra_action(actions, coeff, block)
                 assert out.shape == block.shape
                 assert np.max(np.abs(out - dense @ block)) < 1e-12
-
-
-def test_group_counts():
-    assert pauli_group_order(2) == 64
-    assert pauli_string_count(2) == 16

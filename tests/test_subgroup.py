@@ -20,11 +20,10 @@ from paulidfs import (
     nonabelian_one_dim_search,
     parse_pauli,
     reducibility_sum,
-    subgroup_from_error_generators,
     to_matrix,
 )
 import paulidfs.subgroup as subgroup_module
-from paulidfs.sampling import random_abelian_subgroup, random_nonabelian_subgroup
+from sampling import random_abelian_subgroup, random_nonabelian_subgroup
 from paulidfs.subgroup import ClosureCapError, exponent_table
 from helpers import (
     abelian_group,
@@ -220,25 +219,24 @@ class TestCanonicalForm:
 
 
 class TestErrorGeneratorEntryPoint:
+    """The error group of a coupling to given Pauli strings is their
+    closure: the time-evolution Kraus operators expand over it."""
+
     def test_two_qubit_dephasing_support(self):
-        group = subgroup_from_error_generators(
-            [parse_pauli("ZI"), parse_pauli("IZ")]
-        )
+        group = closure([parse_pauli("ZI"), parse_pauli("IZ")])
         assert {format_pauli(e) for e in group.elements} == {
             "+II", "+ZI", "+IZ", "+ZZ",
         }
 
     def test_pairwise_coupling_support(self):
-        group = subgroup_from_error_generators(
-            [parse_pauli("ZZII"), parse_pauli("IIZZ")]
-        )
+        group = closure([parse_pauli("ZZII"), parse_pauli("IIZZ")])
         assert {format_pauli(e) for e in group.elements} == {
             "+IIII", "+ZZII", "+IIZZ", "+ZZZZ",
         }
 
     def test_dipolar_anisotropic_set(self, q2z):
         strings = ("ZZII", "ZIIZ", "IIZZ", "ZIZI", "IZZI", "IZIZ")
-        group = subgroup_from_error_generators([parse_pauli(s) for s in strings])
+        group = closure([parse_pauli(s) for s in strings])
         assert group.elements == q2z.elements
 
 
