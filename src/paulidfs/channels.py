@@ -21,7 +21,6 @@ import numpy as np
 
 from .dfs import multiplicity
 from .pauli import (
-    DENSE_QUBIT_LIMIT,
     PauliElement,
     _parity,
     _require_dense,
@@ -282,10 +281,7 @@ def _draw(basis, n_ops: int, seed: int) -> np.ndarray:
 
 
 def random_group_algebra_kraus(
-    group: PauliSubgroup,
-    n_ops: int,
-    seed: int,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
+    group: PauliSubgroup, n_ops: int, seed: int
 ) -> KrausSet:
     """Random trace-preserving channel inside the group algebra.
 
@@ -298,9 +294,9 @@ def random_group_algebra_kraus(
         DegenerateKrausError: the raw draw's S has an eigenvalue below
             ``DEGENERATE_S_TOL``, reseed and retry.
     """
-    _require_dense(group.n_qubits, dense_limit)
+    _require_dense(group.n_qubits)
     algebra = _StringAlgebra(group)
-    matrices = [to_matrix(w, dense_limit=dense_limit) for w in algebra.strings]
+    matrices = [to_matrix(w) for w in algebra.strings]
     return _algebra_kraus(group, algebra, matrices, n_ops, seed)
 
 
@@ -385,7 +381,6 @@ def decoherence_scan(
     trials: int = 32,
     seed: int = 0,
     n_ops: int = 2,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
 ) -> ScanReport:
     """Apply ``trials`` independent random channels to |state><state|.
 
@@ -399,7 +394,7 @@ def decoherence_scan(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _require_dense(group.n_qubits, dense_limit)
+    _require_dense(group.n_qubits)
     psi = _unit_vector(state)
     dim = 1 << group.n_qubits
     if psi.shape != (dim,):

@@ -8,6 +8,11 @@ N with r sifted pivots.  Its ``character_table`` lists the sifted
 its ``label`` and ``exponents`` [w, e_1, ..., e_r], with
 chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  An Abelian
 order above ``REPORT_ORDER_CAP`` is refused before any element is built.
+What a report computes follows from its input alone: reducibility and the
+DFS bases need K <= ``DENSE_QUBIT_LIMIT``, and the bases also need their
+verification work, read off the sift, within ``VERIFY_WORK_CAP``; a
+``channel`` input above ``DENSE_QUBIT_LIMIT`` qubits is refused before its
+closure is built.
 
 ``--json`` writes the bytes of ``json.dumps(report, indent=2)`` through
 ``_write_json``, to stdout in pieces of ``EMIT_FLUSH_CHARS`` characters,
@@ -61,14 +66,29 @@ from .presets import (
     preset_generators,
     preset_group,
 )
-from .subgroup import DEFAULT_ORDER_CAP, characters, closure, reducibility_sum
+from .subgroup import (
+    DEFAULT_ORDER_CAP,
+    SiftedGenerators,
+    characters,
+    closure,
+    reducibility_sum,
+)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Largest Abelian order ``analyze`` and ``preset`` report on; a non-Abelian
 #: report has no character table.  On a 2-vCPU VM, ``analyze --json`` took
 #: 3.1-3.9 s and 139 MB at order 2^16, and 6.7-8.1 s and 251 MB at 2^17.
 REPORT_ORDER_CAP = 1 << 16
+
+#: Largest verification work W = N * 2^K * |V_X| for which an Abelian
+#: report builds and verifies its DFS bases: the supported characters'
+#: X-orbit closures hold 2^K * |V_X| kets in all, and each meets all N
+#: elements.  At W = 2^30, ten single-qubit X strings at K = 10 took
+#: 76-83 s and 251 MB, and six XX plus six ZZ pairs at K = 12 took 81-92 s
+#: (2-vCPU VM, one BLAS thread); twelve Z strings at K = 12, W = 2^24, took
+#: 5.6-6.5 s.
+VERIFY_WORK_CAP = 1 << 30
 
 #: Characters of ``--json`` text gathered into one stdout write: one write
 #: per encoder chunk doubled the emission time at order 2^16 with stdout
@@ -145,11 +165,16 @@ def parse_state_spec(spec: str, n_qubits: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _verification_work(sifted: SiftedGenerators) -> int:
+    """W = N * 2^K * |V_X| with N = |Z| * 2^r; the pivots that carry an x
+    mask have distinct leading x bits, so they span V_X."""
+    x_rank = sum(1 for p in sifted.pivots if p.x_mask)
+    r = len(sifted.pivots)
+    return sifted.phase_subgroup_size << (r + sifted.n_qubits + x_rank)
+
+
 def build_analysis_report(
-    generator_strings: list[str],
-    trials: int,
-    seed: int,
-    dense_limit: int,
+    generator_strings: list[str], trials: int, seed: int
 ) -> dict:
     generators = [parse_pauli(s) for s in generator_strings]
     group = closure(
@@ -163,11 +188,10 @@ def build_analysis_report(
             "generators": generator_strings,
             "trials": trials,
             "seed": seed,
-            "dense_limit": dense_limit,
         },
         "subgroup": group.to_json_dict(),
     }
-    dense_ok = group.n_qubits <= dense_limit
+    dense_ok = group.n_qubits <= DENSE_QUBIT_LIMIT
     if dense_ok:
         total, verdict = reducibility_sum(group)
         report["reducibility"] = {"sum": total, "verdict": verdict}
@@ -186,6 +210,7 @@ def build_analysis_report(
     report["verdict"] = "abelian"
     chars = characters(group)
     sifted = group.sifted
+    with_bases = dense_ok and _verification_work(sifted) <= VERIFY_WORK_CAP
     u = PauliElement(sifted.phase_exp_generator, 0, 0, group.n_qubits)
     report["character_table"] = {
         "generators": [format_pauli(g) for g in (u, *sifted.pivots)],
@@ -198,8 +223,8 @@ def build_analysis_report(
         m = multiplicity(group, c)
         multiplicities[c.label] = m
         entry = {"label": c.label, "multiplicity": m}
-        if dense_ok and m > 0:
-            basis = dfs_basis(group, c, dense_limit=dense_limit)
+        if with_bases and m > 0:
+            basis = dfs_basis(group, c)
             entry["basis"] = basis.to_json_dict()
             verification = verify_dfs(group, basis, trials=trials, seed=seed)
             entry["verification"] = {
@@ -224,9 +249,9 @@ def build_analysis_report(
     return report
 
 
-def build_preset_report(name: str, trials: int, seed: int, dense_limit: int) -> dict:
+def build_preset_report(name: str, trials: int, seed: int) -> dict:
     strings = [format_pauli(g) for g in preset_generators(name)]
-    report = build_analysis_report(strings, trials, seed, dense_limit)
+    report = build_analysis_report(strings, trials, seed)
     report["command"] = "preset"
     report["inputs"]["preset"] = name
     if name == "q8":
@@ -244,15 +269,14 @@ def build_channel_report(
     state_spec: str,
     trials: int,
     seed: int,
-    dense_limit: int,
 ) -> dict:
     generators = [parse_pauli(s) for s in generator_strings]
+    # K is known from the strings, so the closure is not built above it
+    for g in generators:
+        _require_dense(g.n_qubits)
     group = closure(generators)
-    _require_dense(group.n_qubits, dense_limit)
     state = parse_state_spec(state_spec, n_qubits=group.n_qubits)
-    scan = decoherence_scan(
-        group, state, trials=trials, seed=seed, dense_limit=dense_limit
-    )
+    scan = decoherence_scan(group, state, trials=trials, seed=seed)
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "channel",
@@ -261,7 +285,6 @@ def build_channel_report(
             "state": state_spec,
             "trials": trials,
             "seed": seed,
-            "dense_limit": dense_limit,
         },
         "subgroup": group.to_json_dict(),
         "state": _state_json(state),
@@ -374,7 +397,6 @@ def _split_generators(raw: list[str]) -> list[str]:
 def _add_common(sub: argparse.ArgumentParser):
     sub.add_argument("--trials", type=int, default=32)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--dense-limit", type=int, default=DENSE_QUBIT_LIMIT)
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument(
         "--json", action="store_true", help="machine-readable JSON to stdout"
@@ -548,22 +570,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "analyze":
             report = build_analysis_report(
-                _split_generators(args.generators),
-                args.trials,
-                args.seed,
-                args.dense_limit,
+                _split_generators(args.generators), args.trials, args.seed
             )
         elif args.command == "preset":
-            report = build_preset_report(
-                args.name, args.trials, args.seed, args.dense_limit
-            )
+            report = build_preset_report(args.name, args.trials, args.seed)
         else:
             report = build_channel_report(
                 _split_generators(args.generators),
                 args.state,
                 args.trials,
                 args.seed,
-                args.dense_limit,
             )
     # LinAlgError and DegenerateKrausError subclass ValueError, so they
     # must be caught before the input errors

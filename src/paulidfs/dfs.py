@@ -30,7 +30,6 @@ from functools import lru_cache
 import numpy as np
 
 from .pauli import (
-    DENSE_QUBIT_LIMIT,
     PauliElement,
     _parity,
     _require_dense,
@@ -162,18 +161,14 @@ def _character_exponents(character: Character) -> np.ndarray:
     return exponent_table(character.group, [character])[0]
 
 
-def projector(
-    group: PauliSubgroup,
-    character: Character,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
-) -> IrrepProjector:
+def projector(group: PauliSubgroup, character: Character) -> IrrepProjector:
     """Normalized irrep projector (1/N) sum_n conj(gamma_n) G_n.
 
     The 1/N factor is included, so the matrix is idempotent and Hermitian
     and its trace equals the multiplicity.
     """
     _check_character(group, character)
-    _require_dense(group.n_qubits, dense_limit)
+    _require_dense(group.n_qubits)
     dim = 1 << group.n_qubits
     cols = np.arange(dim)
     matrix = np.zeros((dim, dim), dtype=complex)
@@ -204,11 +199,7 @@ def multiplicity(group: PauliSubgroup, character: Character) -> int:
     return (sifted.phase_subgroup_size << group.n_qubits) // group.order
 
 
-def dfs_basis(
-    group: PauliSubgroup,
-    character: Character,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
-) -> DfsBasis:
+def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
     """Orthonormal basis of the range of P_k, without forming P_k.
 
     Each element maps |b> to a multiple of |b XOR x_n>, so P_k |b> lives
@@ -223,7 +214,7 @@ def dfs_basis(
     multiplicity yields an empty basis.
     """
     _check_character(group, character)
-    _require_dense(group.n_qubits, dense_limit)
+    _require_dense(group.n_qubits)
     n = group.n_qubits
     sifted = group.sifted
     # sifted pivots have distinct leading bits, so the sum is a bitwise or
@@ -487,14 +478,9 @@ class SearchResult:
     def is_empty(self) -> bool:
         return not self.spaces
 
-    def total_dimension(self) -> int:
-        return sum(s.dimension for s in self.spaces)
-
 
 def nonabelian_one_dim_search(
-    group: PauliSubgroup,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
-    tol: float = 1e-8,
+    group: PauliSubgroup, tol: float = 1e-8
 ) -> SearchResult:
     """Find all simultaneous eigenvectors of the group, by brute force.
 
@@ -507,7 +493,7 @@ def nonabelian_one_dim_search(
     branches reproduce the character decomposition, which makes this an
     independent oracle for it.
     """
-    _require_dense(group.n_qubits, dense_limit)
+    _require_dense(group.n_qubits)
     dim = 1 << group.n_qubits
     sifted = group.sifted
 
@@ -523,7 +509,7 @@ def nonabelian_one_dim_search(
         ({}, np.eye(dim, dtype=complex))
     ]
     for element, candidates in steps:
-        matrix = to_matrix(element, dense_limit=dense_limit)
+        matrix = to_matrix(element)
         next_branches = []
         for assignment, basis in branches:
             shifted = matrix @ basis

@@ -27,8 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: Largest qubit count for which dense 2^K x 2^K matrices are materialized
-#: by default (a complex128 matrix at K = 12 is ~256 MB).
+#: Largest qubit count for which dense 2^K x 2^K matrices, 2^K-entry state
+#: vectors and report bases are built (a complex128 matrix at K = 12 is
+#: ~256 MB).
 DENSE_QUBIT_LIMIT = 12
 
 _SIGN_BY_PHASE = {0: "+", 1: "+i", 2: "-", 3: "-i"}
@@ -91,15 +92,11 @@ class PauliElement:
         """True if the element is i^k times the identity string."""
         return self.x_mask == 0 and self.z_mask == 0
 
-    @property
-    def is_hermitian(self) -> bool:
-        return self.phase_exp % 2 == 0
-
     def adjoint(self) -> "PauliElement":
         return adjoint(self)
 
-    def to_matrix(self, dense_limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
-        return to_matrix(self, dense_limit=dense_limit)
+    def to_matrix(self) -> np.ndarray:
+        return to_matrix(self)
 
 
 def identity(n_qubits: int) -> PauliElement:
@@ -275,20 +272,20 @@ def action_arrays(elements) -> ActionArrays:
     return ActionArrays(x, z, phase)
 
 
-def _require_dense(n_qubits: int, dense_limit: int):
-    if n_qubits > dense_limit:
+def _require_dense(n_qubits: int):
+    if n_qubits > DENSE_QUBIT_LIMIT:
         raise DenseLimitError(
-            f"{n_qubits} qubits exceeds the dense limit of {dense_limit}"
+            f"{n_qubits} qubits exceeds the dense limit of {DENSE_QUBIT_LIMIT}"
         )
 
 
-def to_matrix(p: PauliElement, dense_limit: int = DENSE_QUBIT_LIMIT) -> np.ndarray:
+def to_matrix(p: PauliElement) -> np.ndarray:
     """Dense 2^K x 2^K complex matrix realizing ``p``.
 
     Raises:
-        DenseLimitError: if ``p.n_qubits`` exceeds ``dense_limit``.
+        DenseLimitError: if ``p.n_qubits`` exceeds ``DENSE_QUBIT_LIMIT``.
     """
-    _require_dense(p.n_qubits, dense_limit)
+    _require_dense(p.n_qubits)
     dim = 1 << p.n_qubits
     rows, values = matrix_action(p)
     matrix = np.zeros((dim, dim), dtype=complex)

@@ -12,7 +12,6 @@ from paulidfs.channels import (
 )
 from paulidfs.dfs import projector
 from paulidfs.pauli import (
-    DENSE_QUBIT_LIMIT,
     PauliElement,
     _require_dense,
     adjoint,
@@ -241,15 +240,19 @@ V1_VALUE_NAMES = ("+1", "+i", "-1", "-i")
 
 
 def expand_v1(report: dict) -> dict:
-    """A schema v3 report written out in schema v1, under schema_version 1.
+    """A schema v4 report written out in schema v1, under schema_version 1.
 
-    The character table gets back its element strings and, per row, the
-    named value i^k of every element, k = exponents . coordinates[n] mod 4.
-    Each sparse basis vector becomes 2^K dense [re, im] pairs, [0.0, 0.0]
-    off its support.
+    ``inputs`` gets back ``"dense_limit": 12`` right after ``seed``, where
+    the removed option stood.  The character table gets back its element
+    strings and, per row, the named value i^k of every element,
+    k = exponents . coordinates[n] mod 4.  Each sparse basis vector becomes
+    2^K dense [re, im] pairs, [0.0, 0.0] off its support.
     """
     out = copy.deepcopy(report)
     out["schema_version"] = 1
+    items = list(out["inputs"].items())
+    at = [key for key, _ in items].index("seed") + 1
+    out["inputs"] = dict(items[:at] + [("dense_limit", 12)] + items[at:])
     if "character_table" in out:
         table = out["character_table"]
         coordinates = np.array(table["coordinates"], dtype=np.int64)
@@ -300,12 +303,7 @@ def _element_gram(group) -> np.ndarray:
     return gram
 
 
-def reference_group_algebra_kraus(
-    group,
-    n_ops: int,
-    seed: int,
-    dense_limit: int = DENSE_QUBIT_LIMIT,
-) -> KrausSet:
+def reference_group_algebra_kraus(group, n_ops: int, seed: int) -> KrausSet:
     """Random trace-preserving channel inside the group algebra, densely.
 
     Reference oracle for ``random_group_algebra_kraus``: raw operators get
@@ -321,9 +319,9 @@ def reference_group_algebra_kraus(
     """
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
-    _require_dense(group.n_qubits, dense_limit)
+    _require_dense(group.n_qubits)
     dim = 1 << group.n_qubits
-    matrices = [to_matrix(e, dense_limit=dense_limit) for e in group.elements]
+    matrices = [to_matrix(e) for e in group.elements]
     raw_coeff = _raw_coefficients(n_ops, group.order, seed)
     raw_ops = [
         sum(c * m for c, m in zip(row, matrices)) for row in raw_coeff
@@ -362,9 +360,7 @@ def reference_group_algebra_kraus(
     return kraus
 
 
-def uniform_group_channel(
-    group, dense_limit: int = DENSE_QUBIT_LIMIT
-) -> KrausSet:
+def uniform_group_channel(group) -> KrausSet:
     """The channel whose Kraus operators are the elements over sqrt(N).
 
     For the two-qubit phase-damping subgroup this is the equal-weight
@@ -374,9 +370,7 @@ def uniform_group_channel(
     """
     n = group.order
     scale = 1.0 / np.sqrt(n)
-    operators = tuple(
-        scale * to_matrix(e, dense_limit=dense_limit) for e in group.elements
-    )
+    operators = tuple(scale * to_matrix(e) for e in group.elements)
     coefficients = np.eye(n, dtype=complex) * scale
     return KrausSet(
         n_qubits=group.n_qubits,

@@ -59,7 +59,7 @@ def supported_characters(group):
 
 def test_criterion_1_qx_reproduction():
     with criterion(1, "Q_X characters, multiplicities, basis span, eigenvalues"):
-        report = build_preset_report("qx", trials=8, seed=0, dense_limit=12)
+        report = build_preset_report("qx", trials=8, seed=0)
         table = expand_v1(report)["character_table"]
         table_order = ["+IIII", "+XXII", "+IIXX", "+XXXX"]
         index = [table["elements"].index(e) for e in table_order]

@@ -24,8 +24,9 @@ from paulidfs.cli import (
     main,
     parse_state_spec,
 )
-from paulidfs.pauli import format_pauli, identity
+from paulidfs.pauli import format_pauli, identity, parse_pauli
 from paulidfs.presets import PRESET_NAMES
+from paulidfs.subgroup import closure
 from helpers import (
     V1_VALUE_NAMES,
     abelian_group,
@@ -94,7 +95,8 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "ZI", "IZ", "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
+        assert "dense_limit" not in report["inputs"]
         assert report["subgroup"]["order"] == 4
         assert len(report["characters"]) == 4
         assert all(c["multiplicity"] == 1 for c in report["characters"])
@@ -161,7 +163,7 @@ class TestAnalyze:
         strings = [format_pauli(g) for g in group.generators] or [
             format_pauli(identity(n_qubits))
         ]
-        report = json.loads(json.dumps(build_analysis_report(strings, 1, 0, 0)))
+        report = json.loads(json.dumps(build_analysis_report(strings, 1, 0)))
         table = report["character_table"]
         r = len(table["generators"]) - 1
         assert 2**r <= group.order <= 4 * 2**r
@@ -204,14 +206,49 @@ class TestAnalyze:
         assert "character_table" not in report
 
     def test_dense_limit_skips_matrices(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "analyze", "ZI", "IZ", "--json", "--dense-limit", "1"
-        )
+        """At K = 13, one above ``DENSE_QUBIT_LIMIT``, a report keeps its
+        exact multiplicities but has no reducibility and no bases."""
+        code, out, _ = run_cli(capsys, "analyze", *z_strings(2, 13), "--json")
         assert code == 0
         report = json.loads(out)
         assert "reducibility" not in report
-        assert [c["multiplicity"] for c in report["characters"]] == [1, 1, 1, 1]
+        assert [c["multiplicity"] for c in report["characters"]] == [2048] * 4
         assert all("basis" not in c for c in report["characters"])
+
+    def test_verify_work_cap_bounds_bases_alone(self, monkeypatch):
+        """At W = N * 2^K * |V_X| = 8 * 16 * 2 the report is unchanged with
+        the cap set to W; at W - 1 it loses every basis and verification,
+        and nothing else."""
+        strings = ["XXXX", "ZZZZ", "ZZII"]
+        group = closure([parse_pauli(s) for s in strings])
+        work = cli._verification_work(group.sifted)
+        assert work == 8 * 16 * 2
+        full = build_analysis_report(strings, 4, 0)
+        monkeypatch.setattr(cli, "VERIFY_WORK_CAP", work)
+        assert json.dumps(build_analysis_report(strings, 4, 0)) == json.dumps(full)
+        monkeypatch.setattr(cli, "VERIFY_WORK_CAP", work - 1)
+        capped = build_analysis_report(strings, 4, 0)
+        assert all("basis" in e for e in full["characters"])
+        assert capped["characters"] == [
+            {"label": e["label"], "multiplicity": e["multiplicity"]}
+            for e in full["characters"]
+        ]
+        assert {k: v for k, v in capped.items() if k != "characters"} == {
+            k: v for k, v in full.items() if k != "characters"
+        }
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 6),
+        phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
+    )
+    def test_verification_work_read_off_the_sift(self, seed, n_qubits, phases):
+        """|V_X| read off the sifted pivots is the number of distinct x
+        masks among the elements."""
+        group = abelian_group(np.random.default_rng(seed), n_qubits, phases)
+        work = cli._verification_work(group.sifted)
+        assert work == group.order * 2**n_qubits * len(group.x_span[0])
 
 
 class TestPreset:
@@ -345,7 +382,7 @@ _json_values = st.recursive(
 class TestEmit:
     def test_multi_batch_json_equals_dumps(self, capsys, monkeypatch):
         """Order 2^12 at K=13, above the dense limit of 12."""
-        report = build_analysis_report(z_strings(12, 13), 4, 0, 12)
+        report = build_analysis_report(z_strings(12, 13), 4, 0)
         flush = cli._flush
         batches = []
 
@@ -360,14 +397,14 @@ class TestEmit:
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_json_equals_dumps(self, capsys, name):
-        report = build_preset_report(name, 4, 0, 12)
+        report = build_preset_report(name, 4, 0)
         cli._emit(report, True, 0.0)
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
     def test_emission_memory_bounded(self, capsys, monkeypatch):
         """Writing a report of several MB holds a small share of it: the
         document is never joined whole, nor are all its chunks kept."""
-        report = build_analysis_report(z_strings(14, 15), 1, 0, 12)
+        report = build_analysis_report(z_strings(14, 15), 1, 0)
         sink = _CountingSink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -385,7 +422,7 @@ class TestEmit:
         """A failure after the first batch exits 3 with the numeric-failure
         message; stdout then holds only the first batch of the document."""
         generators = z_strings(10, 13)
-        report = build_analysis_report(generators, 32, 0, 12)
+        report = build_analysis_report(generators, 32, 0)
         document = json.dumps(report, indent=2)
         flush = cli._flush
         batches = []
@@ -439,9 +476,9 @@ class TestEmit:
         assert done.stderr.splitlines()[-1] == "False"
 
 
-#: 2^50 amplitudes of 16 bytes: more than any address space, so the state
-#: allocation fails at once with a MemoryError.
-_UNALLOCATABLE = ["Z" + "I" * 49, "--state", "|" + "0" * 50 + ">", "--dense-limit", "50"]
+#: 2^40 trials of 4 complex coefficients: a 64 TiB draw, which numpy
+#: refuses at once with a MemoryError.
+_UNALLOCATABLE = ["analyze", "ZI", "IZ", "--trials", str(1 << 40), "--json"]
 
 
 class TestEntryPoint:
@@ -462,7 +499,7 @@ class TestEntryPoint:
             (["preset", "qz", "--json"], 0),
             (["analyze", "XQ", "--json"], 1),
             (["analyze", "XXI", "IZZ", "--require-dfs", "--json"], 2),
-            (["channel", *_UNALLOCATABLE, "--json"], 3),
+            (_UNALLOCATABLE, 3),
         ],
     )
     def test_module_run_equals_main(self, capsys, argv, status):
@@ -591,20 +628,22 @@ class TestChannel:
 
     def test_dense_limit_checked_before_state(self, capsys):
         """At 20 qubits the refusal comes before the state is parsed into
-        2^20-entry vectors of 16 MB each."""
-        tracemalloc.start()
-        try:
-            code, out, err = run_cli(
-                capsys, "channel", "Z" + "I" * 19, "--state", "|" + "0" * 20 + ">",
-                "--dense-limit", "12",
-            )
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 1
-        assert out == ""
-        assert "exceeds the dense limit" in err
-        assert peak < 4 << 20
+        2^20-entry vectors of 16 MB each, and before the closure of 20 Z
+        strings (order 2^20) is built."""
+        for count in (1, 20):
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli(
+                    capsys, "channel", *z_strings(count, 20),
+                    "--state", "|" + "0" * 20 + ">",
+                )
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert code == 1
+            assert out == ""
+            assert "input error: 20 qubits exceeds the dense limit of 12" in err
+            assert peak < 4 << 20, (count, peak)
 
     def test_linalg_error_is_numeric_failure(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
@@ -683,10 +722,7 @@ class TestChannel:
     [
         (["analyze", "XI", "ZI", "--trials", "0"], "trials must be >= 1"),
         (["preset", "q8", "--trials", "0"], "trials must be >= 1"),
-        (
-            ["analyze", "ZI", "IZ", "--trials", "0", "--dense-limit", "1"],
-            "trials must be >= 1",
-        ),
+        (["analyze", "ZI", "IZ", "--trials", "0"], "trials must be >= 1"),
         (["analyze", "XI", "ZI", "--seed", "-1"], "seed must be >= 0"),
     ],
 )

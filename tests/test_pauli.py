@@ -289,7 +289,7 @@ class TestToMatrix:
 
     def test_dense_limit(self):
         with pytest.raises(DenseLimitError):
-            to_matrix(identity(5), dense_limit=4)
+            to_matrix(identity(13))
 
     def test_homomorphism_random(self):
         rng = np.random.default_rng(17)
