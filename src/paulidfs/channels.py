@@ -6,11 +6,12 @@ algebra of a Pauli subgroup: each A_d is a complex combination of the
 group's elements, and trace preservation is enforced by right-multiplying
 a raw random draw with S^(-1/2), S = sum A^dag A.
 
-One body (``_draw`` and the trial loop of ``decoherence_scan``) serves two
-bases of the algebra, neither of which builds a 2^K x 2^K array: the D =
-N/|Z| Pauli strings of any group (``_StringAlgebra``, O(D^3) per draw) and
-the irreps of an Abelian one (``_IrrepBasis``, O(N) per character).  The
-dense construction is kept in the tests as the oracle for both.
+Every group's algebra is held in one block basis (``_BlockBasis``), read
+off the symplectic normal form of the sift: 2^c blocks of 2^h x 2^h
+matrices, the 1 x 1 supported characters of an Abelian group among them.
+A draw, its S^(-1/2) (one stacked ``eigh``) and a state's moments never
+build a 2^K x 2^K array, and a scan's work is bounded before any element
+is built.  The dense construction is kept in the tests as the oracle.
 """
 
 from __future__ import annotations
@@ -19,30 +20,28 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dfs import multiplicity
-from .pauli import (
-    PauliElement,
-    _parity,
-    _require_dense,
-    format_pauli,
-    matrix_action,
-    parse_pauli,
-    to_matrix,
-)
-from .subgroup import _ROOTS, PauliSubgroup, characters, exponent_table
+from .dfs import _ROOT_VALUES
+from .pauli import _parity, _require_dense, format_pauli, parse_pauli, to_matrix
+from .subgroup import PauliSubgroup, SiftedGenerators
 
 KRAUS_NORM_TOL = 1e-9
 #: A random draw whose S = sum A^dag A has an eigenvalue below this is
 #: degenerate and reseeded.
 DEGENERATE_S_TOL = 1e-12
-#: Irrep weights ||P_k psi||^2 must be real, non-negative and sum to 1
-#: within this; each is a sum of N expectation values of unit-modulus
-#: operators over a unit vector.
+#: A state's moment blocks must be Hermitian and positive semidefinite,
+#: with traces summing to 1, within this; each entry is a sum of D
+#: expectation values of unit-modulus operators over a unit vector.
 IRREP_WEIGHT_TOL = 1e-10
-#: Largest string-algebra dimension D = N/|Z|.  Each draw diagonalizes one
-#: D x D matrix: at D = 512 a 32-trial CLI scan takes 8.2-8.6 s and 76 MB
-#: on one core of a 2-vCPU VM, and each doubling of D costs about 8x.
-ALGEBRA_DIMENSION_LIMIT = 512
+#: Largest work of one channel scan (``require_scan_work``).  At the cap,
+#: 14 trials of nine X, Z pairs at K = 10 (D = 2^18, 2^9 x 2^9 blocks) took
+#: 18.7 s and 245 MB, and 131 008 trials of ZI IZ 30.4 s and 49 MB (2-vCPU
+#: VM, one BLAS thread).
+SCAN_WORK_CAP = 1 << 32
+#: Work charged to each trial besides its draw and blocks, so that the
+#: trials of a trivial group are bounded too: about 200 us a trial.
+SCAN_TRIAL_WORK = 1 << 15
+#: Entries of each (strings x kets) block of the moment sums.
+_MOMENT_BLOCK_ENTRIES = 1 << 16
 
 
 class DegenerateKrausError(ValueError):
@@ -131,7 +130,7 @@ def assert_density_matrix(rho: np.ndarray, eig_floor: float = -1e-8):
 
 
 # ---------------------------------------------------------------------------
-# channel draws in two bases of the group algebra
+# channel draws in the block basis of the group algebra
 # ---------------------------------------------------------------------------
 
 
@@ -143,131 +142,147 @@ def _raw_coefficients(n_ops: int, order: int, seed: int) -> np.ndarray:
     )
 
 
-def _require_nondegenerate(smallest: float):
-    if smallest < DEGENERATE_S_TOL:
-        raise DegenerateKrausError(
-            f"normalization matrix is singular (min eigenvalue "
-            f"{smallest:.3e}); reseed and retry"
+def _walsh(values: np.ndarray, bits) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform of the last axis of ``values``
+    over the given bits of its index."""
+    shape = values.shape
+    for bit in bits:
+        halves = values.reshape(-1, 2, 1 << bit)
+        values = np.empty_like(halves)
+        np.add(halves[:, 0], halves[:, 1], out=values[:, 0])
+        np.subtract(halves[:, 0], halves[:, 1], out=values[:, 1])
+    return values.reshape(shape)
+
+
+def require_scan_work(sifted: SiftedGenerators, trials: int, n_ops: int = 2):
+    """ValueError if a ``decoherence_scan`` would act on more than
+    ``DENSE_QUBIT_LIMIT`` qubits, or if its work W = D 2^K + trials (n_ops
+    (N + 2^c 8^h) + ``SCAN_TRIAL_WORK``) exceeds ``SCAN_WORK_CAP``: the D
+    string expectations over 2^K amplitudes, then per trial the draw over
+    the N elements and the algebra on 2^c blocks of 2^h x 2^h.  Both are
+    read off the sift, before any element is built."""
+    _require_dense(sifted.n_qubits)
+    central, pairs = sifted.normal_form
+    r, blocks = len(sifted.pivots), len(central) + 3 * len(pairs)
+    per_trial = n_ops * ((sifted.phase_subgroup_size << r) + (1 << blocks))
+    work = (1 << (r + sifted.n_qubits)) + trials * (per_trial + SCAN_TRIAL_WORK)
+    if work > SCAN_WORK_CAP:
+        raise ValueError(
+            f"channel scan work W = {work} exceeds the cap of {SCAN_WORK_CAP}"
         )
 
 
-def _expectations(elements, psi: np.ndarray) -> np.ndarray:
-    """<psi|G|psi> for each element G, one gather each."""
-    actions = map(matrix_action, elements)
-    return np.array([np.vdot(psi, v[rows] * psi[rows]) for rows, v in actions])
+class _BlockBasis:
+    """A group algebra as 2^c blocks of 2^h x 2^h matrices.
 
-
-class _StringAlgebra:
-    """The group algebra over its D = N/|Z| Pauli strings.
-
-    W_s, s < D = 2^r, is the phase-free string whose masks XOR the sifted
-    pivots selected by the bits of s; every element is some i^p W_s.  The
-    strings are Hermitian, orthonormal under (1/2^K) tr, and multiply as
-    W_s W_t = i^phi(s,t) W_(s XOR t), phi as in ``pauli.mul``.  Left
-    multiplication by sum_s c_s W_s is L(c)[u, t] = c[u ^ t] i^phi(u ^ t, t),
-    a faithful *-representation: L(c)^dag = L(conj(c)), and L(S) has the
-    spectrum of S.  D above ``ALGEBRA_DIMENSION_LIMIT`` is refused first.
+    With the c central vectors and h pairs (P_k, Q_k) of
+    ``sifted.normal_form`` made phase-free strings, the D = 2^r ordered
+    products V_t = C^t_c P^a Q^b, t = t_c | a << c | b << (c + h), span the
+    algebra, and block l holds V_t as (-1)^|l & t_c| X^a Z^b on h virtual
+    qubits: 2^c inequivalent irreps of dimension 2^h, each ``multiplicity``
+    = 2^(K - c - h) times in the natural representation.  An Abelian group
+    is the case h = 0, its blocks the supported characters.  Element n is
+    i^q_n V_(t_n), and coefficients over the strings go to blocks with one
+    Walsh-Hadamard transform over the c + h bits of t_c and b and a gather.
     """
 
     def __init__(self, group: PauliSubgroup):
-        dim = 1 << len(group.sifted.pivots)
-        if dim > ALGEBRA_DIMENSION_LIMIT:
-            raise ValueError(
-                f"string algebra dimension D = {dim} exceeds the limit of "
-                f"{ALGEBRA_DIMENSION_LIMIT}"
-            )
-        masks = [(0, 0)]
-        for b in group.sifted.pivots:
-            masks += [(x ^ b.x_mask, z ^ b.z_mask) for x, z in masks]
-        self.strings = [PauliElement(0, x, z, group.n_qubits) for x, z in masks]
-        x, z = np.array(masks, dtype=np.int64).T
-        y = np.array([(w.x_mask & w.z_mask).bit_count() for w in self.strings])
-        self._xor = np.arange(dim)[:, None] ^ np.arange(dim)
-        phi = (y[:, None] + y - y[self._xor] + 2 * _parity(z[:, None] & x)) % 4
-        self._products = np.array(_ROOTS)[phi]
-        # row n of the draw map is i^p e_s for element n = i^p W_s
-        index = {(w.x_mask, w.z_mask): s for s, w in enumerate(self.strings)}
-        self.draw_map = np.zeros((group.order, dim), dtype=complex)
-        for n, e in enumerate(group.elements):
-            self.draw_map[n, index[e.x_mask, e.z_mask]] = _ROOTS[e.phase_exp]
-        # ||sum_s c_s W_s||_F^2 = 2^K ||c||^2, and I = W_0
-        self.norm_weights, self.unit = 2.0**group.n_qubits, np.arange(dim) == 0
+        sifted, n = group.sifted, group.n_qubits
+        central, pairs = sifted.normal_form
+        c, h = len(central), len(pairs)
+        # the strings' action arrays and pivot masks, by doubling:
+        # V_(t | 1 << i) = V_t G_i
+        x = z = phase = masks = np.zeros(1, dtype=np.int64)
+        for mask in (*central, *(p for p, _ in pairs), *(q for _, q in pairs)):
+            gx = gz = 0
+            for j, b in enumerate(sifted.pivots):
+                if mask >> j & 1:
+                    gx, gz = gx ^ b.x_mask, gz ^ b.z_mask
+            flips = (gx & gz).bit_count() + 2 * _parity(z & gx)
+            x, z = np.concatenate([x, x ^ gx]), np.concatenate([z, z ^ gz])
+            phase = np.concatenate([phase, (phase + flips) % 4])
+            masks = np.concatenate([masks, masks ^ mask])
+        self.actions = x, z, phase
+        # element n is u^m times the pivots its coordinate row selects, on
+        # the string V_t with that pivot mask; sorting by (t, m) needs no sort
+        string = np.empty_like(masks)
+        string[masks] = np.arange(len(masks))
+        rows = group.coordinate_matrix.astype(np.int64)
+        selected = rows[:, 1:] // 3 << np.arange(len(sifted.pivots))
+        self.string_of = string[selected.sum(axis=1)]
+        relative = group.action_arrays.phase - phase[self.string_of]
+        self.phase_of = _ROOT_VALUES[relative % 4]
+        self.phase_count = group.order >> (c + 2 * h)
+        self.by_string = np.empty(group.order, dtype=np.int64)
+        order = self.string_of * self.phase_count + rows[:, 0]
+        self.by_string[order] = np.arange(group.order)
+        self.multiplicity, self.identity = 1 << (n - c - h), np.eye(1 << h)
+        self._bits = [*range(c), *range(c + h, c + 2 * h)]
+        blocks, ket = np.arange(1 << c)[:, None, None], np.arange(1 << h)
+        self._gather = blocks | (ket[:, None] ^ ket) << c | ket << (c + h)
 
-    def left(self, c: np.ndarray) -> np.ndarray:
-        return np.take_along_axis(c[:, None] * self._products, self._xor, axis=0)
+    def blocks(self, coefficients: np.ndarray) -> np.ndarray:
+        """(..., 2^c, 2^h, 2^h) blocks of sum_t coefficients[..., t] V_t."""
+        return _walsh(coefficients, self._bits)[..., self._gather]
 
-    def square_sum(self, hat: np.ndarray) -> np.ndarray:
-        return sum(self.left(c).conj().T @ c for c in hat)
-
-    def normalize(self, hat: np.ndarray) -> np.ndarray:
-        # one left-multiplication matrix per raw operator, for S and S^(-1/2)
-        lefts = [self.left(c) for c in hat]
-        s = sum(m.conj().T @ c for m, c in zip(lefts, hat))
-        eigenvalues, eigenvectors = np.linalg.eigh(self.left(s))
-        _require_nondegenerate(eigenvalues[0])
-        # L(S)^(-1/2) applied to W_0 = I: the coefficients of S^(-1/2)
-        inv_sqrt = eigenvectors @ (eigenvalues**-0.5 * eigenvectors[0].conj())
-        return np.array([m @ inv_sqrt for m in lefts])
-
-    def moments(self, psi: np.ndarray) -> np.ndarray:
-        return _expectations(self.strings, psi)
-
-    def gram(self, hat: np.ndarray, moments: np.ndarray) -> np.ndarray:
-        """<psi|A_e^dag A_d|psi> at [d, e], from <psi|W_s W_t|psi>."""
-        return hat @ (self._products * moments[self._xor]).T @ hat.conj().T
-
-
-class _IrrepBasis:
-    """An Abelian group's algebra in irrep space.
-
-    An operator is held as its scalars a^_k = sum_n a_n gamma_n^k on the
-    supported characters, so S acts on the m_k-dimensional block k as
-    s_k = sum_d |a^_{d,k}|^2 and S^(-1/2) divides column k by sqrt(s_k).
-    The moments of a state are its irrep weights w_k = ||P_k psi||^2.
-    """
-
-    def __init__(self, group: PauliSubgroup):
-        chars = characters(group)
-        multiplicities = np.array([multiplicity(group, c) for c in chars])
-        supported = [c for c, m in zip(chars, multiplicities) if m]
-        self._elements = group.elements
-        self.norm_weights, self.unit = multiplicities[multiplicities > 0], 1
-        self.draw_map = np.array(_ROOTS)[exponent_table(group, supported)].T
-
-    def square_sum(self, hat: np.ndarray) -> np.ndarray:
-        return np.sum(np.abs(hat) ** 2, axis=0)
-
-    def normalize(self, hat: np.ndarray) -> np.ndarray:
-        s = self.square_sum(hat)
-        _require_nondegenerate(s.min())
-        return hat / np.sqrt(s)
+    def coefficients(self, blocks: np.ndarray) -> np.ndarray:
+        """The string coefficients of ``blocks``, inverting ``blocks``."""
+        flat = np.empty(blocks.shape[:-3] + (self._gather.size,), dtype=complex)
+        flat[..., self._gather] = blocks
+        return _walsh(flat, self._bits) / (1 << len(self._bits))
 
     def moments(self, psi: np.ndarray) -> np.ndarray:
-        expectations = _expectations(self._elements, psi)
-        weights = self.draw_map.T.conj() @ expectations / len(self._elements)
-        # written so that NaN weights fail too
-        if not (
-            abs(weights.sum() - 1) <= IRREP_WEIGHT_TOL
-            and np.all(np.abs(weights.imag) <= IRREP_WEIGHT_TOL)
-            and np.all(weights.real >= -IRREP_WEIGHT_TOL)
-        ):
-            raise AssertionError(f"irrep weights {weights} are not a distribution")
-        return weights.real
+        """The state's reduced blocks sigma, <psi|A|psi> = sum_l tr(A_l
+        sigma_l), from the expectations e_t = <psi|V_t|psi> summed in
+        bounded chunks: sigma = blocks(conj(e)) / 2^(c + h).  Each block
+        must be Hermitian and positive semidefinite and the traces must sum
+        to 1, all within ``IRREP_WEIGHT_TOL``."""
+        x, z, phase = self.actions
+        kets, bra = np.arange(len(psi)), psi.conj()
+        signs = 1.0 - 2 * _parity(kets)
+        expectations = np.empty(len(x), dtype=complex)
+        rows = max(1, _MOMENT_BLOCK_ENTRIES // len(psi))
+        for lo in range(0, len(x), rows):
+            part = slice(lo, lo + rows)
+            terms = bra[kets ^ x[part, None]] * signs[kets & z[part, None]]
+            expectations[part] = terms @ psi
+        expectations *= _ROOT_VALUES[phase]
+        sigma = self.blocks(expectations.conj()) / (1 << len(self._bits))
+        trace = np.trace(sigma, axis1=-2, axis2=-1).sum()
+        skew = np.abs(sigma - sigma.conj().swapaxes(-1, -2)).max()
+        low = np.linalg.eigvalsh(sigma).min()
+        # written so that NaN blocks fail too
+        if not np.max([abs(trace - 1), skew, -low]) <= IRREP_WEIGHT_TOL:
+            raise AssertionError(f"moment blocks {sigma} are not a state")
+        return sigma
 
-    def gram(self, hat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return (hat * weights) @ hat.conj().T
+
+def _square_sum(hat: np.ndarray) -> np.ndarray:
+    """S = sum_d hat_d^dag hat_d, block by block."""
+    return (hat.conj().swapaxes(-1, -2) @ hat).sum(axis=0)
 
 
-def _draw(basis, n_ops: int, seed: int) -> np.ndarray:
-    """The seeded draw over the elements, in ``basis``, times S^(-1/2);
-    DegenerateKrausError (reseed and retry) if S is numerically singular."""
+def _draw(basis: _BlockBasis, n_ops: int, seed: int) -> np.ndarray:
+    """The seeded draw over the elements, in blocks, times S^(-1/2) from
+    one stacked ``eigh``; DegenerateKrausError (reseed and retry) if S is
+    numerically singular."""
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
-    raw = _raw_coefficients(n_ops, len(basis.draw_map), seed)
-    hat = basis.normalize(raw @ basis.draw_map)
-    # ||sum A^dag A - I||_F from the coefficients of sum A^dag A
-    excess = np.abs(basis.square_sum(hat) - basis.unit) ** 2
-    defect = float(np.sqrt(np.sum(basis.norm_weights * excess)))
+    # the string coefficients of sum_n a_n G_n, G_n = i^q_n V_(t_n)
+    raw = _raw_coefficients(n_ops, len(basis.string_of), seed) * basis.phase_of
+    terms = raw[:, basis.by_string].reshape(n_ops, -1, basis.phase_count)
+    hat = basis.blocks(terms.sum(axis=2))
+    eigenvalues, eigenvectors = np.linalg.eigh(_square_sum(hat))
+    if eigenvalues.min() < DEGENERATE_S_TOL:
+        raise DegenerateKrausError(
+            f"normalization matrix is singular (min eigenvalue "
+            f"{eigenvalues.min():.3e}); reseed and retry"
+        )
+    inv_sqrt = eigenvectors * eigenvalues[..., None, :] ** -0.5
+    hat = hat @ (inv_sqrt @ eigenvectors.conj().swapaxes(-1, -2))
+    # ||sum A^dag A - I||_F, each block counted multiplicity times
+    excess = _square_sum(hat) - basis.identity
+    defect = float(np.sqrt(basis.multiplicity * np.vdot(excess, excess).real))
     if defect > KRAUS_NORM_TOL:
         raise ChannelConstraintError(
             f"sum A^dag A deviates from identity by {defect:.3e}"
@@ -285,38 +300,37 @@ def random_group_algebra_kraus(
 ) -> KrausSet:
     """Random trace-preserving channel inside the group algebra.
 
-    The draw is made and corrected in the string algebra, and only the
-    result is densified.  ``coefficients`` spread each string's c_s over
-    its |Z| elements i^p W_s as c_s i^(-p)/|Z|, the minimum-norm
-    coefficients over the elements.
+    The draw is made and corrected in the block basis, and only the
+    result is densified.  ``coefficients`` spread each string's c_t over
+    its |Z| elements i^q V_t as c_t i^(-q)/|Z|, the minimum-norm
+    coefficients over the elements, and the operators are built from them.
 
     Raises:
         DegenerateKrausError: the raw draw's S has an eigenvalue below
             ``DEGENERATE_S_TOL``, reseed and retry.
     """
     _require_dense(group.n_qubits)
-    algebra = _StringAlgebra(group)
-    matrices = [to_matrix(w) for w in algebra.strings]
-    return _algebra_kraus(group, algebra, matrices, n_ops, seed)
+    matrices = [to_matrix(e) for e in group.elements]
+    return _algebra_kraus(group, _BlockBasis(group), matrices, n_ops, seed)
 
 
 def _algebra_kraus(
     group: PauliSubgroup,
-    algebra: _StringAlgebra,
+    basis: _BlockBasis,
     matrices: list[np.ndarray],
     n_ops: int,
     seed: int,
 ) -> KrausSet:
-    """``random_group_algebra_kraus`` over a built string algebra and the
-    dense matrices of its strings, which a caller drawing many channels of
-    one group builds once."""
-    hat = _draw(algebra, n_ops, seed)
-    spread = len(algebra.strings) / group.order
+    """``random_group_algebra_kraus`` over a built block basis and the
+    dense matrices of the group's elements, which a caller drawing many
+    channels of one group builds once."""
+    strings = basis.coefficients(_draw(basis, n_ops, seed))
+    spread = strings[:, basis.string_of] * basis.phase_of.conj() / basis.phase_count
     return KrausSet(
         n_qubits=group.n_qubits,
-        operators=tuple(sum(c * m for c, m in zip(row, matrices)) for row in hat),
+        operators=tuple(sum(c * m for c, m in zip(row, matrices)) for row in spread),
         group=group,
-        coefficients=hat @ algebra.draw_map.conj().T * spread,
+        coefficients=spread,
     )
 
 
@@ -387,19 +401,19 @@ def decoherence_scan(
     States inside a single irrep's subspace keep purity 1 in every trial;
     superpositions across irreps lose purity for generic draws.  Each
     trial gets its own derived seed; a degenerate draw is retried with a
-    shifted seed (deterministically).  One trial body scans an Abelian
-    group in irrep space and any other in its string algebra, with the
-    same draws.  Fidelity is sum_d |<psi|A_d|psi>|^2 for the unit vector
-    psi along ``state``.
+    shifted seed (deterministically).  Every group is scanned in its
+    block basis, against the state's moment blocks, once
+    ``require_scan_work`` has passed.  Fidelity is sum_d |<psi|A_d|psi>|^2
+    for the unit vector psi along ``state``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _require_dense(group.n_qubits)
+    require_scan_work(group.sifted, trials, n_ops)
     psi = _unit_vector(state)
     dim = 1 << group.n_qubits
     if psi.shape != (dim,):
         raise ValueError(f"state shape {psi.shape} != ({dim},)")
-    basis = _IrrepBasis(group) if group.is_abelian else _StringAlgebra(group)
+    basis = _BlockBasis(group)
     moments = basis.moments(psi)
     purities = []
     fidelities = []
@@ -411,14 +425,16 @@ def decoherence_scan(
             except DegenerateKrausError:
                 if attempt == 8:
                     raise
-        # the Gram matrix <psi|A_e^dag A_d|psi> of the vectors A_d psi has
-        # the nonzero spectrum of the evolved density matrix
-        gram = basis.gram(hat, moments)
+        # the Gram matrix <psi|A_e^dag A_d|psi> = sum_l tr(A_e^dag A_d
+        # sigma_l) of the vectors A_d psi has the nonzero spectrum of the
+        # evolved density matrix
+        gram = np.einsum("elki,dlki->de", hat.conj(), hat @ moments)
         if abs(np.trace(gram) - 1) > KRAUS_NORM_TOL:
             raise ValueError("channel application failed to preserve the trace")
         assert_density_matrix(gram)
         purities.append(float(np.vdot(gram, gram).real))
-        fidelities.append(float(np.sum(np.abs(hat @ moments) ** 2)))
+        expectations = np.einsum("dlij,lji->d", hat, moments)
+        fidelities.append(float(np.sum(np.abs(expectations) ** 2)))
     return ScanReport(
         trials=trials,
         seed=seed,
@@ -543,8 +559,8 @@ def q8_genericity_probe(
     from .presets import preset_group, q8_code_states
 
     group = preset_group("q8")
-    algebra = _StringAlgebra(group)
-    matrices = [to_matrix(w) for w in algebra.strings]
+    basis = _BlockBasis(group)
+    matrices = [to_matrix(e) for e in group.elements]
     terms = _q8_term_matrices()
     code = q8_code_states()
     rng = np.random.default_rng(seed)
@@ -552,7 +568,7 @@ def q8_genericity_probe(
     unconstrained_failures = 0
     min_residual = np.inf
     for t in range(draws):
-        kraus = _algebra_kraus(group, algebra, matrices, 2, seed * 131 + t)
+        kraus = _algebra_kraus(group, basis, matrices, 2, seed * 131 + t)
         residual = code_fix_residual(kraus, code)
         min_residual = min(min_residual, residual)
         if residual > threshold:

@@ -10,9 +10,10 @@ chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  An Abelian
 order above ``REPORT_ORDER_CAP`` is refused before any element is built.
 What a report computes follows from its input alone: reducibility and the
 DFS bases need K <= ``DENSE_QUBIT_LIMIT``, and the bases also need their
-verification work, read off the sift, within ``VERIFY_WORK_CAP``; a
-``channel`` input above ``DENSE_QUBIT_LIMIT`` qubits is refused before its
-closure is built.
+verification work, read off the sift, within ``VERIFY_WORK_CAP``.  A
+``channel`` input above ``DENSE_QUBIT_LIMIT`` qubits, or whose scan work,
+trials included, exceeds ``channels.SCAN_WORK_CAP``, is refused before its
+closure is built; every group is scanned in one block basis.
 
 ``--json`` writes the bytes of ``json.dumps(report, indent=2)`` through
 ``_write_json``, to stdout in pieces of ``EMIT_FLUSH_CHARS`` characters,
@@ -45,6 +46,7 @@ from .channels import (
     DegenerateKrausError,
     decoherence_scan,
     q8_genericity_probe,
+    require_scan_work,
 )
 from .dfs import (
     applicable_phase_class,
@@ -56,7 +58,6 @@ from .dfs import (
 from .pauli import (
     DENSE_QUBIT_LIMIT,
     PauliElement,
-    _require_dense,
     format_pauli,
     parse_pauli,
 )
@@ -118,9 +119,9 @@ KET_TERM = re.compile(
 def parse_state_spec(spec: str, n_qubits: int | None = None) -> np.ndarray:
     """Parse "|00>" or "0.7071|00> + 0.7071|11>" into a unit vector.
 
-    Coefficients are real decimals with optional sign; the result is
-    normalized.  Qubit 1 is the leftmost bit of each ket.  A coefficient
-    or a norm that overflows to infinity is rejected.
+    Coefficients are real decimals, and every term but the first needs a
+    sign; the result is normalized.  Qubit 1 is the leftmost bit of each
+    ket.  A coefficient or a norm that overflows to infinity is rejected.
     """
     compact = spec.replace(" ", "")
     if not compact:
@@ -134,6 +135,10 @@ def parse_state_spec(spec: str, n_qubits: int | None = None) -> np.ndarray:
                 f"cannot parse state term at position {position} in {spec!r}"
             )
         sign, magnitude, bits = match.groups()
+        if terms and not sign:
+            raise ValueError(
+                f"state term at position {position} in {spec!r} needs a + or - sign"
+            )
         coefficient = float(magnitude) if magnitude else 1.0
         if not math.isfinite(coefficient):
             raise ValueError(f"coefficient of term {match.group(0)!r} is not finite")
@@ -271,10 +276,13 @@ def build_channel_report(
     seed: int,
 ) -> dict:
     generators = [parse_pauli(s) for s in generator_strings]
-    # K is known from the strings, so the closure is not built above it
-    for g in generators:
-        _require_dense(g.n_qubits)
-    group = closure(generators)
+
+    def order_cap(sifted: SiftedGenerators) -> int:
+        # K and the scan's work are read off the sift, before any element
+        require_scan_work(sifted, trials)
+        return DEFAULT_ORDER_CAP
+
+    group = closure(generators, order_cap=order_cap)
     state = parse_state_spec(state_spec, n_qubits=group.n_qubits)
     scan = decoherence_scan(group, state, trials=trials, seed=seed)
     return {

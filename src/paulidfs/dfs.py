@@ -219,17 +219,17 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
     sifted = group.sifted
     # sifted pivots have distinct leading bits, so the sum is a bitwise or
     lead = sum(1 << (p.x_mask.bit_length() - 1) for p in sifted.pivots if p.x_mask)
-    diagonal = [PauliElement(sifted.phase_exp_generator, 0, 0, n)]
-    diagonal += [p for p in sifted.pivots if not p.x_mask]
     # the kets without a lead bit, in increasing order: each pass appends
     # kets above every earlier one
     seeds = np.zeros(1, dtype=np.int64)
     for bit in range(n):
         if not lead >> bit & 1:
             seeds = np.concatenate([seeds, seeds | 1 << bit])
-    for h in diagonal:
-        exponent_on_kets = (h.phase_exp + 2 * _parity(seeds & h.z_mask)) % 4
-        seeds = seeds[exponent_on_kets == character.exponent(h)]
+    # chi(u) and chi on the X-free pivots are exponents of the label
+    u = PauliElement(sifted.phase_exp_generator, 0, 0, n)
+    for h, k in zip((u, *sifted.pivots), character.exponents):
+        if not h.x_mask:
+            seeds = seeds[(h.phase_exp + 2 * _parity(seeds & h.z_mask)) % 4 == k]
     target = multiplicity(group, character)
     if len(seeds) != target:
         raise AssertionError(

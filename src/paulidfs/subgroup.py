@@ -232,6 +232,34 @@ class SiftedGenerators:
             for m in range(self.phase_subgroup_size)
         )
 
+    @cached_property
+    def normal_form(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The pivots' symplectic normal form: c central vectors and h
+        anticommuting pairs, r = c + 2h, each a mask over the pivots (bit j
+        selects ``pivots[j]``); two of their strings anticommute only within
+        a pair.  Symplectic Gram-Schmidt in pivot order, so an Abelian form
+        is the pivots themselves, all central."""
+
+        def odd(u, v) -> int:  # 1 if the strings of (mask, x, z) anticommute
+            return ((u[1] & v[2]).bit_count() + (u[2] & v[1]).bit_count()) & 1
+
+        rest = [(1 << j, p.x_mask, p.z_mask) for j, p in enumerate(self.pivots)]
+        central, pairs = [], []
+        while rest:
+            u = rest.pop(0)
+            v = next((w for w in rest if odd(u, w)), None)
+            if v is None:
+                central.append(u[0])
+                continue
+            rest.remove(v)
+            pairs.append((u[0], v[0]))
+            # what is left is made to commute with u and v
+            rest = [
+                tuple(a ^ b * odd(w, v) ^ c * odd(w, u) for a, b, c in zip(w, u, v))
+                for w in rest
+            ]
+        return tuple(central), tuple(pairs)
+
 
 def _vector_key(p: PauliElement) -> int:
     return (p.x_mask << p.n_qubits) | p.z_mask

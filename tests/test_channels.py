@@ -279,8 +279,8 @@ class TestDecoherenceScan:
 
     @pytest.mark.parametrize("generators", [("ZI", "IZ"), ("XI", "ZI")])
     def test_fidelity_reads_unit_state(self, generators):
-        """2|00> scans like |00> on the irrep route (Abelian) and on the
-        string-algebra route (non-Abelian), so its fidelity stays at most 1."""
+        """2|00> scans like |00> on 1 x 1 blocks (Abelian) and on one 2 x 2
+        block (non-Abelian), so its fidelity stays at most 1."""
         group = closure([parse_pauli(s) for s in generators])
         unit = decoherence_scan(group, ket("00"), trials=4, seed=1)
         scaled = decoherence_scan(group, 2 * ket("00"), trials=4, seed=1)
@@ -315,6 +315,27 @@ class TestDecoherenceScan:
         dense_bytes = 16 << 20  # one complex128 2^10 x 2^10 matrix
         assert report.min_purity < 1 - 1e-3
         assert peak < dense_bytes // 4
+
+    def test_scan_work_counts_every_trial(self, qz):
+        """Each trial is charged ``SCAN_TRIAL_WORK`` besides its draw, so a
+        four-element group passes at 2^16 trials and is refused at 2^20, in
+        the library as on the command line."""
+        channels.require_scan_work(qz.sifted, 1 << 16)
+        with pytest.raises(ValueError, match="channel scan work W = "):
+            channels.require_scan_work(qz.sifted, 1 << 20)
+        with pytest.raises(ValueError, match="channel scan work W = "):
+            decoherence_scan(qz, ket("00"), trials=1 << 40)
+
+    @pytest.mark.parametrize("generators", [("ZI", "IZ"), ("XI", "ZI"), ("XX", "ZI")])
+    def test_moment_blocks_checked_for_every_group(self, generators):
+        """The moment blocks of a unit vector have traces summing to 1; those
+        of a vector of norm 2 sum to 4 and are refused, on the Abelian route
+        (1 x 1 blocks) and the non-Abelian ones alike."""
+        basis = channels._BlockBasis(closure([parse_pauli(s) for s in generators]))
+        traces = np.trace(basis.moments(ket("01")), axis1=1, axis2=2)
+        assert traces.sum() == pytest.approx(1, abs=1e-12)
+        with pytest.raises(AssertionError, match="are not a state"):
+            basis.moments(2 * ket("01"))
 
     def test_degenerate_draw_reseeds(self, monkeypatch, qz):
         """A zero draw in trial 2 is retried with attempt + 1, exactly as

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -88,6 +89,16 @@ class TestStateSpec:
     def test_qubit_count_check(self):
         with pytest.raises(ValueError, match="acts on"):
             parse_state_spec("|000>", n_qubits=2)
+
+    @pytest.mark.parametrize(
+        "spec, position", [("|0>|1>", 3), ("0.6|0>0.8|1>", 6), ("|0>+|1>2|0>", 7)]
+    )
+    def test_rejects_unsigned_later_term(self, spec, position):
+        """Every term after the first needs a sign: juxtaposed kets were
+        read as a sum."""
+        message = f"state term at position {position} in {spec!r} needs a + or - sign"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            parse_state_spec(spec)
 
 
 class TestAnalyze:
@@ -591,6 +602,14 @@ class TestChannel:
         assert code == 0
         assert json.loads(out)["scan"]["min_purity"] > 1 - 1e-9
 
+    def test_unsigned_later_term_exit_one(self, capsys):
+        code, out, err = run_cli(
+            capsys, "channel", "ZI", "IZ", "--state", "|00>|11>"
+        )
+        assert code == 1
+        assert out == ""
+        assert "input error: state term at position 4 in '|00>|11>' needs a" in err
+
     def test_state_qubit_mismatch(self, capsys):
         code, _, err = run_cli(
             capsys, "channel", "ZI", "IZ", "--state", "|000>"
@@ -669,23 +688,53 @@ class TestChannel:
         assert out == ""
         assert "numeric failure: Unable to allocate 8.00 GiB" in err
 
-    def test_algebra_dimension_checked_before_work(self, capsys):
-        """A non-Abelian group whose string algebra has D = 1024 > 512 is
-        refused before anything of size D is built."""
+    def test_scan_runs_past_the_old_dimension_limit(self, capsys):
+        """A non-Abelian group whose string algebra has D = 1024 (one block
+        of 32 x 32), refused while one D x D ``eigh`` was made per draw,
+        is scanned; its purities and fidelities are probabilities."""
         generators = ["I" * j + p + "I" * (5 - j) for j in range(5) for p in "XZ"]
+        code, out, err = run_cli(
+            capsys, "channel", *generators, "--state", "|000000>", "--json"
+        )
+        assert code == 0, err
+        scan = json.loads(out)["scan"]
+        assert len(scan["purities"]) == 32
+        assert all(0 <= v <= 1 + 1e-12 for v in scan["purities"] + scan["fidelities"])
+
+    @pytest.mark.parametrize(
+        "generators, trials",
+        [
+            pytest.param(
+                ["I" * j + p + "I" * (9 - j) for j in range(9) for p in "XZ"]
+                + ["I" * 9 + "X"],
+                32,
+                id="order-2^20",
+            ),
+            pytest.param(["ZI", "IZ"], 1 << 40, id="trials-2^40"),
+        ],
+    )
+    def test_scan_work_checked_before_closure(self, capsys, generators, trials):
+        """The scan's work is read off the sift, so a closure of order 2^20
+        (D = 2^19) and 2^40 trials of a four-element group are both refused
+        within a second and 4 MB, before any element is built."""
+        state = "|" + "0" * len(generators[0]) + ">"
         tracemalloc.start()
+        started = time.perf_counter()
         try:
             code, out, err = run_cli(
-                capsys, "channel", *generators, "--state", "|000000>"
+                capsys, "channel", *generators, "--state", state,
+                "--trials", str(trials),
             )
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert time.perf_counter() - started < 1
         assert code == 1
         assert out == ""
-        assert (
-            "input error: string algebra dimension D = 1024 exceeds the limit of 512"
-            in err
+        assert re.search(
+            r"^input error: channel scan work W = \d+ exceeds the cap of 4294967296$",
+            err,
+            re.MULTILINE,
         )
         assert peak < 4 << 20
 

@@ -21,6 +21,7 @@ from paulidfs import (
     to_matrix,
     verify_dfs,
 )
+from paulidfs.subgroup import PauliSubgroup
 from sampling import (
     random_abelian_subgroup,
     random_nonabelian_subgroup,
@@ -217,6 +218,25 @@ class TestDfsBasis:
         dense_bytes = 16 << 24  # one complex128 2^12 x 2^12 matrix
         assert basis.multiplicity == 64 and report.passed
         assert peak < dense_bytes // 4
+
+    def test_reads_label_not_element_coordinates(self, monkeypatch):
+        """chi(u) and chi on the X-free pivots come from the label, so no
+        N-entry element dictionary is built, with phases on u and on the
+        pivots."""
+
+        def forbidden(group):
+            raise AssertionError("element_coordinates built")
+
+        cases = []
+        for strings in (["iZZ"], ["ZI", "IZ", "iII"], ["-XX", "ZZ"], ["XXII", "-IIZI"]):
+            group = closure([parse_pauli(s) for s in strings])
+            for c in characters(group):
+                cases.append((group, c, reference_dfs_basis(group, c)))
+        monkeypatch.setattr(PauliSubgroup, "element_coordinates", property(forbidden))
+        for group, character, expected in cases:
+            vectors = dfs_basis(group, character).vectors
+            assert len(vectors) == len(expected)
+            assert all(map(np.array_equal, vectors, expected))
 
     def test_json_shape(self, q2z):
         data = dfs_basis(q2z, characters(q2z)[0]).to_json_dict()

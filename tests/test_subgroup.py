@@ -200,6 +200,66 @@ class TestCanonicalForm:
                 for c in characters(group):
                     assert multiplicity(group, c) == reference_multiplicity(group, c)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 5),
+        kind=st.sampled_from(["plus", "minus", "full", "trivial", "nonabelian"]),
+    )
+    def test_normal_form_matches_dense_decomposition(self, seed, n_qubits, kind):
+        """The c central strings and h pairs of the normal form split the
+        natural representation densely as claimed: each of the 2^c joint
+        eigenspaces of the central strings has dimension 2^(K-c), the
+        group restricted to it spans all 4^h matrices of one 2^h irrep
+        (2^(K-c-h) times), and N * sum mult^2 is the reducibility sum."""
+        rng = np.random.default_rng(seed)
+        if kind == "nonabelian":
+            group = random_nonabelian_subgroup(rng, n_qubits)
+        else:
+            group = abelian_group(rng, n_qubits, kind)
+        sifted = group.sifted
+        central, pairs = sifted.normal_form
+        c, h = len(central), len(pairs)
+        assert c + 2 * h == len(sifted.pivots)
+        assert (h == 0) == group.is_abelian
+
+        def string(mask):
+            x = z = 0
+            for j, p in enumerate(sifted.pivots):
+                if mask >> j & 1:
+                    x, z = x ^ p.x_mask, z ^ p.z_mask
+            return PauliElement(0, x, z, n_qubits)
+
+        # anticommuting exactly within a pair, and spanning the pivots
+        masks = [*central, *itertools.chain.from_iterable(pairs)]
+        paired = {frozenset(pair) for pair in pairs}
+        for a, b in itertools.combinations(masks, 2):
+            assert commutes(string(a), string(b)) != (frozenset((a, b)) in paired)
+        leads = {}
+        for mask in masks:
+            while mask.bit_length() in leads:
+                mask ^= leads[mask.bit_length()]
+            leads[mask.bit_length()] = mask
+        assert 0 not in leads and len(leads) == len(sifted.pivots)
+
+        dim = 1 << n_qubits
+        elements = [to_matrix(e) for e in group.elements]
+        multiplicities = []
+        for signs in itertools.product((1, -1), repeat=c):
+            projector = np.eye(dim)
+            for sign, mask in zip(signs, central):
+                flip = sign * to_matrix(string(mask))
+                projector = projector @ (np.eye(dim) + flip) / 2
+            assert round(np.trace(projector).real) == 1 << (n_qubits - c)
+            values, vectors = np.linalg.eigh(projector)
+            space = vectors[:, values > 0.5]
+            restricted = [(space.conj().T @ g @ space).ravel() for g in elements]
+            assert np.linalg.matrix_rank(restricted, tol=1e-8) == 4**h
+            multiplicities.append(space.shape[1] >> h)
+        assert multiplicities == [1 << (n_qubits - c - h)] * (1 << c)
+        total = group.order * sum(m * m for m in multiplicities)
+        assert total == reducibility_sum(group)[0]
+
     def test_cap_checked_before_any_product(self, monkeypatch):
         """16 independent Z strings have order 65536: refused at a cap of
         4096 without a single group product."""
