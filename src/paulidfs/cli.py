@@ -10,10 +10,13 @@ chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  An Abelian
 order above ``REPORT_ORDER_CAP`` is refused before any element is built.
 What a report computes follows from its input alone: reducibility and the
 DFS bases need K <= ``DENSE_QUBIT_LIMIT``, and the bases also need their
-verification work, read off the sift, within ``VERIFY_WORK_CAP``.  A
-``channel`` input above ``DENSE_QUBIT_LIMIT`` qubits, or whose scan work,
-trials included, exceeds ``channels.SCAN_WORK_CAP``, is refused before its
-closure is built; every group is scanned in one block basis.
+2^K * |V_X| kets, read off the sift, within ``BASIS_KET_CAP``.  Each basis
+is checked on the r + 1 sifted generators (``dfs.verify_on_generators``),
+so ``--trials`` drives only the ``channel`` scan: ``analyze`` and
+``preset`` just record it under ``inputs``.  A ``channel`` input above
+``DENSE_QUBIT_LIMIT`` qubits, or whose scan work, trials included, exceeds
+``channels.SCAN_WORK_CAP``, is refused before its closure is built; every
+group is scanned in one block basis.
 
 ``--json`` writes the bytes of ``json.dumps(report, indent=2)`` through
 ``_write_json``, to stdout in pieces of ``EMIT_FLUSH_CHARS`` characters,
@@ -53,7 +56,7 @@ from .dfs import (
     dfs_basis,
     dimension_formula,
     multiplicity,
-    verify_dfs,
+    verify_on_generators,
 )
 from .pauli import (
     DENSE_QUBIT_LIMIT,
@@ -82,14 +85,11 @@ SCHEMA_VERSION = 4
 #: 3.1-3.9 s and 139 MB at order 2^16, and 6.7-8.1 s and 251 MB at 2^17.
 REPORT_ORDER_CAP = 1 << 16
 
-#: Largest verification work W = N * 2^K * |V_X| for which an Abelian
-#: report builds and verifies its DFS bases: the supported characters'
-#: X-orbit closures hold 2^K * |V_X| kets in all, and each meets all N
-#: elements.  At W = 2^30, ten single-qubit X strings at K = 10 took
-#: 76-83 s and 251 MB, and six XX plus six ZZ pairs at K = 12 took 81-92 s
-#: (2-vCPU VM, one BLAS thread); twelve Z strings at K = 12, W = 2^24, took
-#: 5.6-6.5 s.
-VERIFY_WORK_CAP = 1 << 30
+#: Largest number of kets, 2^K * |V_X| over all supported characters'
+#: bases, that an Abelian report writes out.  At the cap, nine single-qubit
+#: X strings at K = 12 took 8.3 s and 434 MB for 234 MB of ``--json``
+#: (2-vCPU VM, one BLAS thread).
+BASIS_KET_CAP = 1 << 21
 
 #: Characters of ``--json`` text gathered into one stdout write: one write
 #: per encoder chunk doubled the emission time at order 2^16 with stdout
@@ -170,12 +170,10 @@ def parse_state_spec(spec: str, n_qubits: int | None = None) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _verification_work(sifted: SiftedGenerators) -> int:
-    """W = N * 2^K * |V_X| with N = |Z| * 2^r; the pivots that carry an x
+def _basis_kets(sifted: SiftedGenerators) -> int:
+    """2^K * |V_X|, the kets of all DFS bases: the pivots that carry an x
     mask have distinct leading x bits, so they span V_X."""
-    x_rank = sum(1 for p in sifted.pivots if p.x_mask)
-    r = len(sifted.pivots)
-    return sifted.phase_subgroup_size << (r + sifted.n_qubits + x_rank)
+    return 1 << (sifted.n_qubits + sum(1 for p in sifted.pivots if p.x_mask))
 
 
 def build_analysis_report(
@@ -205,17 +203,14 @@ def build_analysis_report(
         # the multiplicity rule supports no one-dimensional character of a
         # non-Abelian group, so there are no joint eigenvectors to list
         report["verdict"] = "non_abelian"
-        report["one_dim_search"] = (
-            {"joint_eigenspaces": [], "one_dimensional_dfs_count": 0}
-            if dense_ok
-            else {}
-        )
+        search = {"joint_eigenspaces": [], "one_dimensional_dfs_count": 0}
+        report["one_dim_search"] = search
         return report
 
     report["verdict"] = "abelian"
     chars = characters(group)
     sifted = group.sifted
-    with_bases = dense_ok and _verification_work(sifted) <= VERIFY_WORK_CAP
+    with_bases = dense_ok and _basis_kets(sifted) <= BASIS_KET_CAP
     u = PauliElement(sifted.phase_exp_generator, 0, 0, group.n_qubits)
     report["character_table"] = {
         "generators": [format_pauli(g) for g in (u, *sifted.pivots)],
@@ -223,24 +218,19 @@ def build_analysis_report(
         "rows": [{"label": c.label, "exponents": list(c.exponents)} for c in chars],
     }
     entries = []
-    multiplicities = {}
     for c in chars:
         m = multiplicity(group, c)
-        multiplicities[c.label] = m
         entry = {"label": c.label, "multiplicity": m}
         if with_bases and m > 0:
             basis = dfs_basis(group, c)
             entry["basis"] = basis.to_json_dict()
-            verification = verify_dfs(group, basis, trials=trials, seed=seed)
-            entry["verification"] = {
-                "passed": verification.passed,
-                "max_residual": verification.max_residual,
-            }
+            passed, residual = verify_on_generators(group, basis)
+            entry["verification"] = {"passed": passed, "max_residual": residual}
         entries.append(entry)
     report["characters"] = entries
 
     phase_class = applicable_phase_class(group)
-    supported = sorted({m for m in multiplicities.values() if m > 0})
+    supported = sorted({e["multiplicity"] for e in entries} - {0})
     check: dict = {
         "phase_class": phase_class,
         "supported_multiplicities": supported,
@@ -325,12 +315,10 @@ def render_text(report: dict, elapsed_s: float) -> str:
             f"vs order {sub['order']} -> {red['verdict']}"
         )
     if report.get("verdict") == "non_abelian":
-        search = report.get("one_dim_search", {})
-        count = search.get("one_dimensional_dfs_count")
+        count = report["one_dim_search"]["one_dimensional_dfs_count"]
         lines.append(
             "non-Abelian subgroup: no one-dimensional irreps, joint "
-            f"eigenvector search found {count if count is not None else 'n/a'} "
-            "invariant directions"
+            f"eigenvector search found {count} invariant directions"
         )
     elif "characters" in report:
         for entry in report["characters"]:
@@ -403,7 +391,8 @@ def _split_generators(raw: list[str]) -> list[str]:
 
 
 def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--trials", type=int, default=32)
+    trials = "random channels per channel scan; analyze and preset only record it"
+    sub.add_argument("--trials", type=int, default=32, help=trials)
     sub.add_argument("--seed", type=int, default=0)
     mode = sub.add_mutually_exclusive_group()
     mode.add_argument(

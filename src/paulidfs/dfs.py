@@ -25,14 +25,15 @@ oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from .pauli import (
+    ActionArrays,
     PauliElement,
     _parity,
     _require_dense,
+    action_arrays,
     matrix_action,
     to_matrix,
 )
@@ -50,9 +51,9 @@ from .subgroup import (
 #: genuine gap between fourth-root-of-unity eigenvalues.
 RESIDUAL_PASS_TOL = 1e-9
 
-#: Entries of each (elements x closure kets) block ``verify_dfs`` builds.
-#: At about 100 bytes an entry, its working memory stays near 26 MB for
-#: any N (measured at N = 16384, K = 12).
+#: Entries of each (operators x closure kets) block ``_apply_on_closures``
+#: builds.  At about 100 bytes an entry, its working memory stays near
+#: 26 MB for any N (measured at N = 16384, K = 12).
 _VERIFY_BLOCK_ENTRIES = 1 << 18
 
 _ROOT_VALUES = np.array(_ROOTS)
@@ -155,12 +156,6 @@ class DfsBasis:
         }
 
 
-def _character_exponents(character: Character) -> np.ndarray:
-    """k_n with chi(G_n) = i^k_n over the elements of the character's group,
-    which are in canonical order, as those of any equal subgroup are."""
-    return exponent_table(character.group, [character])[0]
-
-
 def projector(group: PauliSubgroup, character: Character) -> IrrepProjector:
     """Normalized irrep projector (1/N) sum_n conj(gamma_n) G_n.
 
@@ -205,31 +200,24 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
     Each element maps |b> to a multiple of |b XOR x_n>, so P_k |b> lives
     on the X-orbit b XOR V_X.  Seeds are the smallest ket of each orbit
     (no bit in ``lead``, the pivots' leading x bits) on which the X-free
-    elements act as chi_k, checked on their generators in exact Z4
-    exponents.  On such a seed the N/|V_X| elements that share an x mask
-    add up in phase, so P_k |b> has amplitude
-    conj(chi_k(h)) <b XOR x|h|b> / |V_X| on b XOR x, for any one element
-    h with that x mask.  The m vectors are normalized and kept on their
-    orbits in increasing ket order, in increasing seed order.  A zero
+    elements act as chi_k: the run of ``orbit_seeds`` whose key is the
+    character's exponents on the X-free generators.  On such a seed the
+    N/|V_X| elements that share an x mask add up in phase, so P_k |b> has
+    amplitude conj(chi_k(h)) <b XOR x|h|b> / |V_X| on b XOR x, for any one
+    element h with that x mask.  The m vectors are normalized and kept on
+    their orbits in increasing ket order, in increasing seed order.  A zero
     multiplicity yields an empty basis.
     """
     _check_character(group, character)
     _require_dense(group.n_qubits)
-    n = group.n_qubits
-    sifted = group.sifted
-    # sifted pivots have distinct leading bits, so the sum is a bitwise or
-    lead = sum(1 << (p.x_mask.bit_length() - 1) for p in sifted.pivots if p.x_mask)
-    # the kets without a lead bit, in increasing order: each pass appends
-    # kets above every earlier one
-    seeds = np.zeros(1, dtype=np.int64)
-    for bit in range(n):
-        if not lead >> bit & 1:
-            seeds = np.concatenate([seeds, seeds | 1 << bit])
-    # chi(u) and chi on the X-free pivots are exponents of the label
-    u = PauliElement(sifted.phase_exp_generator, 0, 0, n)
-    for h, k in zip((u, *sifted.pivots), character.exponents):
-        if not h.x_mask:
-            seeds = seeds[(h.phase_exp + 2 * _parity(seeds & h.z_mask)) % 4 == k]
+    # equal subgroups list their elements alike, and the label is over
+    # the character's own sifted form
+    group = character.group
+    keys, seeds = group.orbit_seeds
+    x_masks = [0] + [p.x_mask for p in group.sifted.pivots]
+    free = [k for x, k in zip(x_masks, character.exponents) if not x]
+    key = sum(k << 2 * j for j, k in enumerate(free))
+    seeds = seeds[keys.searchsorted(key) : keys.searchsorted(key, "right")]
     target = multiplicity(group, character)
     if len(seeds) != target:
         raise AssertionError(
@@ -237,11 +225,8 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
         )
     _, z, phase = group.action_arrays
     span, first = group.x_span
-    exponents = (
-        phase[first]
-        - _character_exponents(character)[first]
-        + 2 * _parity(seeds[:, None] & z[first])
-    ) % 4
+    chi = group.coordinate_matrix[first] @ np.array(character.exponents, np.uint8)
+    exponents = (phase[first] - chi % 4 + 2 * _parity(seeds[:, None] & z[first])) % 4
     amplitudes = _ROOT_VALUES[exponents] / len(span)
     amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
     kets = seeds[:, None] ^ span
@@ -254,7 +239,7 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
         kets=tuple(kets),
         amplitudes=tuple(amplitudes),
         multiplicity=target,
-        dimension=1 << n,
+        dimension=1 << group.n_qubits,
     )
 
 
@@ -285,29 +270,19 @@ class VerificationReport:
     max_residual: float
 
 
-@lru_cache(maxsize=1)
-def _trial_coefficients(order: int, trials: int, seed: int) -> np.ndarray:
-    """Read-only (trials, order) draw: per trial, real parts then imaginary
-    parts, complex standard normal.  Every character of one report asks
-    for the same draw, so the last one is kept."""
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, order))
-    coefficients = draws[:, 0] + 1j * draws[:, 1]
-    coefficients.flags.writeable = False
-    return coefficients
-
-
 def _apply_on_closures(
-    group: PauliSubgroup, basis: DfsBasis, coefficients: np.ndarray
+    group: PauliSubgroup, actions: ActionArrays, basis: DfsBasis, coefficients
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every trial's A applied to every basis vector, on its X-span closure.
+    """Each row's A = sum_n a_n G_n, for the elements G_n of ``group`` that
+    ``actions`` lists, applied to every basis vector on its X-span closure.
 
     Vector j is written on the kets {b XOR x_n} for b in its support, keyed
     (j << K) | ket and sorted, so the vectors' closures follow one another.
-    Returns ``(values, images, starts)``: the vectors and the (trials,
-    keys) images A v on those keys, and where each vector's keys start.
+    Returns ``(values, images, starts)``: the vectors and the (rows, keys)
+    images A v on those keys, and where each vector's keys start.
     """
     n = group.n_qubits
-    x, z, phase = group.action_arrays
+    x, z, phase = actions
     span, _ = group.x_span
     owners = np.repeat(np.arange(len(basis.kets)), [len(k) for k in basis.kets])
     support = owners << n | np.concatenate(basis.kets)
@@ -330,7 +305,7 @@ def _apply_on_closures(
     # which stays in the closure of the vector that owns c
     images = np.zeros((len(coefficients), len(keys)), dtype=complex)
     rows = max(1, _VERIFY_BLOCK_ENTRIES // len(keys))
-    for lo in range(0, group.order, rows):
+    for lo in range(0, len(x), rows):
         part = slice(lo, lo + rows)
         sources = keys ^ x[part, None]
         exponents = (phase[part, None] + 2 * _parity(sources & z[part, None])) % 4
@@ -338,6 +313,34 @@ def _apply_on_closures(
         images += coefficients[:, part] @ block
     starts = np.searchsorted(keys >> n, np.arange(len(basis.kets)))
     return values, images, starts
+
+
+def _eigen_check(
+    group: PauliSubgroup, actions: ActionArrays, basis: DfsBasis, rows, predicted
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """``(shared, residuals, spreads, passed)`` for the A of each coefficient
+    row, applied by ``_apply_on_closures``: the vectors' mean Rayleigh
+    quotient c, the worst ||A v - c v|| and the worst |<v|A|v> - c|.  The
+    basis passes when every residual and every gap |c - predicted| is
+    below ``RESIDUAL_PASS_TOL``."""
+    _check_character(group, basis.character)
+    if basis.dimension != 1 << group.n_qubits:
+        raise ValueError(
+            f"basis vectors have length {basis.dimension}, but the subgroup "
+            f"acts on {1 << group.n_qubits} amplitudes"
+        )
+    if not basis.kets:
+        zeros = np.zeros(len(rows))
+        return predicted, zeros, zeros, True
+    values, images, starts = _apply_on_closures(group, actions, basis, rows)
+    rayleigh = np.add.reduceat(values.conj() * images, starts, axis=1)
+    shared = rayleigh.mean(axis=1)
+    misfit = np.abs(images - shared[:, None] * values) ** 2
+    residuals = np.sqrt(np.add.reduceat(misfit, starts, axis=1)).max(axis=1)
+    spreads = np.abs(rayleigh - shared[:, None]).max(axis=1)
+    gap = np.abs(shared - predicted).max()
+    passed = residuals.max() < RESIDUAL_PASS_TOL and gap < RESIDUAL_PASS_TOL
+    return shared, residuals, spreads, bool(passed)
 
 
 def verify_dfs(
@@ -350,14 +353,14 @@ def verify_dfs(
     group-algebra operators.
 
     Each trial draws complex standard-normal coefficients a_n over the
-    group elements (in canonical order); calls with the same order, trials
-    and seed share one draw.  A = sum a_n G_n is never formed: it maps the
-    X-span closure {b XOR x_n} of a vector's support into itself, so it is
-    applied on that closure only, one X-orbit of |V_X| kets for a
-    ``dfs_basis`` vector, and all trials go through one (trials x N) @
-    (N x closure) product.  The test is A |psi_z> = c |psi_z> with one c
-    shared across all z, and the shared c must also match the closed
-    form sum_n a_n gamma_n within ``RESIDUAL_PASS_TOL``.  Failures are
+    group elements (in canonical order), real parts then imaginary parts.
+    A = sum a_n G_n is never formed: it maps the X-span closure
+    {b XOR x_n} of a vector's support into itself, so it is applied on
+    that closure only, one X-orbit of |V_X| kets for a ``dfs_basis``
+    vector, and all trials go through one (trials x N) @ (N x closure)
+    product.  The test is A |psi_z> = c |psi_z> with one c shared across
+    all z, and the shared c must also match the closed form
+    sum_n a_n gamma_n within ``RESIDUAL_PASS_TOL``.  Failures are
     reported, never raised: the same routine is used to demonstrate that
     cross-irrep superpositions are *not* decoherence-free.
 
@@ -367,23 +370,14 @@ def verify_dfs(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    _check_character(group, basis.character)
-    if basis.dimension != 1 << group.n_qubits:
-        raise ValueError(
-            f"basis vectors have length {basis.dimension}, but the subgroup "
-            f"acts on {1 << group.n_qubits} amplitudes"
-        )
-    coefficients = _trial_coefficients(group.order, trials, seed)
-    predicted = coefficients @ _ROOT_VALUES[_character_exponents(basis.character)]
-    if basis.kets:
-        values, images, starts = _apply_on_closures(group, basis, coefficients)
-        rayleigh = np.add.reduceat(values.conj() * images, starts, axis=1)
-        shared = rayleigh.mean(axis=1)
-        misfit = np.abs(images - shared[:, None] * values) ** 2
-        residuals = np.sqrt(np.add.reduceat(misfit, starts, axis=1)).max(axis=1)
-        spreads = np.abs(rayleigh - shared[:, None]).max(axis=1)
-    else:
-        shared, residuals, spreads = predicted, np.zeros(trials), np.zeros(trials)
+    character = basis.character
+    draws = np.random.default_rng(seed).standard_normal((trials, 2, group.order))
+    coefficients = draws[:, 0] + 1j * draws[:, 1]
+    chi = exponent_table(character.group, [character])[0]
+    predicted = coefficients @ _ROOT_VALUES[chi]
+    shared, residuals, spreads, passed = _eigen_check(
+        group, group.action_arrays, basis, coefficients, predicted
+    )
     results = tuple(
         VerificationTrial(
             coefficients=row,
@@ -394,15 +388,34 @@ def verify_dfs(
         )
         for row, c, p, r, d in zip(coefficients, shared, predicted, residuals, spreads)
     )
-    worst = float(residuals.max())
-    gap = float(np.abs(shared - predicted).max())
     return VerificationReport(
-        character_label=basis.character.label,
+        character_label=character.label,
         trials=results,
         seed=seed,
-        passed=worst < RESIDUAL_PASS_TOL and gap < RESIDUAL_PASS_TOL,
-        max_residual=worst,
+        passed=passed,
+        max_residual=float(residuals.max()),
     )
+
+
+def verify_on_generators(group: PauliSubgroup, basis: DfsBasis) -> tuple[bool, float]:
+    """``(passed, max_residual)`` of ``verify_dfs``'s check made once on each
+    sifted generator u, b_1, ..., b_r of the character's group, predicted
+    to act as i^exponents[j].  Characters are multiplicative, so these
+    r + 1 operators decide the check for every A = sum a_n G_n, with no
+    draw.
+
+    Raises:
+        ValueError: a character of another subgroup, or vectors whose
+            length is not 2^K.
+    """
+    exponents = basis.character.exponents
+    sifted = basis.character.group.sifted
+    u = PauliElement(sifted.phase_exp_generator, 0, 0, group.n_qubits)
+    actions = action_arrays((u, *sifted.pivots))
+    rows = np.eye(len(exponents), dtype=complex)
+    predicted = _ROOT_VALUES[list(exponents)]
+    _, residuals, _, passed = _eigen_check(group, actions, basis, rows, predicted)
+    return passed, float(residuals.max())
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from .pauli import (
     ActionArrays,
     PauliElement,
     QubitCountError,
+    _parity,
     action_arrays,
     adjoint,
     canonical_key,
@@ -105,6 +106,26 @@ class PauliSubgroup:
         span, first = np.unique(self.action_arrays.x, return_index=True)
         span.flags.writeable = first.flags.writeable = False
         return span, first
+
+    @cached_property
+    def orbit_seeds(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(keys, kets)`` of the kets with no pivot's leading x bit, one per
+        X-orbit, sorted by key, then by ket.  Bits 2j and 2j + 1 of a key
+        hold the Z4 value on the ket of the j-th X-free one of u, b_1, ...,
+        b_r, each of which maps such a ket to a multiple of itself."""
+        sifted = self.sifted
+        leads = {p.x_mask.bit_length() - 1 for p in sifted.pivots}
+        kets = np.zeros(1, dtype=np.int64)
+        for bit in sorted(set(range(self.n_qubits)) - leads):
+            kets = np.concatenate([kets, kets | 1 << bit])
+        keys = np.full(len(kets), sifted.phase_exp_generator, dtype=np.int64)
+        free = [p for p in sifted.pivots if not p.x_mask]
+        for j, p in enumerate(free, start=1):
+            keys |= (p.phase_exp + 2 * _parity(kets & p.z_mask)) % 4 << 2 * j
+        order = np.argsort(keys, kind="stable")
+        keys, kets = keys[order], kets[order]
+        keys.flags.writeable = kets.flags.writeable = False
+        return keys, kets
 
     @cached_property
     def element_coordinates(self) -> dict[PauliElement, tuple[int, ...]]:

@@ -308,8 +308,11 @@ def reference_group_algebra_kraus(group, n_ops: int, seed: int) -> KrausSet:
 
     Reference oracle for ``random_group_algebra_kraus``: raw operators get
     complex standard-normal coefficients over the group elements; the draw
-    is corrected by S^(-1/2) (Hermitian eigendecomposition of the dense
-    2^K x 2^K S) and the final coefficients are recovered by projecting
+    is corrected by S^(-1/2) for the dense 2^K x 2^K S = sum A^dag A, taken
+    as the polar factor U V^dag of the raw operators stacked into one
+    column block A = U Sigma V^dag (Higham 1986): equal in exact
+    arithmetic, it keeps sum A^dag A = I to rounding however ill
+    conditioned S is.  The final coefficients are recovered by projecting
     each corrected operator back onto the elements under the trace inner
     product.  Builds N 2^K x 2^K matrices.
 
@@ -329,14 +332,14 @@ def reference_group_algebra_kraus(group, n_ops: int, seed: int) -> KrausSet:
     s = np.zeros((dim, dim), dtype=complex)
     for op in raw_ops:
         s += op.conj().T @ op
-    eigenvalues, eigenvectors = np.linalg.eigh(s)
+    eigenvalues, _ = np.linalg.eigh(s)
     if eigenvalues[0] < DEGENERATE_S_TOL:
         raise DegenerateKrausError(
             f"normalization matrix is singular (min eigenvalue "
             f"{eigenvalues[0]:.3e}); reseed and retry"
         )
-    inv_sqrt = eigenvectors @ np.diag(eigenvalues**-0.5) @ eigenvectors.conj().T
-    operators = tuple(op @ inv_sqrt for op in raw_ops)
+    u, _, vh = np.linalg.svd(np.concatenate(raw_ops), full_matrices=False)
+    operators = tuple(np.split(u @ vh, n_ops))
 
     gram = _element_gram(group)
     targets = np.array(

@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from paulidfs import (
     ChannelConstraintError,
@@ -239,6 +239,8 @@ class TestDecoherenceScan:
         n_ops=st.integers(1, 3),
         scale=st.floats(0.5, 2.0),
     )
+    # S with eigenvalues from about 1.9e-6 to 20 for "minus"
+    @example(seed=2, n_qubits=4, in_irrep=True, n_ops=1, scale=1.0)
     def test_matches_dense_oracle(self, phases, seed, n_qubits, in_irrep, n_ops, scale):
         """The irrep-space scan (Abelian phase classes) and the
         string-algebra scan (non-Abelian groups, whose states are never

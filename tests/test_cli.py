@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import paulidfs
-from paulidfs import cli
+from paulidfs import cli, dfs
 from paulidfs.cli import (
     build_analysis_report,
     build_preset_report,
@@ -27,7 +27,8 @@ from paulidfs.cli import (
 )
 from paulidfs.pauli import format_pauli, identity, parse_pauli
 from paulidfs.presets import PRESET_NAMES
-from paulidfs.subgroup import closure
+from paulidfs.dfs import dfs_basis, multiplicity
+from paulidfs.subgroup import characters, closure
 from helpers import (
     V1_VALUE_NAMES,
     abelian_group,
@@ -226,18 +227,32 @@ class TestAnalyze:
         assert [c["multiplicity"] for c in report["characters"]] == [2048] * 4
         assert all("basis" not in c for c in report["characters"])
 
-    def test_verify_work_cap_bounds_bases_alone(self, monkeypatch):
-        """At W = N * 2^K * |V_X| = 8 * 16 * 2 the report is unchanged with
-        the cap set to W; at W - 1 it loses every basis and verification,
-        and nothing else."""
+    def test_non_abelian_search_entry_above_dense_limit(self, capsys):
+        """At K = 13 a non-Abelian report still counts its joint
+        eigenvectors: none, in closed form."""
+        x, z = "X" + "I" * 12, "Z" + "I" * 12
+        code, out, _ = run_cli(capsys, "analyze", x, z, "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "non_abelian"
+        assert report["one_dim_search"] == {
+            "joint_eigenspaces": [],
+            "one_dimensional_dfs_count": 0,
+        }
+        code, out, _ = run_cli(capsys, "analyze", x, z)
+        assert "joint eigenvector search found 0 invariant directions" in out
+
+    def test_basis_ket_cap_bounds_bases_alone(self, monkeypatch):
+        """With 2^K * |V_X| = 16 * 2 kets the report is unchanged with the
+        cap set to 32; at 31 it loses every basis and verification, and
+        nothing else."""
         strings = ["XXXX", "ZZZZ", "ZZII"]
         group = closure([parse_pauli(s) for s in strings])
-        work = cli._verification_work(group.sifted)
-        assert work == 8 * 16 * 2
+        assert cli._basis_kets(group.sifted) == 16 * 2
         full = build_analysis_report(strings, 4, 0)
-        monkeypatch.setattr(cli, "VERIFY_WORK_CAP", work)
+        monkeypatch.setattr(cli, "BASIS_KET_CAP", 16 * 2)
         assert json.dumps(build_analysis_report(strings, 4, 0)) == json.dumps(full)
-        monkeypatch.setattr(cli, "VERIFY_WORK_CAP", work - 1)
+        monkeypatch.setattr(cli, "BASIS_KET_CAP", 16 * 2 - 1)
         capped = build_analysis_report(strings, 4, 0)
         assert all("basis" in e for e in full["characters"])
         assert capped["characters"] == [
@@ -254,12 +269,33 @@ class TestAnalyze:
         n_qubits=st.integers(1, 6),
         phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
     )
-    def test_verification_work_read_off_the_sift(self, seed, n_qubits, phases):
-        """|V_X| read off the sifted pivots is the number of distinct x
-        masks among the elements."""
+    def test_basis_kets_read_off_the_sift(self, seed, n_qubits, phases):
+        """The kets read off the sifted pivots are those of all the
+        supported characters' bases."""
         group = abelian_group(np.random.default_rng(seed), n_qubits, phases)
-        work = cli._verification_work(group.sifted)
-        assert work == group.order * 2**n_qubits * len(group.x_span[0])
+        written = sum(
+            len(kets)
+            for c in characters(group)
+            if multiplicity(group, c)
+            for kets in dfs_basis(group, c).kets
+        )
+        assert cli._basis_kets(group.sifted) == written
+
+    def test_report_checks_bases_on_generators(self, monkeypatch):
+        """The report never draws random trials, and every basis of every
+        preset passes its check on the sifted generators."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify_dfs called")
+
+        monkeypatch.setattr(dfs, "verify_dfs", forbidden)
+        monkeypatch.setattr(cli, "verify_dfs", forbidden, raising=False)
+        for name in PRESET_NAMES:
+            report = build_preset_report(name, 32, 0)
+            for entry in report.get("characters", []):
+                if entry["multiplicity"]:
+                    assert entry["verification"]["passed"]
+                    assert entry["verification"]["max_residual"] < 1e-12
 
 
 class TestPreset:
@@ -487,11 +523,6 @@ class TestEmit:
         assert done.stderr.splitlines()[-1] == "False"
 
 
-#: 2^40 trials of 4 complex coefficients: a 64 TiB draw, which numpy
-#: refuses at once with a MemoryError.
-_UNALLOCATABLE = ["analyze", "ZI", "IZ", "--trials", str(1 << 40), "--json"]
-
-
 class TestEntryPoint:
     def test_only_run_freezes_the_collector(self, capsys):
         assert gc.get_freeze_count() == 0
@@ -510,7 +541,8 @@ class TestEntryPoint:
             (["preset", "qz", "--json"], 0),
             (["analyze", "XQ", "--json"], 1),
             (["analyze", "XXI", "IZZ", "--require-dfs", "--json"], 2),
-            (_UNALLOCATABLE, 3),
+            # analyze only records --trials, so 2^40 trials allocate nothing
+            (["analyze", "ZI", "IZ", "--trials", str(1 << 40), "--json"], 0),
         ],
     )
     def test_module_run_equals_main(self, capsys, argv, status):

@@ -21,12 +21,14 @@ from paulidfs import (
     to_matrix,
     verify_dfs,
 )
+from paulidfs.dfs import verify_on_generators
 from paulidfs.subgroup import PauliSubgroup
 from sampling import (
     random_abelian_subgroup,
     random_nonabelian_subgroup,
 )
 from helpers import (
+    abelian_group,
     ket,
     projector_rank,
     reference_dfs_basis,
@@ -238,6 +240,19 @@ class TestDfsBasis:
             assert len(vectors) == len(expected)
             assert all(map(np.array_equal, vectors, expected))
 
+    def test_character_of_an_equal_subgroup(self):
+        """A label is over its own group's sifted form: <ZZ, IZ> and
+        <ZI, IZ> are one subgroup with different pivots."""
+        own = closure([parse_pauli(s) for s in ("ZZ", "IZ")])
+        other = closure([parse_pauli(s) for s in ("ZI", "IZ")])
+        assert own.sifted.pivots != other.sifted.pivots
+        for c in characters(own):
+            vectors = dfs_basis(other, c).vectors
+            expected = reference_dfs_basis(own, c)
+            assert len(vectors) == len(expected)
+            assert all(map(np.array_equal, vectors, expected))
+            assert verify_on_generators(other, dfs_basis(other, c))[0]
+
     def test_json_shape(self, q2z):
         data = dfs_basis(q2z, characters(q2z)[0]).to_json_dict()
         assert data["multiplicity"] == 2
@@ -298,15 +313,6 @@ class TestVerifyDfs:
                 basis = dfs_basis(group, c)
                 assert verify_dfs(group, basis, trials=8, seed=1).passed
 
-    def test_characters_share_one_read_only_draw(self, q2z):
-        first, second = [
-            verify_dfs(q2z, dfs_basis(q2z, c), trials=4, seed=9)
-            for c in characters(q2z)[:2]
-        ]
-        for a, b in zip(first.trials, second.trials, strict=True):
-            assert np.shares_memory(a.coefficients, b.coefficients)
-            assert not a.coefficients.flags.writeable
-
     def test_foreign_basis_rejected(self, qz):
         other = closure([parse_pauli("ZII"), parse_pauli("IZI")])
         with pytest.raises(ValueError, match="does not belong"):
@@ -362,6 +368,60 @@ class TestVerifyDfs:
             assert abs(trial.eigenvalue_spread - spread) < 1e-12
         assert report.max_residual == max(t.max_residual for t in report.trials)
         assert report.passed == (case != "cross_irrep")
+
+
+class TestVerifyOnGenerators:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 6),
+        phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
+    )
+    def test_agrees_with_random_trials(self, seed, n_qubits, phases):
+        """The check on the r + 1 sifted generators gives the verdict of
+        ``verify_dfs`` with eight random trials: a ``dfs_basis`` and a
+        superposition across the orbits of one irrep pass; a superposition
+        across two irreps, a relabelled basis and a vector with one
+        amplitude times i fail, whenever the group admits them."""
+        rng = np.random.default_rng(seed)
+        group = abelian_group(rng, n_qubits, phases)
+        chars = characters(group)
+        supported = [c for c in chars if multiplicity(group, c)]
+        first = supported[rng.integers(len(supported))]
+        basis = dfs_basis(group, first)
+        vectors = basis.vectors
+        weights = rng.standard_normal(len(vectors)) + 1j * rng.standard_normal(
+            len(vectors)
+        )
+        within = sum(w * v for w, v in zip(weights, vectors))
+        within /= np.linalg.norm(within)
+        cases = [(basis, True), (DfsBasis.from_vectors(first, (within,)), True)]
+        others = [c for c in supported if c is not first]
+        if others:
+            other = dfs_basis(group, others[rng.integers(len(others))])
+            across = (vectors[0] + other.vectors[0]) / np.sqrt(2)
+            cases.append((DfsBasis.from_vectors(first, (across,)), False))
+        relabels = [c for c in chars if c is not first]
+        if relabels:
+            label = relabels[rng.integers(len(relabels))]
+            cases.append((DfsBasis.from_vectors(label, vectors), False))
+        if len(basis.kets[0]) > 1:
+            twisted = vectors[0].copy()
+            twisted[rng.choice(basis.kets[0])] *= 1j
+            cases.append((DfsBasis.from_vectors(first, (twisted,)), False))
+        for case, expected in cases:
+            passed, residual = verify_on_generators(group, case)
+            assert passed == verify_dfs(group, case, trials=8, seed=seed % 1000).passed
+            assert passed == expected
+            assert residual >= 0
+
+    def test_checks_input_as_verify_dfs_does(self, qz):
+        other = closure([parse_pauli("ZII"), parse_pauli("IZI")])
+        with pytest.raises(ValueError, match="does not belong"):
+            verify_on_generators(qz, dfs_basis(other, characters(other)[0]))
+        longer = DfsBasis.from_vectors(characters(qz)[0], (ket("000"),))
+        with pytest.raises(ValueError, match="length 8"):
+            verify_on_generators(qz, longer)
 
 
 class TestDimensionFormula:
