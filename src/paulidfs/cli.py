@@ -2,12 +2,15 @@
 channel scans, with deterministic JSON or human-readable text output.
 
 The ``analyze``/``preset`` report has O(N * r) size for a subgroup of order
-N with r sifted pivots.  Its ``character_table`` lists the sifted
-``generators`` u = i^e I, b_1, ..., b_r, one ``coordinates`` row
-[m, k_1, ..., k_r] per entry of ``subgroup.elements``, and per character
-its ``label`` and ``exponents`` [w, e_1, ..., e_r], with
-chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  An Abelian
-order above ``REPORT_ORDER_CAP`` is refused before any element is built.
+N with r sifted pivots, and writes every Z4 row as one string of the digits
+0-3.  Its ``character_table`` lists the sifted ``generators`` u = i^e I,
+b_1, ..., b_r, one ``coordinates`` string "m k_1 ... k_r" per entry of
+``subgroup.elements``, and one ``exponents`` string "w e_1 ... e_r" per
+character, row k for label k + 1, with
+chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  Each DFS basis
+has one ``amplitude`` a, and each of its vectors its ``kets`` and an
+``exponents`` string: ket j has amplitude i^e_j * a.  An Abelian order
+above ``REPORT_ORDER_CAP`` is refused before any element is built.
 What a report computes follows from its input alone: reducibility and the
 DFS bases need K <= ``DENSE_QUBIT_LIMIT``, and the bases also need their
 2^K * |V_X| kets, read off the sift, within ``BASIS_KET_CAP``.  Each basis
@@ -16,13 +19,14 @@ so ``--trials`` drives only the ``channel`` scan: ``analyze`` and
 ``preset`` just record it under ``inputs``.  A ``channel`` input above
 ``DENSE_QUBIT_LIMIT`` qubits, or whose scan work, trials included, exceeds
 ``channels.SCAN_WORK_CAP``, is refused before its closure is built; every
-group is scanned in one block basis.
+group is scanned in one block basis, and its report gives the subgroup's
+order and generators but not its elements.
 
-``--json`` writes the bytes of ``json.dumps(report, indent=2)`` through
-``_write_json``, to stdout in pieces of ``EMIT_FLUSH_CHARS`` characters,
-so the document is never held whole.  The ``paulidfs`` script and
-``python -m paulidfs.cli`` both enter through ``run``, which freezes the
-garbage collector after ``main`` returns.
+``--json`` writes the bytes of ``json.dumps(report, indent=2)``: the
+stdlib encoder's chunks go to stdout in pieces of ``EMIT_FLUSH_CHARS``
+characters, so the document is never held whole.  The ``paulidfs`` script
+and ``python -m paulidfs.cli`` both enter through ``run``, which freezes
+the garbage collector after ``main`` returns.
 
 Exit codes: 0 success, 1 usage or input error (or stdout closed before the
 whole report was written), 2 analysis refusal (non-Abelian subgroup under
@@ -39,8 +43,6 @@ import os
 import re
 import sys
 import time
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -60,7 +62,6 @@ from .dfs import (
 )
 from .pauli import (
     DENSE_QUBIT_LIMIT,
-    PauliElement,
     format_pauli,
     parse_pauli,
 )
@@ -76,18 +77,19 @@ from .subgroup import (
     characters,
     closure,
     reducibility_sum,
+    z4_digits,
 )
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Largest Abelian order ``analyze`` and ``preset`` report on; a non-Abelian
 #: report has no character table.  On a 2-vCPU VM, ``analyze --json`` took
-#: 3.1-3.9 s and 139 MB at order 2^16, and 6.7-8.1 s and 251 MB at 2^17.
+#: 1.4-2.2 s and 117 MB at order 2^16, and 2.5-4.0 s and 209 MB at 2^17.
 REPORT_ORDER_CAP = 1 << 16
 
 #: Largest number of kets, 2^K * |V_X| over all supported characters'
 #: bases, that an Abelian report writes out.  At the cap, nine single-qubit
-#: X strings at K = 12 took 8.3 s and 434 MB for 234 MB of ``--json``
+#: X strings at K = 12 took 6.0 s and 120 MB for 44 MB of ``--json``
 #: (2-vCPU VM, one BLAS thread).
 BASIS_KET_CAP = 1 << 21
 
@@ -96,15 +98,6 @@ BASIS_KET_CAP = 1 << 21
 #: unbuffered, one write for the whole document held two to three copies
 #: of it.
 EMIT_FLUSH_CHARS = 1 << 16
-
-#: Items of a scalar list joined, or numbers of a block of rows formatted,
-#: into one piece of ``--json`` text: at 10-25 characters an indented
-#: number, about one flush, and never more however long the list.
-_EMIT_BLOCK_ITEMS = EMIT_FLUSH_CHARS // 16
-
-_STDLIB_ENCODER = json.JSONEncoder()
-#: The exact scalar types ``--json`` encodes itself, finite floats only.
-_SCALAR_ENCODERS = {int: repr, float: repr, str: encode_basestring_ascii}
 
 
 def _state_json(state: np.ndarray) -> list:
@@ -176,6 +169,12 @@ def _basis_kets(sifted: SiftedGenerators) -> int:
     return 1 << (sifted.n_qubits + sum(1 for p in sifted.pivots if p.x_mask))
 
 
+def _digit_rows(matrix: np.ndarray) -> list[str]:
+    """Each row of a Z4 matrix as one string of the digits 0-3."""
+    text, width = z4_digits(matrix), matrix.shape[1]
+    return [text[at : at + width] for at in range(0, len(text), width)]
+
+
 def build_analysis_report(
     generator_strings: list[str], trials: int, seed: int
 ) -> dict:
@@ -211,11 +210,11 @@ def build_analysis_report(
     chars = characters(group)
     sifted = group.sifted
     with_bases = dense_ok and _basis_kets(sifted) <= BASIS_KET_CAP
-    u = PauliElement(sifted.phase_exp_generator, 0, 0, group.n_qubits)
+    labels = np.array([c.exponents for c in chars], dtype=np.uint8)
     report["character_table"] = {
-        "generators": [format_pauli(g) for g in (u, *sifted.pivots)],
-        "coordinates": group.coordinate_matrix.tolist(),
-        "rows": [{"label": c.label, "exponents": list(c.exponents)} for c in chars],
+        "generators": [format_pauli(g) for g in sifted.generators],
+        "coordinates": _digit_rows(group.coordinate_matrix),
+        "exponents": _digit_rows(labels),
     }
     entries = []
     for c in chars:
@@ -284,7 +283,7 @@ def build_channel_report(
             "trials": trials,
             "seed": seed,
         },
-        "subgroup": group.to_json_dict(),
+        "subgroup": group.to_json_dict(elements=False),
         "state": _state_json(state),
         "scan": scan.to_json_dict(),
     }
@@ -307,7 +306,8 @@ def render_text(report: dict, elapsed_s: float) -> str:
         f"{'Abelian' if sub['is_abelian'] else 'non-Abelian'}"
         f"{', contains -I' if sub['contains_minus_identity'] else ''}"
     )
-    lines.append("elements: " + " ".join(sub["elements"]))
+    if "elements" in sub:
+        lines.append("elements: " + " ".join(sub["elements"]))
     if "reducibility" in report:
         red = report["reducibility"]
         lines.append(
@@ -330,18 +330,16 @@ def render_text(report: dict, elapsed_s: float) -> str:
                     f"(max residual {_amp(v['max_residual'])})"
                 )
             lines.append(line)
-            for vec in entry.get("basis", {}).get("vectors", []):
-                parts = []
-                for index, (re_part, im_part) in zip(vec["kets"], vec["amplitudes"]):
-                    if abs(re_part) < 5e-13 and abs(im_part) < 5e-13:
-                        continue
-                    amp = (
-                        _amp(re_part)
-                        if abs(im_part) < 5e-13
-                        else f"({_amp(re_part)}{im_part:+.12g}i)"
-                    )
-                    bits = format(index, f"0{sub['n_qubits']}b")
-                    parts.append(f"{amp}|{bits}>")
+            if "basis" not in entry:
+                continue
+            a = entry["basis"]["amplitude"]
+            # i^e * a for e = 0..3
+            terms = (_amp(a), f"(0+{a:.12g}i)", _amp(-a), f"(0-{a:.12g}i)")
+            for vec in entry["basis"]["vectors"]:
+                parts = [
+                    f"{terms[int(e)]}|{index:0{sub['n_qubits']}b}>"
+                    for index, e in zip(vec["kets"], vec["exponents"])
+                ]
                 lines.append("    " + " + ".join(parts))
         check = report.get("dimension_check", {})
         if check.get("phase_class") is not None:
@@ -443,109 +441,21 @@ def _flush(text: str):
     sys.stdout.write(text)
 
 
-def _scalar_json(value) -> str:
-    """One scalar as ``json.dumps`` writes it."""
-    kind = type(value)
-    encode = _SCALAR_ENCODERS.get(kind)
-    if encode is None or (kind is float and not math.isfinite(value)):
-        # bool, None, NaN and infinities, subclasses of int, float and str
-        return _STDLIB_ENCODER.encode(value)
-    return encode(value)
-
-
 def _write_json(value):
-    """Write ``json.dumps(value, indent=2) + "\n"`` through ``_flush``, in
-    pieces of at least ``EMIT_FLUSH_CHARS`` characters (the last aside).
-
-    A list of one exact scalar type (int, str or finite float) is joined
-    in blocks, and a list of equal-length lists of one exact number type
-    goes through one ``%`` template per block of rows; every other value
-    is written item by item, its scalars as ``json.dumps`` writes them.
-    """
+    """Write ``json.dumps(value, indent=2) + "\n"`` through ``_flush``, the
+    stdlib encoder's chunks gathered into pieces of at least
+    ``EMIT_FLUSH_CHARS`` characters (the last aside)."""
     pending: list[str] = []
     held = 0
-
-    def put(text: str):
-        nonlocal held
-        pending.append(text)
-        held += len(text)
+    for chunk in json.JSONEncoder(indent=2).iterencode(value):
+        pending.append(chunk)
+        held += len(chunk)
         if held >= EMIT_FLUSH_CHARS:
             _flush("".join(pending))
             pending.clear()
             held = 0
-
-    def put_list(value: list, head: str, pad: str) -> str:
-        inner = pad + "  "
-        sep = "," + inner
-        kinds = set(map(type, value))
-        kind = kinds.pop() if len(kinds) == 1 else None
-        if kind in _SCALAR_ENCODERS and (
-            kind is not float or all(map(math.isfinite, value))
-        ):
-            encode = _SCALAR_ENCODERS[kind]
-            blocks = (
-                sep.join(map(encode, items))
-                for items in _slices(value, _EMIT_BLOCK_ITEMS)
-            )
-        elif kind is list and _number_rows(value):
-            width = len(value[0])
-            row_pad = inner + "  "
-            row = "[" + row_pad + ("," + row_pad).join(["%r"] * width) + inner + "]"
-            blocks = (
-                sep.join([row] * len(rows)) % tuple(chain.from_iterable(rows))
-                for rows in _slices(value, max(1, _EMIT_BLOCK_ITEMS // width))
-            )
-        else:
-            opening = "[" + inner
-            for item in value:
-                head = put_value(item, head + opening, inner)
-                put(head)
-                head, opening = "", sep
-            return pad + "]"
-        opening = "[" + inner
-        for text in blocks:
-            put(head + opening + text)
-            head, opening = "", sep
-        return pad + "]"
-
-    def put_value(value, head: str, pad: str) -> str:
-        """Put ``head`` and the JSON of ``value``, but return the end of that
-        text for the caller to continue; ``pad`` is a newline and the
-        value's indent."""
-        if isinstance(value, dict) and value:
-            inner = pad + "  "
-            opening = "{" + inner
-            for key, item in value.items():
-                head += opening + encode_basestring_ascii(key) + ": "
-                if isinstance(item, (dict, list, tuple)):
-                    head = put_value(item, head, inner)
-                else:
-                    head += _scalar_json(item)
-                opening = "," + inner
-            return head + pad + "}"
-        if isinstance(value, (list, tuple)) and value:
-            return put_list(value, head, pad)
-        if isinstance(value, (dict, list, tuple)):
-            return head + ("{}" if isinstance(value, dict) else "[]")
-        return head + _scalar_json(value)
-
-    pending.append(put_value(value, "", "\n") + "\n")
+    pending.append("\n")
     _flush("".join(pending))
-
-
-def _slices(items: list, step: int):
-    return (items[start : start + step] for start in range(0, len(items), step))
-
-
-def _number_rows(value: list) -> bool:
-    """Whether ``value`` holds lists of one nonzero length, all of exact
-    int or all of finite exact float."""
-    if len(set(map(len, value))) != 1 or not value[0]:
-        return False
-    kinds = set(map(type, chain.from_iterable(value)))
-    return kinds == {int} or (
-        kinds == {float} and all(map(math.isfinite, chain.from_iterable(value)))
-    )
 
 
 def _emit(report: dict, as_json: bool, elapsed_s: float):

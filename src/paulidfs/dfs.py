@@ -33,7 +33,6 @@ from .pauli import (
     PauliElement,
     _parity,
     _require_dense,
-    action_arrays,
     matrix_action,
     to_matrix,
 )
@@ -43,6 +42,7 @@ from .subgroup import (
     NotAbelianError,
     PauliSubgroup,
     exponent_table,
+    z4_digits,
 )
 
 #: A verification trial passes when the worst eigenvalue residual, and the
@@ -141,17 +141,28 @@ class DfsBasis:
         return np.column_stack(self.vectors)
 
     def to_json_dict(self) -> dict:
+        """The basis as one ``amplitude`` a and, per vector, its ``kets`` and
+        a digit string of Z4 ``exponents``: ket j's amplitude is i^e_j * a.
+
+        Raises:
+            ValueError: the amplitudes are not one modulus times powers of
+                i, as those of every ``dfs_basis`` are.
+        """
+        values = np.concatenate((np.zeros(0, dtype=complex), *self.amplitudes))
+        amplitude = float(np.abs(values[:1]).max(initial=0.0))
+        roots = _ROOT_VALUES * amplitude
+        exponents = (values[:, None] == roots).argmax(axis=1)
+        if not np.array_equal(roots[exponents], values):
+            raise ValueError("basis amplitudes are not one modulus times powers of i")
+        digits = z4_digits(exponents)
+        ends = np.cumsum([len(kets) for kets in self.kets]).tolist()
         return {
             "character_label": self.character.label,
             "multiplicity": self.multiplicity,
+            "amplitude": amplitude,
             "vectors": [
-                {
-                    "kets": kets.tolist(),
-                    "amplitudes": np.column_stack(
-                        [amplitudes.real, amplitudes.imag]
-                    ).tolist(),
-                }
-                for kets, amplitudes in zip(self.kets, self.amplitudes)
+                {"kets": kets.tolist(), "exponents": digits[end - len(kets) : end]}
+                for kets, end in zip(self.kets, ends)
             ],
         }
 
@@ -409,9 +420,7 @@ def verify_on_generators(group: PauliSubgroup, basis: DfsBasis) -> tuple[bool, f
             length is not 2^K.
     """
     exponents = basis.character.exponents
-    sifted = basis.character.group.sifted
-    u = PauliElement(sifted.phase_exp_generator, 0, 0, group.n_qubits)
-    actions = action_arrays((u, *sifted.pivots))
+    actions = basis.character.group.sifted_action_arrays
     rows = np.eye(len(exponents), dtype=complex)
     predicted = _ROOT_VALUES[list(exponents)]
     _, residuals, _, passed = _eigen_check(group, actions, basis, rows, predicted)

@@ -100,6 +100,11 @@ class PauliSubgroup:
         return action_arrays(self.elements)
 
     @cached_property
+    def sifted_action_arrays(self) -> ActionArrays:
+        """The ``action_arrays`` of ``sifted.generators``, built once."""
+        return action_arrays(self.sifted.generators)
+
+    @cached_property
     def x_span(self) -> tuple[np.ndarray, np.ndarray]:
         """The X-span V_X: the distinct x masks of ``action_arrays`` in
         increasing order, and for each the index of its first element."""
@@ -138,11 +143,15 @@ class PauliSubgroup:
         """The elements that are phase multiples of the identity string."""
         return self.sifted.phase_subgroup
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json_dict(self, elements: bool = True) -> dict:
+        """The subgroup's strings and flags, its elements only if asked."""
+        out = {
             "n_qubits": self.n_qubits,
             "generators": format_paulis(self.generators, self.n_qubits),
-            "elements": format_paulis(self.elements, self.n_qubits),
+        }
+        if elements:
+            out["elements"] = format_paulis(self.elements, self.n_qubits)
+        return out | {
             "order": self.order,
             "is_abelian": self.is_abelian,
             "contains_minus_identity": self.contains_minus_identity,
@@ -244,6 +253,12 @@ class SiftedGenerators:
     @property
     def phase_subgroup_size(self) -> int:
         return {0: 1, 2: 2, 1: 4}[self.phase_exp_generator]
+
+    @property
+    def generators(self) -> tuple[PauliElement, ...]:
+        """u, b_1, ..., b_r: the r + 1 generators characters are labelled on."""
+        u = PauliElement(self.phase_exp_generator, 0, 0, self.n_qubits)
+        return (u, *self.pivots)
 
     @property
     def phase_subgroup(self) -> tuple[PauliElement, ...]:
@@ -510,6 +525,11 @@ def exponent_table(group: PauliSubgroup, chars: Sequence[Character]) -> np.ndarr
         raise ValueError("characters belong to another subgroup object")
     labels = np.array([c.exponents for c in chars], dtype=np.uint8)
     return labels @ group.coordinate_matrix.T % 4
+
+
+def z4_digits(exponents: np.ndarray) -> str:
+    """Z4 exponents, in C order, as one string of the digits 0-3."""
+    return (np.asarray(exponents, dtype=np.uint8) + 48).tobytes().decode("ascii")
 
 
 def reducibility_sum(group: PauliSubgroup) -> tuple[float, str]:

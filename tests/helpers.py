@@ -239,14 +239,30 @@ def reference_verify_dfs(group, basis, trials, seed) -> list[tuple]:
 V1_VALUE_NAMES = ("+1", "+i", "-1", "-i")
 
 
+def decode_z4_rows(rows: list[str]) -> np.ndarray:
+    """Schema v5 digit strings of equal width as a uint8 (rows, width)
+    matrix of Z4 exponents."""
+    digits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) - 48
+    return digits.reshape(len(rows), -1)
+
+
+def decode_amplitudes(amplitude: float, exponents: str) -> list[list[float]]:
+    """The [re, im] pair i^e * a of each digit e of a schema v5 basis
+    vector, a being the basis's ``amplitude``."""
+    pairs = ([amplitude, 0.0], [0.0, amplitude], [-amplitude, 0.0], [0.0, -amplitude])
+    return [pairs[int(e)] for e in exponents]
+
+
 def expand_v1(report: dict) -> dict:
-    """A schema v4 report written out in schema v1, under schema_version 1.
+    """A schema v5 report written out in schema v1, under schema_version 1.
 
     ``inputs`` gets back ``"dense_limit": 12`` right after ``seed``, where
     the removed option stood.  The character table gets back its element
-    strings and, per row, the named value i^k of every element,
-    k = exponents . coordinates[n] mod 4.  Each sparse basis vector becomes
-    2^K dense [re, im] pairs, [0.0, 0.0] off its support.
+    strings and, per character, the named value i^k of every element,
+    k = exponents . coordinates[n] mod 4, both read off their digit
+    strings.  Each basis vector becomes 2^K dense [re, im] pairs, i^e * a
+    at a ket of exponent e for the basis's ``amplitude`` a and [0.0, 0.0]
+    off its support, and the basis loses its ``amplitude``.
     """
     out = copy.deepcopy(report)
     out["schema_version"] = 1
@@ -255,34 +271,35 @@ def expand_v1(report: dict) -> dict:
     out["inputs"] = dict(items[:at] + [("dense_limit", 12)] + items[at:])
     if "character_table" in out:
         table = out["character_table"]
-        coordinates = np.array(table["coordinates"], dtype=np.int64)
-        coordinates = coordinates.reshape(len(table["coordinates"]), -1)
+        coordinates = decode_z4_rows(table["coordinates"]).astype(np.int64)
+        labels = decode_z4_rows(table["exponents"]).astype(np.int64)
         out["character_table"] = {
             "elements": out["subgroup"]["elements"],
             "rows": [
                 {
-                    "label": row["label"],
-                    "values": [
-                        V1_VALUE_NAMES[k]
-                        for k in (coordinates @ row["exponents"]) % 4
-                    ],
+                    "label": k + 1,
+                    "values": [V1_VALUE_NAMES[v] for v in coordinates @ row % 4],
                 }
-                for row in table["rows"]
+                for k, row in enumerate(labels)
             ],
         }
     dim = 1 << out["subgroup"]["n_qubits"]
     for entry in out.get("characters", []):
         if "basis" not in entry:
             continue
+        basis = entry["basis"]
+        amplitude = basis.pop("amplitude")
         dense = []
-        for vec in entry["basis"]["vectors"]:
+        for vec in basis["vectors"]:
             pairs = [[0.0, 0.0] for _ in range(dim)]
-            for ket_index, amplitude in zip(
-                vec["kets"], vec["amplitudes"], strict=True
+            for ket_index, pair in zip(
+                vec["kets"],
+                decode_amplitudes(amplitude, vec["exponents"]),
+                strict=True,
             ):
-                pairs[ket_index] = amplitude
+                pairs[ket_index] = pair
             dense.append(pairs)
-        entry["basis"]["vectors"] = dense
+        basis["vectors"] = dense
     return out
 
 

@@ -32,6 +32,8 @@ from paulidfs.subgroup import characters, closure
 from helpers import (
     V1_VALUE_NAMES,
     abelian_group,
+    decode_amplitudes,
+    decode_z4_rows,
     expand_v1,
     reference_characters,
     root_exponent,
@@ -107,7 +109,7 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "ZI", "IZ", "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert "dense_limit" not in report["inputs"]
         assert report["subgroup"]["order"] == 4
         assert len(report["characters"]) == 4
@@ -169,8 +171,9 @@ class TestAnalyze:
         phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
     )
     def test_v3_table_matches_dense_oracle(self, seed, n_qubits, phases):
-        """The values rebuilt from the generators, coordinates and label
-        rows of the JSON table are the oracle's characters, row by row."""
+        """The values rebuilt from the generators and the coordinate and
+        exponent digit strings of the JSON table are the oracle's
+        characters, row by row."""
         group = abelian_group(np.random.default_rng(seed), n_qubits, phases)
         strings = [format_pauli(g) for g in group.generators] or [
             format_pauli(identity(n_qubits))
@@ -179,14 +182,50 @@ class TestAnalyze:
         table = report["character_table"]
         r = len(table["generators"]) - 1
         assert 2**r <= group.order <= 4 * 2**r
-        assert len(table["coordinates"]) == len(table["rows"]) == group.order
-        assert all(len(row["exponents"]) == r + 1 for row in table["rows"])
+        rows = table["coordinates"] + table["exponents"]
+        assert len(table["coordinates"]) == len(table["exponents"]) == group.order
+        assert all(len(row) == r + 1 and set(row) <= set("0123") for row in rows)
         v1 = expand_v1(report)["character_table"]
         assert v1["elements"] == [format_pauli(e) for e in group.elements]
         assert [row["values"] for row in v1["rows"]] == [
             [V1_VALUE_NAMES[root_exponent(values[e])] for e in group.elements]
             for values in reference_characters(group)
         ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 6),
+        phases=st.sampled_from(["plus", "minus", "full"]),
+    )
+    def test_v5_digits_and_amplitudes_round_trip(self, seed, n_qubits, phases):
+        """The table's digit strings decode to the coordinate matrix and the
+        characters' exponents, and each basis vector's exponents and the
+        basis's amplitude decode to the [re, im] pairs of ``dfs_basis``,
+        bit for bit."""
+        group = abelian_group(np.random.default_rng(seed), n_qubits, phases)
+        strings = [format_pauli(g) for g in group.generators] or [
+            format_pauli(identity(n_qubits))
+        ]
+        report = json.loads(json.dumps(build_analysis_report(strings, 1, 0)))
+        table = report["character_table"]
+        chars = characters(group)
+        coordinates = decode_z4_rows(table["coordinates"])
+        assert np.array_equal(coordinates, group.coordinate_matrix)
+        labels = decode_z4_rows(table["exponents"]).tolist()
+        assert labels == [list(c.exponents) for c in chars]
+        for c, entry in zip(chars, report["characters"], strict=True):
+            if not entry["multiplicity"]:
+                assert "basis" not in entry
+                continue
+            basis, written = dfs_basis(group, c), entry["basis"]
+            assert written["amplitude"] > 0
+            for vec, kets, amplitudes in zip(
+                written["vectors"], basis.kets, basis.amplitudes, strict=True
+            ):
+                assert vec["kets"] == kets.tolist()
+                pairs = decode_amplitudes(written["amplitude"], vec["exponents"])
+                assert np.array(pairs).tobytes() == amplitudes.tobytes()
 
     def test_report_order_cap_refused_before_work(self, capsys):
         """Twice the report cap, as independent Z strings, is refused by the
@@ -306,9 +345,10 @@ class TestPreset:
         assert report["inputs"]["preset"] == "q2z"
         trivial = report["characters"][0]
         assert trivial["multiplicity"] == 2
+        assert trivial["basis"]["amplitude"] == 1.0
         assert trivial["basis"]["vectors"] == [
-            {"kets": [0], "amplitudes": [[1.0, 0.0]]},
-            {"kets": [15], "amplitudes": [[1.0, 0.0]]},
+            {"kets": [0], "exponents": "0"},
+            {"kets": [15], "exponents": "0"},
         ]
 
     def test_q4_paired_basis(self, capsys):
@@ -318,8 +358,8 @@ class TestPreset:
         assert trivial["multiplicity"] == 4
         vectors = trivial["basis"]["vectors"]
         assert [vec["kets"] for vec in vectors] == [[0, 15], [3, 12], [5, 10], [6, 9]]
-        for vec in vectors:
-            assert all(abs(re) + abs(im) > 1e-12 for re, im in vec["amplitudes"])
+        assert [vec["exponents"] for vec in vectors] == ["00"] * 4
+        assert trivial["basis"]["amplitude"] == pytest.approx(0.5**0.5, abs=1e-15)
 
     def test_q8_extras(self, capsys):
         code, out, _ = run_cli(capsys, "preset", "q8", "--json", "--trials", "4")
@@ -451,7 +491,7 @@ class TestEmit:
     def test_emission_memory_bounded(self, capsys, monkeypatch):
         """Writing a report of several MB holds a small share of it: the
         document is never joined whole, nor are all its chunks kept."""
-        report = build_analysis_report(z_strings(14, 15), 1, 0)
+        report = build_analysis_report(z_strings(15, 16), 1, 0)
         sink = _CountingSink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
@@ -460,7 +500,7 @@ class TestEmit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert sink.size >= 5_000_000
+        assert sink.size >= 4_000_000
         assert peak < sink.size / 4, (peak, sink.size)
 
     def test_memory_error_while_writing_is_numeric_failure(
@@ -662,6 +702,24 @@ class TestChannel:
         )
         assert code == 0
         assert "channel scan: 2 trials" in out
+        assert "elements:" not in out
+
+    def test_report_lists_no_elements(self, capsys):
+        """A channel report keeps the subgroup's order and generators but
+        not its elements, and is written as ``json.dumps`` writes it."""
+        code, out, _ = run_cli(
+            capsys, "channel", "ZI", "IZ", "--state", "|00>", "--json",
+            "--trials", "2",
+        )
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        assert json.loads(out)["subgroup"] == {
+            "n_qubits": 2,
+            "generators": ["+ZI", "+IZ"],
+            "order": 4,
+            "is_abelian": True,
+            "contains_minus_identity": False,
+        }
 
     def test_usage_error_exit_one(self, capsys):
         with pytest.raises(SystemExit) as exc:

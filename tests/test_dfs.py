@@ -256,10 +256,36 @@ class TestDfsBasis:
     def test_json_shape(self, q2z):
         data = dfs_basis(q2z, characters(q2z)[0]).to_json_dict()
         assert data["multiplicity"] == 2
+        assert data["amplitude"] == 1.0
         assert data["vectors"] == [
-            {"kets": [0], "amplitudes": [[1.0, 0.0]]},
-            {"kets": [15], "amplitudes": [[1.0, 0.0]]},
+            {"kets": [0], "exponents": "0"},
+            {"kets": [15], "exponents": "0"},
         ]
+
+    def test_json_reads_powers_of_i(self, qx):
+        """A hand-built basis of one modulus times powers of i is written
+        as those powers."""
+        vector = dfs_basis(qx, characters(qx)[0]).vectors[0]
+        basis = DfsBasis.from_vectors(characters(qx)[0], (1j * vector, -vector))
+        data = basis.to_json_dict()
+        assert data["amplitude"] == abs(vector[0])
+        assert [v["exponents"] for v in data["vectors"]] == ["1111", "2222"]
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            [0.6 * ket("0000") + 0.8 * ket("1111")],
+            [(ket("0000") + np.exp(0.25j * np.pi) * ket("1111")) / np.sqrt(2)],
+            [ket("0000"), 2 * ket("1111")],
+        ],
+        ids=["two-moduli", "eighth-root", "moduli-across-vectors"],
+    )
+    def test_json_rejects_other_amplitudes(self, qx, vectors):
+        """Only a hand-built basis can have amplitudes that are not one
+        modulus times powers of i; it has no JSON form."""
+        basis = DfsBasis.from_vectors(characters(qx)[0], vectors)
+        with pytest.raises(ValueError, match="one modulus times powers of i"):
+            basis.to_json_dict()
 
 
 class TestVerifyDfs:
