@@ -16,12 +16,21 @@ is built.  The dense construction is kept in the tests as the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dfs import _ROOT_VALUES
-from .pauli import _parity, _require_dense, format_pauli, parse_pauli, to_matrix
+from .pauli import (
+    PauliElement,
+    _parity,
+    _require_dense,
+    action_arrays,
+    format_paulis,
+    parse_pauli,
+    subset_products,
+    to_matrix,
+)
 from .subgroup import PauliSubgroup, SiftedGenerators
 
 KRAUS_NORM_TOL = 1e-9
@@ -34,7 +43,7 @@ DEGENERATE_S_TOL = 1e-12
 IRREP_WEIGHT_TOL = 1e-10
 #: Largest work of one channel scan (``require_scan_work``).  At the cap,
 #: 14 trials of nine X, Z pairs at K = 10 (D = 2^18, 2^9 x 2^9 blocks) took
-#: 18.7 s and 245 MB, and 131 008 trials of ZI IZ 30.4 s and 49 MB (2-vCPU
+#: 12.5 s and 168 MB, and 131 008 trials of ZI IZ 30.4 s and 49 MB (2-vCPU
 #: VM, one BLAS thread).
 SCAN_WORK_CAP = 1 << 32
 #: Work charged to each trial besides its draw and blocks, so that the
@@ -90,17 +99,11 @@ class KrausSet:
     def to_json_dict(self) -> dict:
         out: dict = {"n_qubits": self.n_qubits}
         if self.group is not None:
-            out["subgroup"] = [format_pauli(e) for e in self.group.elements]
-        if self.coefficients is not None:
-            out["operators"] = [
-                [[float(a.real), float(a.imag)] for a in row]
-                for row in self.coefficients
-            ]
-        else:
-            out["operators"] = [
-                [[float(a.real), float(a.imag)] for a in op.ravel()]
-                for op in self.operators
-            ]
+            out["subgroup"] = format_paulis(self.group.action_arrays, self.n_qubits)
+        rows = self.coefficients
+        if rows is None:
+            rows = [op.ravel() for op in self.operators]
+        out["operators"] = [[[float(a.real), float(a.imag)] for a in r] for r in rows]
         return out
 
 
@@ -190,31 +193,27 @@ class _BlockBasis:
         sifted, n = group.sifted, group.n_qubits
         central, pairs = sifted.normal_form
         c, h = len(central), len(pairs)
-        # the strings' action arrays and pivot masks, by doubling:
-        # V_(t | 1 << i) = V_t G_i
-        x = z = phase = masks = np.zeros(1, dtype=np.int64)
+        # the strings, V_(t | 1 << i) = V_t G_i, by one ``subset_products``
+        strings = []
         for mask in (*central, *(p for p, _ in pairs), *(q for _, q in pairs)):
             gx = gz = 0
             for j, b in enumerate(sifted.pivots):
                 if mask >> j & 1:
                     gx, gz = gx ^ b.x_mask, gz ^ b.z_mask
-            flips = (gx & gz).bit_count() + 2 * _parity(z & gx)
-            x, z = np.concatenate([x, x ^ gx]), np.concatenate([z, z ^ gz])
-            phase = np.concatenate([phase, (phase + flips) % 4])
-            masks = np.concatenate([masks, masks ^ mask])
-        self.actions = x, z, phase
-        # element n is u^m times the pivots its coordinate row selects, on
-        # the string V_t with that pivot mask; sorting by (t, m) needs no sort
-        string = np.empty_like(masks)
-        string[masks] = np.arange(len(masks))
-        rows = group.coordinate_matrix.astype(np.int64)
-        selected = rows[:, 1:] // 3 << np.arange(len(sifted.pivots))
-        self.string_of = string[selected.sum(axis=1)]
-        relative = group.action_arrays.phase - phase[self.string_of]
-        self.phase_of = _ROOT_VALUES[relative % 4]
+            strings.append(PauliElement(0, gx, gz, n))
+        start = action_arrays([PauliElement(0, 0, 0, n)], n)
+        factors = action_arrays(strings, n)
+        self.actions = x, z, phase = subset_products(start, factors).dense()
+        # element n is i^q_n times the string with its masks, and u^m its
+        # phase part: sorting by (t, m) needs no sort
+        keys = x << n | z
+        by_key = np.argsort(keys)
+        ex, ez, ephase = group.action_arrays.dense()
+        self.string_of = by_key[np.searchsorted(keys[by_key], ex << n | ez)]
+        self.phase_of = _ROOT_VALUES[(ephase - phase[self.string_of]) % 4]
         self.phase_count = group.order >> (c + 2 * h)
         self.by_string = np.empty(group.order, dtype=np.int64)
-        order = self.string_of * self.phase_count + rows[:, 0]
+        order = self.string_of * self.phase_count + group.coordinate_matrix[:, 0]
         self.by_string[order] = np.arange(group.order)
         self.multiplicity, self.identity = 1 << (n - c - h), np.eye(1 << h)
         self._bits = [*range(c), *range(c + h, c + 2 * h)]
@@ -377,10 +376,7 @@ class ScanReport:
         return min(self.fidelities)
 
     def to_json_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "n_ops": self.n_ops,
+        return asdict(self) | {
             "purities": list(self.purities),
             "fidelities": list(self.fidelities),
             "min_purity": self.min_purity,
@@ -536,14 +532,7 @@ class ProbeReport:
     failure_threshold: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "draws": self.draws,
-            "unconstrained_failures": self.unconstrained_failures,
-            "constrained_failures": self.constrained_failures,
-            "min_unconstrained_residual": self.min_unconstrained_residual,
-            "max_constrained_residual": self.max_constrained_residual,
-            "failure_threshold": self.failure_threshold,
-        }
+        return asdict(self)
 
 
 def q8_genericity_probe(

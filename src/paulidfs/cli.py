@@ -1,6 +1,13 @@
 """Command-line front end: subgroup analysis, worked-example presets and
 channel scans, with deterministic JSON or human-readable text output.
 
+Every command parses and sifts its generators first (a string that starts
+with a minus goes after ``--``) and checks its bounds on the sift: an
+Abelian ``analyze``/``preset`` order above ``REPORT_ORDER_CAP``, and a
+``channel`` input above ``DENSE_QUBIT_LIMIT`` qubits or whose scan work,
+trials included, exceeds ``channels.SCAN_WORK_CAP``, are refused before
+the closure enumerates a single element.
+
 The ``analyze``/``preset`` report has O(N * r) size for a subgroup of order
 N with r sifted pivots, and writes every Z4 row as one string of the digits
 0-3.  Its ``character_table`` lists the sifted ``generators`` u = i^e I,
@@ -9,24 +16,16 @@ b_1, ..., b_r, one ``coordinates`` string "m k_1 ... k_r" per entry of
 character, row k for label k + 1, with
 chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  Each DFS basis
 has one ``amplitude`` a, and each of its vectors its ``kets`` and an
-``exponents`` string: ket j has amplitude i^e_j * a.  An Abelian order
-above ``REPORT_ORDER_CAP`` is refused before any element is built.
-What a report computes follows from its input alone: reducibility and the
-DFS bases need K <= ``DENSE_QUBIT_LIMIT``, and the bases also need their
-2^K * |V_X| kets, read off the sift, within ``BASIS_KET_CAP``.  Each basis
-is checked on the r + 1 sifted generators (``dfs.verify_on_generators``),
-so ``--trials`` drives only the ``channel`` scan: ``analyze`` and
-``preset`` just record it under ``inputs``.  A ``channel`` input above
-``DENSE_QUBIT_LIMIT`` qubits, or whose scan work, trials included, exceeds
-``channels.SCAN_WORK_CAP``, is refused before its closure is built; every
-group is scanned in one block basis, and its report gives the subgroup's
-order and generators but not its elements.
+``exponents`` string: ket j has amplitude i^e_j * a.  Reducibility and the
+bases need K <= ``DENSE_QUBIT_LIMIT``, and the bases their 2^K * |V_X|
+kets, read off the sift, within ``BASIS_KET_CAP``.  Each basis is checked
+on the r + 1 sifted generators, so ``--trials`` drives only the ``channel``
+scan, whose report gives the subgroup's order and generators but not its
+elements.
 
-``--json`` writes the bytes of ``json.dumps(report, indent=2)``: the
-stdlib encoder's chunks go to stdout in pieces of ``EMIT_FLUSH_CHARS``
-characters, so the document is never held whole.  The ``paulidfs`` script
-and ``python -m paulidfs.cli`` both enter through ``run``, which freezes
-the garbage collector after ``main`` returns.
+``--json`` writes the bytes of ``json.dumps(report, indent=2)`` in pieces
+of at least ``EMIT_FLUSH_CHARS`` characters, never the document whole.
+``paulidfs`` and ``python -m paulidfs.cli`` both enter through ``run``.
 
 Exit codes: 0 success, 1 usage or input error (or stdout closed before the
 whole report was written), 2 analysis refusal (non-Abelian subgroup under
@@ -37,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import itertools
 import json
 import math
 import os
@@ -77,6 +77,7 @@ from .subgroup import (
     characters,
     closure,
     reducibility_sum,
+    sift_generators,
     z4_digits,
 )
 
@@ -84,7 +85,7 @@ SCHEMA_VERSION = 5
 
 #: Largest Abelian order ``analyze`` and ``preset`` report on; a non-Abelian
 #: report has no character table.  On a 2-vCPU VM, ``analyze --json`` took
-#: 1.4-2.2 s and 117 MB at order 2^16, and 2.5-4.0 s and 209 MB at 2^17.
+#: 1.4-1.8 s and 114 MB at order 2^16, and 2.1-2.9 s and 191 MB at 2^17.
 REPORT_ORDER_CAP = 1 << 16
 
 #: Largest number of kets, 2^K * |V_X| over all supported characters'
@@ -96,12 +97,9 @@ BASIS_KET_CAP = 1 << 21
 #: Characters of ``--json`` text gathered into one stdout write: one write
 #: per encoder chunk doubled the emission time at order 2^16 with stdout
 #: unbuffered, one write for the whole document held two to three copies
-#: of it.
+#: of it.  The encoder's chunks are joined ``_EMIT_BATCH_CHUNKS`` at a time.
 EMIT_FLUSH_CHARS = 1 << 16
-
-
-def _state_json(state: np.ndarray) -> list:
-    return [[float(a.real), float(a.imag)] for a in state]
+_EMIT_BATCH_CHUNKS = 1 << 10
 
 
 KET_TERM = re.compile(
@@ -179,10 +177,9 @@ def build_analysis_report(
     generator_strings: list[str], trials: int, seed: int
 ) -> dict:
     generators = [parse_pauli(s) for s in generator_strings]
-    group = closure(
-        generators,
-        order_cap=lambda s: REPORT_ORDER_CAP if s.is_abelian else DEFAULT_ORDER_CAP,
-    )
+    abelian = sift_generators(generators).is_abelian
+    cap = REPORT_ORDER_CAP if abelian else DEFAULT_ORDER_CAP
+    group = closure(generators, order_cap=cap)
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -265,13 +262,9 @@ def build_channel_report(
     seed: int,
 ) -> dict:
     generators = [parse_pauli(s) for s in generator_strings]
-
-    def order_cap(sifted: SiftedGenerators) -> int:
-        # K and the scan's work are read off the sift, before any element
-        require_scan_work(sifted, trials)
-        return DEFAULT_ORDER_CAP
-
-    group = closure(generators, order_cap=order_cap)
+    # K and the scan's work are read off the sift, before any element
+    require_scan_work(sift_generators(generators), trials)
+    group = closure(generators)
     state = parse_state_spec(state_spec, n_qubits=group.n_qubits)
     scan = decoherence_scan(group, state, trials=trials, seed=seed)
     return {
@@ -284,7 +277,7 @@ def build_channel_report(
             "seed": seed,
         },
         "subgroup": group.to_json_dict(elements=False),
-        "state": _state_json(state),
+        "state": [[float(a.real), float(a.imag)] for a in state],
         "scan": scan.to_json_dict(),
     }
 
@@ -388,6 +381,9 @@ def _split_generators(raw: list[str]) -> list[str]:
     return out
 
 
+_GENERATORS_HELP = "Pauli strings, put after -- if one starts with -: -- XX -ZZ"
+
+
 def _add_common(sub: argparse.ArgumentParser):
     trials = "random channels per channel scan; analyze and preset only record it"
     sub.add_argument("--trials", type=int, default=32, help=trials)
@@ -411,7 +407,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = commands.add_parser(
         "analyze", help="close a generator set and characterize its DFSs"
     )
-    analyze.add_argument("generators", nargs="+", help="Pauli strings")
+    analyze.add_argument("generators", nargs="+", help=_GENERATORS_HELP)
     analyze.add_argument(
         "--require-dfs",
         action="store_true",
@@ -429,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     channel = commands.add_parser(
         "channel", help="purity scan of random group-algebra channels"
     )
-    channel.add_argument("generators", nargs="+", help="Pauli strings")
+    channel.add_argument("generators", nargs="+", help=_GENERATORS_HELP)
     channel.add_argument(
         "--state", required=True, help='initial state, e.g. "0.7|00>+0.7|11>"'
     )
@@ -443,19 +439,16 @@ def _flush(text: str):
 
 def _write_json(value):
     """Write ``json.dumps(value, indent=2) + "\n"`` through ``_flush``, the
-    stdlib encoder's chunks gathered into pieces of at least
+    stdlib encoder's chunks gathered in batches into pieces of at least
     ``EMIT_FLUSH_CHARS`` characters (the last aside)."""
-    pending: list[str] = []
-    held = 0
-    for chunk in json.JSONEncoder(indent=2).iterencode(value):
-        pending.append(chunk)
-        held += len(chunk)
-        if held >= EMIT_FLUSH_CHARS:
-            _flush("".join(pending))
-            pending.clear()
-            held = 0
-    pending.append("\n")
-    _flush("".join(pending))
+    chunks = json.JSONEncoder(indent=2).iterencode(value)
+    text = ""
+    while batch := list(itertools.islice(chunks, _EMIT_BATCH_CHUNKS)):
+        text += "".join(batch)
+        if len(text) >= EMIT_FLUSH_CHARS:
+            _flush(text)
+            text = ""
+    _flush(text + "\n")
 
 
 def _emit(report: dict, as_json: bool, elapsed_s: float):

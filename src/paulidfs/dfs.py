@@ -234,7 +234,7 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
         raise AssertionError(
             f"basis extraction found {len(seeds)} seed kets, expected {target}"
         )
-    _, z, phase = group.action_arrays
+    _, z, phase = group.action_arrays.dense()
     span, first = group.x_span
     chi = group.coordinate_matrix[first] @ np.array(character.exponents, np.uint8)
     exponents = (phase[first] - chi % 4 + 2 * _parity(seeds[:, None] & z[first])) % 4
@@ -293,7 +293,7 @@ def _apply_on_closures(
     images A v on those keys, and where each vector's keys start.
     """
     n = group.n_qubits
-    x, z, phase = actions
+    x, z, phase = actions.dense()
     span, _ = group.x_span
     owners = np.repeat(np.arange(len(basis.kets)), [len(k) for k in basis.kets])
     support = owners << n | np.concatenate(basis.kets)

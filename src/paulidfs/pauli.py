@@ -159,27 +159,15 @@ def format_pauli(p: PauliElement) -> str:
 _LETTER_CODES = np.array([ord(c) for c in "IXZY"], dtype=np.uint32)
 
 
-def format_paulis(elements: Sequence[PauliElement], n_qubits: int) -> list[str]:
-    """``format_pauli`` of every element on ``n_qubits`` qubits, in order.
-
-    The masks go through ``int.to_bytes`` and ``np.unpackbits``, so any
-    qubit count works, and all letters are looked up in one array pass.
-    """
-    width = (n_qubits + 7) // 8
-
-    def bits(masks) -> np.ndarray:
-        raw = b"".join(mask.to_bytes(width, "big") for mask in masks)
-        rows = np.frombuffer(raw, dtype=np.uint8).reshape(-1, width)
-        return np.unpackbits(rows, axis=1)[:, 8 * width - n_qubits :]
-
-    codes = _LETTER_CODES[
-        bits(p.x_mask for p in elements) + 2 * bits(p.z_mask for p in elements)
-    ]
-    bodies = codes.view(np.dtype((np.str_, n_qubits)))
-    return [
-        _SIGN_BY_PHASE[p.phase_exp] + body
-        for p, body in zip(elements, bodies[:, 0].tolist(), strict=True)
-    ]
+def format_paulis(columns: ActionArrays, n_qubits: int) -> list[str]:
+    """``format_pauli`` of every row of ``columns`` on ``n_qubits`` qubits,
+    all letters looked up in one array pass over the unpacked mask words."""
+    masks = np.stack([columns.x, columns.z], axis=1).view(np.uint8)
+    bits = np.unpackbits(masks, axis=2, bitorder="little")[..., n_qubits - 1 :: -1]
+    codes = _LETTER_CODES[bits[:, 0] + 2 * bits[:, 1]]
+    bodies = codes.view(np.dtype((np.str_, n_qubits)))[:, 0].tolist()
+    signs = [_SIGN_BY_PHASE[p] for p in columns.phase_exps().tolist()]
+    return [sign + body for sign, body in zip(signs, bodies, strict=True)]
 
 
 def _require_same_qubits(p: PauliElement, q: PauliElement):
@@ -228,12 +216,18 @@ def adjoint(p: PauliElement) -> PauliElement:
     return PauliElement((-p.phase_exp) % 4, p.x_mask, p.z_mask, p.n_qubits)
 
 
+def _bit_counts(values: np.ndarray) -> np.ndarray:
+    """Set bits of each entry of a non-negative integer array, summed by
+    bit pairs, nibbles and bytes."""
+    values = values - (values >> 1 & 0x5555555555555555)
+    values = (values & 0x3333333333333333) + (values >> 2 & 0x3333333333333333)
+    values = (values + (values >> 4)) & 0x0F0F0F0F0F0F0F0F
+    return values * 0x0101010101010101 >> 56
+
+
 def _parity(values: np.ndarray) -> np.ndarray:
-    """Bitwise parity of each entry of an integer array."""
-    values = values.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        values ^= values >> shift
-    return values & 1
+    """Bitwise parity of each entry of a non-negative integer array."""
+    return _bit_counts(values) & 1
 
 
 def matrix_action(p: PauliElement) -> tuple[np.ndarray, np.ndarray]:
@@ -251,24 +245,67 @@ def matrix_action(p: PauliElement) -> tuple[np.ndarray, np.ndarray]:
     return rows, global_phase * signs
 
 
-class ActionArrays(NamedTuple):
-    """``matrix_action`` of a sequence of elements, as int64 arrays.
+#: Mask words: little-endian uint64, least significant word first.
+_WORD = np.dtype("<u8")
 
-    Element n maps |b> to i^phase[n] (-1)^parity(b & z[n]) |b XOR x[n]>.
+
+class ActionArrays(NamedTuple):
+    """Pauli elements as columns: element n is i^phase[n] X^x[n] Z^z[n], so
+    it maps |b> to i^phase[n] (-1)^parity(b & z[n]) |b XOR x[n]>.
+
+    ``x`` and ``z`` are (N, W) arrays of ``_WORD``, W = ceil(K / 64) words
+    per mask for K qubits; ``phase`` is uint8, reduced mod 4.
     """
 
     x: np.ndarray
     z: np.ndarray
     phase: np.ndarray
 
+    def phase_exps(self) -> np.ndarray:
+        """Each element's ``phase_exp``: ``phase`` less its count of Y's."""
+        y_count = _bit_counts(self.x & self.z).sum(axis=1)
+        return ((self.phase - y_count) % 4).astype(np.uint8)
 
-def action_arrays(elements) -> ActionArrays:
+    def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(x, z, phase)``, masks as int64 views: for K <= 63 qubits."""
+        return self.x[:, 0].view(np.int64), self.z[:, 0].view(np.int64), self.phase
+
+    def elements(self, n_qubits: int) -> list[PauliElement]:
+        """One ``PauliElement`` per row, in order."""
+        raw, size = np.stack([self.x, self.z], axis=1).tobytes(), 8 * self.x.shape[1]
+        starts = range(0, len(raw), size)
+        masks = [int.from_bytes(raw[at : at + size], "little") for at in starts]
+        rows = zip(self.phase_exps().tolist(), masks[0::2], masks[1::2])
+        return [PauliElement(p, x, z, n_qubits) for p, x, z in rows]
+
+
+def action_arrays(elements: Sequence[PauliElement], n_qubits: int) -> ActionArrays:
     """One ``ActionArrays`` for all of ``elements``, in their order."""
-    rows = [
-        (p.x_mask, p.z_mask, (p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4)
-        for p in elements
-    ]
-    x, z, phase = np.array(rows, dtype=np.int64).reshape(-1, 3).T
+    size = 8 * ((n_qubits + 63) // 64)
+    masks = (m.to_bytes(size, "little") for p in elements for m in (p.x_mask, p.z_mask))
+    words = np.frombuffer(b"".join(masks), dtype=_WORD).reshape(-1, 2, size // 8)
+    phase = [(p.phase_exp + (p.x_mask & p.z_mask).bit_count()) % 4 for p in elements]
+    return ActionArrays(words[:, 0], words[:, 1], np.array(phase, dtype=np.uint8))
+
+
+def subset_products(rows: ActionArrays, factors: ActionArrays) -> ActionArrays:
+    """``rows`` times every product of a subset of ``factors``, as columns.
+
+    Row t * len(rows) + i of the result is rows[i] f_0^t_0 f_1^t_1 ...,
+    with f_j row j of ``factors`` and t_j bit j of t: each factor in turn
+    multiplies every row built so far on the right, in one array pass.
+    """
+    size = len(rows.phase)
+    x = np.empty((size << len(factors.phase), rows.x.shape[1]), dtype=_WORD)
+    z, phase = np.empty_like(x), np.empty(len(x), dtype=np.uint8)
+    x[:size], z[:size], phase[:size] = rows
+    for fx, fz, fphase in zip(*factors):
+        np.bitwise_xor(x[:size], fx, out=x[size : 2 * size])
+        np.bitwise_xor(z[:size], fz, out=z[size : 2 * size])
+        # i^a X^x Z^z i^b X^u Z^v = i^(a + b) (-1)^|z & u| X^(x ^ u) Z^(z ^ v)
+        flips = 2 * (_bit_counts(z[:size] & fx).sum(axis=1) & 1)
+        phase[size : 2 * size] = (phase[:size] + fphase + flips) % 4
+        size *= 2
     return ActionArrays(x, z, phase)
 
 
@@ -305,8 +342,3 @@ def algebra_action(actions, coefficients, block) -> np.ndarray:
     for a, (rows, values) in zip(coefficients, actions, strict=True):
         out += (a * values[rows]).reshape(column) * block[rows]
     return out
-
-
-def canonical_key(p: PauliElement) -> tuple[int, int, int]:
-    """Sort key fixing the deterministic element order used everywhere."""
-    return (p.phase_exp, p.x_mask, p.z_mask)

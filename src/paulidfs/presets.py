@@ -47,16 +47,10 @@ def preset_group(name: str) -> PauliSubgroup:
     return closure(preset_generators(name))
 
 
-def basis_state(index: int, n_qubits: int) -> np.ndarray:
-    """Computational basis ket |index> on n_qubits (qubit 1 = MSB)."""
-    state = np.zeros(1 << n_qubits, dtype=complex)
-    state[index] = 1.0
-    return state
-
-
 def _kets(bit_strings: tuple[str, ...]) -> tuple[np.ndarray, ...]:
-    n = len(bit_strings[0])
-    return tuple(basis_state(int(bits, 2), n) for bits in bit_strings)
+    """Computational basis kets, qubit 1 the most significant bit."""
+    identity = np.eye(1 << len(bit_strings[0]), dtype=complex)
+    return tuple(identity[int(bits, 2)].copy() for bits in bit_strings)
 
 
 def q8_code_states() -> tuple[np.ndarray, ...]:

@@ -7,8 +7,9 @@ the commutator -I of any anticommuting pair of pivots, so every element is
 uniquely u^m * b_r^(-eps_r) * ... * b_1^(-eps_1) and the order is
 N = |Z| * 2^r for every subgroup, Abelian or not.  The order, the flags
 (Abelian, contains -I, contains iI), the phase subgroup and each element's
-coordinates are all read off that form; the closure enumerates the
-elements only after the order has been checked against its cap.
+coordinates are all read off that form.  Once the order has passed its
+cap, the closure enumerates the elements as columns (``pauli.ActionArrays``),
+and element objects are built only when a caller asks for them.
 
 A character is stored as its label over the sifted form, a Z4 exponent
 for u and for each pivot, and its values on group elements follow from the
@@ -20,7 +21,7 @@ involved, so the same code works far beyond the dense-matrix limit.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul as int_mul
@@ -34,10 +35,10 @@ from .pauli import (
     _parity,
     action_arrays,
     adjoint,
-    canonical_key,
     commutes,
     format_paulis,
     mul,
+    subset_products,
 )
 
 #: Hard ceiling on closure size; a subgroup of P_K never needs more than
@@ -60,24 +61,29 @@ class NotAbelianError(ValueError):
 class PauliSubgroup:
     """A multiplicatively closed set of Pauli elements.
 
-    ``elements`` is sorted by ``canonical_key`` so iteration order, JSON
-    output and downstream reports are reproducible.  ``sifted`` is the
-    canonical form the elements were enumerated from, and row n of the
-    read-only uint8 (N, r + 1) ``coordinate_matrix`` holds the exponents
-    (m, k_1, ..., k_r) of element n, with p = u^m * b_r^k_r * ... * b_1^k_1
-    over ``sifted``; each k_j is 0 or 3, since a Pauli element's inverse is
-    its cube.
+    The elements are sorted by (phase_exp, x_mask, z_mask) so iteration
+    order, JSON output and downstream reports are reproducible.  Row n of the
+    read-only ``action_arrays`` is element n as columns, and row n of the
+    read-only uint8 (N, r + 1) ``coordinate_matrix`` holds its exponents
+    (m, k_1, ..., k_r), with p = u^m * b_r^k_r * ... * b_1^k_1 over
+    ``sifted``, the canonical form the elements were enumerated from; each
+    k_j is 0 or 3, since a Pauli element's inverse is its cube.
     """
 
     n_qubits: int
-    elements: tuple[PauliElement, ...]
     generators: tuple[PauliElement, ...]
     sifted: SiftedGenerators
+    action_arrays: ActionArrays = field(repr=False, compare=False)
     coordinate_matrix: np.ndarray = field(repr=False, compare=False)
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.coordinate_matrix)
+
+    @cached_property
+    def elements(self) -> tuple[PauliElement, ...]:
+        """The elements in canonical order, built on first use."""
+        return tuple(self.action_arrays.elements(self.n_qubits))
 
     @property
     def is_abelian(self) -> bool:
@@ -95,20 +101,15 @@ class PauliSubgroup:
         return p in self.element_coordinates
 
     @cached_property
-    def action_arrays(self) -> ActionArrays:
-        """The elements' ``action_arrays``, built once per subgroup."""
-        return action_arrays(self.elements)
-
-    @cached_property
     def sifted_action_arrays(self) -> ActionArrays:
         """The ``action_arrays`` of ``sifted.generators``, built once."""
-        return action_arrays(self.sifted.generators)
+        return action_arrays(self.sifted.generators, self.n_qubits)
 
     @cached_property
     def x_span(self) -> tuple[np.ndarray, np.ndarray]:
-        """The X-span V_X: the distinct x masks of ``action_arrays`` in
+        """The X-span V_X of a dense subgroup: the distinct x masks in
         increasing order, and for each the index of its first element."""
-        span, first = np.unique(self.action_arrays.x, return_index=True)
+        span, first = np.unique(self.action_arrays.dense()[0], return_index=True)
         span.flags.writeable = first.flags.writeable = False
         return span, first
 
@@ -145,12 +146,13 @@ class PauliSubgroup:
 
     def to_json_dict(self, elements: bool = True) -> dict:
         """The subgroup's strings and flags, its elements only if asked."""
+        n = self.n_qubits
         out = {
-            "n_qubits": self.n_qubits,
-            "generators": format_paulis(self.generators, self.n_qubits),
+            "n_qubits": n,
+            "generators": format_paulis(action_arrays(self.generators, n), n),
         }
         if elements:
-            out["elements"] = format_paulis(self.elements, self.n_qubits)
+            out["elements"] = format_paulis(self.action_arrays, n)
         return out | {
             "order": self.order,
             "is_abelian": self.is_abelian,
@@ -159,70 +161,52 @@ class PauliSubgroup:
 
 
 def closure(
-    generators: list[PauliElement] | tuple[PauliElement, ...],
+    generators: Sequence[PauliElement],
     n_qubits: int | None = None,
-    order_cap: int | Callable[[SiftedGenerators], int] = DEFAULT_ORDER_CAP,
+    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> PauliSubgroup:
     """Smallest subgroup containing ``generators``.
 
     The generators are sifted first, which fixes the order N = |Z| * 2^r;
     only then are the N elements u^m * b_r^(-eps_r) * ... * b_1^(-eps_1)
-    enumerated, by right multiplication with the pivots' adjoints.  An
-    empty generator list needs an explicit ``n_qubits``.
+    enumerated, as columns, by ``subset_products`` of the pivots' adjoints,
+    and put in canonical order by one ``np.lexsort``.  An empty generator
+    list needs an explicit ``n_qubits``.
 
     Raises:
-        QubitCountError: generators act on different qubit counts, or no
-            count is available for an empty list.
-        ClosureCapError: the order exceeds ``order_cap``, or
-            ``order_cap(sifted)`` if callable; raised before enumeration.
+        QubitCountError: no single qubit count (see ``sift_generators``).
+        ClosureCapError: the order exceeds ``order_cap``, before enumeration.
     """
     generators = tuple(generators)
-    if generators:
-        n = generators[0].n_qubits
-        for g in generators[1:]:
-            if g.n_qubits != n:
-                raise QubitCountError(
-                    f"mixed qubit counts in generators: {n} vs {g.n_qubits}"
-                )
-        if n_qubits is not None and n_qubits != n:
-            raise QubitCountError(
-                f"generators act on {n} qubits, n_qubits says {n_qubits}"
-            )
-    elif n_qubits is None:
-        raise QubitCountError("empty generator list requires n_qubits")
-    else:
-        n = n_qubits
-
-    sifted = sift_generators(generators, n)
-    r = len(sifted.pivots)
+    sifted = sift_generators(generators, n_qubits)
+    n, r = sifted.n_qubits, len(sifted.pivots)
     order = sifted.phase_subgroup_size << r
-    order_cap = order_cap(sifted) if callable(order_cap) else order_cap
     if order > order_cap:
         raise ClosureCapError(
             f"closure order {order} exceeds the order cap of {order_cap}"
         )
-    # pivot inverses are appended from b_r down to b_1, the reverse of the
-    # order in which decompose strips them, so the coordinates stay exact
-    # when pivots anticommute.  Enumeration position t thus holds
+    # pivot inverses are multiplied in from b_r down to b_1, the reverse of
+    # the order in which decompose strips them, so the coordinates stay
+    # exact when pivots anticommute.  Enumeration position t thus holds
     # u^(t mod |Z|) times the inverse of b_j exactly where bit r - j of
     # t // |Z| is set; an inverse is a cube, hence the 3.
-    enumerated = list(sifted.phase_subgroup)
-    for j in reversed(range(r)):
-        inverse = adjoint(sifted.pivots[j])
-        enumerated += [mul(p, inverse) for p in enumerated]
-    positions = sorted(range(order), key=lambda t: canonical_key(enumerated[t]))
-    stripes = np.array(positions, dtype=np.int64)
+    inverses = action_arrays([adjoint(b) for b in reversed(sifted.pivots)], n)
+    columns = subset_products(action_arrays(sifted.phase_subgroup, n), inverses)
+    # the last key sorts first: phase, then x and z, high words first
+    stripes = np.lexsort((*columns.z.T, *columns.x.T, columns.phase_exps()))
+    columns = ActionArrays(*(column[stripes] for column in columns))
     coordinates = np.empty((order, r + 1), dtype=np.uint8)
     coordinates[:, 0] = stripes % sifted.phase_subgroup_size
     stripes //= sifted.phase_subgroup_size
     for j in range(1, r + 1):
         coordinates[:, j] = 3 * ((stripes >> (r - j)) & 1)
-    coordinates.flags.writeable = False
+    for array in (*columns, coordinates):
+        array.flags.writeable = False
     return PauliSubgroup(
         n_qubits=n,
-        elements=tuple(enumerated[t] for t in positions),
         generators=generators,
         sifted=sifted,
+        action_arrays=columns,
         coordinate_matrix=coordinates,
     )
 
@@ -297,10 +281,6 @@ class SiftedGenerators:
         return tuple(central), tuple(pairs)
 
 
-def _vector_key(p: PauliElement) -> int:
-    return (p.x_mask << p.n_qubits) | p.z_mask
-
-
 def _sift_into(
     p: PauliElement, pivots: dict[int, PauliElement], phase_step: int
 ) -> int:
@@ -314,7 +294,7 @@ def _sift_into(
     """
     w = p
     while True:
-        vec = _vector_key(w)
+        vec = (w.x_mask << w.n_qubits) | w.z_mask
         if vec == 0:
             return math.gcd(phase_step, w.phase_exp)
         bit = vec.bit_length() - 1
@@ -325,13 +305,22 @@ def _sift_into(
 
 
 def sift_generators(
-    generators: tuple[PauliElement, ...], n_qubits: int
+    generators: Sequence[PauliElement], n_qubits: int | None = None
 ) -> SiftedGenerators:
     """Greedy Gaussian sift of generators over the symplectic bit space.
 
     The commutator of an anticommuting pair of pivots is -I, which then
-    joins the phase subgroup.
+    joins the phase subgroup.  QubitCountError if the generators and
+    ``n_qubits`` give no single qubit count.
     """
+    counts = {g.n_qubits for g in generators} | ({n_qubits} - {None})
+    if len(counts) != 1:
+        raise QubitCountError(
+            f"generators and n_qubits give qubit counts {sorted(counts)}"
+            if counts
+            else "empty generator list requires n_qubits"
+        )
+    (n_qubits,) = counts
     pivots: dict[int, PauliElement] = {}
     phase_step = 4
     for g in generators:

@@ -16,7 +16,6 @@ from paulidfs.pauli import (
     _require_dense,
     adjoint,
     algebra_action,
-    canonical_key,
     commutes,
     format_pauli,
     identity,
@@ -68,7 +67,10 @@ def reference_closure(generators, n_qubits) -> dict:
             if product not in seen:
                 seen.add(product)
                 frontier.append(product)
-    elements = tuple(sorted(seen, key=canonical_key))
+    # the canonical order: phase exponent, then x mask, then z mask
+    elements = tuple(
+        sorted(seen, key=lambda e: (e.phase_exp, e.x_mask, e.z_mask))
+    )
     return {
         "elements": elements,
         "is_abelian": all(

@@ -144,6 +144,14 @@ class TestAnalyze:
         assert code == 1
         assert "position 1" in err
 
+    def test_minus_generator_after_double_dash(self, capsys):
+        """-ZZ would be read as an option; after -- it is a generator."""
+        code, out, _ = run_cli(capsys, "analyze", "--json", "--", "XX", "-ZZ")
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"]["generators"] == ["XX", "-ZZ"]
+        assert report["subgroup"]["generators"] == ["+XX", "-ZZ"]
+
     def test_mixed_qubit_counts_exit_one(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "XX", "ZZZ")
         assert code == 1

@@ -19,9 +19,11 @@ from paulidfs import (
 )
 from paulidfs.pauli import (
     DenseLimitError,
+    action_arrays,
     algebra_action,
     format_paulis,
     matrix_action,
+    subset_products,
 )
 from sampling import random_element
 
@@ -114,11 +116,39 @@ class TestFormatPaulis:
     @settings(max_examples=300)
     def test_matches_format_pauli(self, drawn):
         n, ps = drawn
-        assert format_paulis(ps, n) == [format_pauli(p) for p in ps]
+        assert format_paulis(action_arrays(ps, n), n) == [format_pauli(p) for p in ps]
 
     def test_every_phase_and_letter(self):
         ps = [PauliElement(phase, 0b0101, 0b0011, 4) for phase in range(4)]
-        assert format_paulis(ps, 4) == ["+IXZY", "+iIXZY", "-IXZY", "-iIXZY"]
+        columns = action_arrays(ps, 4)
+        assert format_paulis(columns, 4) == ["+IXZY", "+iIXZY", "-IXZY", "-iIXZY"]
+
+
+class TestColumns:
+    @given(element_lists())
+    @settings(max_examples=100)
+    def test_elements_round_trip(self, drawn):
+        n, ps = drawn
+        assert action_arrays(ps, n).elements(n) == ps
+
+    @given(element_lists(), st.data())
+    @settings(max_examples=100)
+    def test_subset_products_match_mul(self, drawn, data):
+        """Row t * len(rows) + i is rows[i] times the factors that bit j of
+        t selects, multiplied on the right in factor order."""
+        n, rows = drawn
+        masks = st.integers(0, (1 << n) - 1)
+        factor = st.builds(PauliElement, st.integers(0, 3), masks, masks, st.just(n))
+        factors = data.draw(st.lists(factor, max_size=4))
+        products = subset_products(action_arrays(rows, n), action_arrays(factors, n))
+        expected = []
+        for t in range(1 << len(factors)):
+            for p in rows:
+                for j, f in enumerate(factors):
+                    if t >> j & 1:
+                        p = mul(p, f)
+                expected.append(p)
+        assert products.elements(n) == expected
 
 
 class TestMul:

@@ -63,6 +63,30 @@ class TestClosure:
         with pytest.raises(ClosureCapError):
             closure(gens, order_cap=8)
 
+    def test_elements_built_only_on_demand(self, monkeypatch):
+        """The closure, its JSON strings and the channel block basis work on
+        the columns: six X, Z pairs (order 2^13) build no element object
+        until ``elements`` is read."""
+        from paulidfs.channels import _BlockBasis
+
+        built = []
+        real = PauliElement.__post_init__
+
+        def counting(self):
+            built.append(self)
+            real(self)
+
+        monkeypatch.setattr(PauliElement, "__post_init__", counting)
+        gens = [PauliElement(0, 1 << j, 0, 6) for j in range(6)]
+        gens += [PauliElement(0, 0, 1 << j, 6) for j in range(6)]
+        group = closure(gens)
+        group.to_json_dict()
+        _BlockBasis(group)
+        assert group.order == 1 << 13
+        assert len(built) < 100
+        assert len(group.elements) == group.order
+        assert len(built) > group.order
+
     def test_q8_flags(self, q8):
         assert q8.order == 8
         assert not q8.is_abelian
@@ -183,6 +207,10 @@ class TestCanonicalForm:
             (("XYZ", "ZZX", "YXI"), 3),
             (("X", "Y", "Z"), 1),
             (("XXI", "IZZ", "-III", "+iXYZ"), 3),
+            # 64 qubits fill one mask word, 65 and 70 need two
+            (("Z" + "I" * 63, "I" * 63 + "X", "X" + "I" * 62 + "Z"), 64),
+            (("iY" + "I" * 64, "I" * 63 + "XX", "Z" * 65, "I" * 64 + "Z"), 65),
+            (("Z" + "I" * 68 + "Y", "I" * 69 + "X", "X" + "I" * 68 + "Z"), 70),
         ],
     )
     def test_named_generator_lists(self, strings, n_qubits):
@@ -262,20 +290,21 @@ class TestCanonicalForm:
 
     def test_cap_checked_before_any_product(self, monkeypatch):
         """16 independent Z strings have order 65536: refused at a cap of
-        4096 without a single group product."""
+        4096 before the product kernel enumerates a single element."""
         calls = []
-        real_mul = subgroup_module.mul
+        real_products = subgroup_module.subset_products
 
-        def counting_mul(p, q):
-            calls.append((p, q))
-            return real_mul(p, q)
+        def counting_products(rows, factors):
+            calls.append((rows, factors))
+            return real_products(rows, factors)
 
-        monkeypatch.setattr(subgroup_module, "mul", counting_mul)
+        monkeypatch.setattr(subgroup_module, "subset_products", counting_products)
         gens = [PauliElement(0, 0, 1 << j, 16) for j in range(16)]
         with pytest.raises(ClosureCapError, match="65536"):
             closure(gens, order_cap=4096)
         assert calls == []
         assert closure(gens[:12], order_cap=4096).order == 4096
+        assert len(calls) == 1
 
 
 class TestErrorGeneratorEntryPoint:
