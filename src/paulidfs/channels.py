@@ -9,9 +9,12 @@ a raw random draw with S^(-1/2), S = sum A^dag A.
 Every group's algebra is held in one block basis (``_BlockBasis``), read
 off the symplectic normal form of the sift: 2^c blocks of 2^h x 2^h
 matrices, the 1 x 1 supported characters of an Abelian group among them.
-A draw, its S^(-1/2) (one stacked ``eigh``) and a state's moments never
-build a 2^K x 2^K array, and a scan's work is bounded before any element
-is built.  The dense construction is kept in the tests as the oracle.
+Draws come from ``dfs.seeded_normals``, not ``numpy.random``, so a seed now
+gives other purities and fidelities than under ``numpy.random``.  S^(-1/2)
+is the polar factor of each block's stacked operators, one SVD stacked over
+a scan's trials (Higham 1986); a state's moments are one Walsh-Hadamard
+transform per x mask.  No 2^K x 2^K array is built, a scan's work is bounded
+before any element is, and the dense construction is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -20,10 +23,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dfs import _ROOT_VALUES
+from .dfs import _ROOT_VALUES, seeded_normals
 from .pauli import (
     PauliElement,
-    _parity,
     _require_dense,
     action_arrays,
     format_paulis,
@@ -34,23 +36,24 @@ from .pauli import (
 from .subgroup import PauliSubgroup, SiftedGenerators
 
 KRAUS_NORM_TOL = 1e-9
-#: A random draw whose S = sum A^dag A has an eigenvalue below this is
-#: degenerate and reseeded.
+#: A random draw whose S = sum A^dag A has an eigenvalue (a squared singular
+#: value of a block's stacked operators) below this is degenerate.
 DEGENERATE_S_TOL = 1e-12
 #: A state's moment blocks must be Hermitian and positive semidefinite,
 #: with traces summing to 1, within this; each entry is a sum of D
 #: expectation values of unit-modulus operators over a unit vector.
 IRREP_WEIGHT_TOL = 1e-10
 #: Largest work of one channel scan (``require_scan_work``).  At the cap,
-#: 14 trials of nine X, Z pairs at K = 10 (D = 2^18, 2^9 x 2^9 blocks) took
-#: 12.5 s and 168 MB, and 131 008 trials of ZI IZ 30.4 s and 49 MB (2-vCPU
+#: 15 trials of nine X, Z pairs at K = 10 (D = 2^18, 2^9 x 2^9 blocks) took
+#: 11.7 s and 171 MB, and 131 008 trials of ZI IZ 2.3 s and 55 MB (2-vCPU
 #: VM, one BLAS thread).
 SCAN_WORK_CAP = 1 << 32
 #: Work charged to each trial besides its draw and blocks, so that the
-#: trials of a trivial group are bounded too: about 200 us a trial.
+#: trials of a trivial group are bounded too: about 13 us a trial.
 SCAN_TRIAL_WORK = 1 << 15
-#: Entries of each (strings x kets) block of the moment sums.
-_MOMENT_BLOCK_ENTRIES = 1 << 16
+#: Entries of each stacked block: the (x masks x kets) transforms of the
+#: moments, and a scan's (trials x operators x elements) draws.
+_BLOCK_ENTRIES = 1 << 16
 
 
 class DegenerateKrausError(ValueError):
@@ -121,13 +124,14 @@ def _unit_vector(state: np.ndarray) -> np.ndarray:
 
 
 def assert_density_matrix(rho: np.ndarray, eig_floor: float = -1e-8):
-    """Check unit trace, Hermiticity and positivity of ``rho``."""
-    trace = complex(np.trace(rho))
-    if abs(trace - 1) > 1e-10:
-        raise ValueError(f"trace {trace} is not 1")
-    if np.linalg.norm(rho - rho.conj().T) > 1e-10:
+    """Check unit trace, Hermiticity and positivity of ``rho`` or a stack."""
+    worst = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1).max()
+    if worst > 1e-10:
+        raise ValueError(f"trace deviates from 1 by {worst:.3e}")
+    adjoint = rho.conj().swapaxes(-1, -2)
+    if np.linalg.norm(rho - adjoint, axis=(-2, -1)).max() > 1e-10:
         raise ValueError("density matrix is not Hermitian")
-    smallest = float(np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0])
+    smallest = float(np.linalg.eigvalsh((rho + adjoint) / 2).min())
     if smallest < eig_floor:
         raise ValueError(f"negative eigenvalue {smallest}")
 
@@ -137,12 +141,13 @@ def assert_density_matrix(rho: np.ndarray, eig_floor: float = -1e-8):
 # ---------------------------------------------------------------------------
 
 
-def _raw_coefficients(n_ops: int, order: int, seed: int) -> np.ndarray:
-    """Complex standard-normal draw over the elements; real parts first."""
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n_ops, order)) + 1j * rng.standard_normal(
-        (n_ops, order)
-    )
+def _raw_coefficients(n_ops: int, order: int, seed) -> np.ndarray:
+    """Complex standard-normal draw over the elements, real parts first:
+    (n_ops, order) for one seed, one such draw per seed of a sequence."""
+    draws = seeded_normals(seed, 2 * n_ops * order)
+    raw = 1j * draws[..., n_ops * order :]
+    raw += draws[..., : n_ops * order]
+    return raw.reshape(*draws.shape[:-1], n_ops, order)
 
 
 def _walsh(values: np.ndarray, bits) -> np.ndarray:
@@ -159,16 +164,17 @@ def _walsh(values: np.ndarray, bits) -> np.ndarray:
 
 def require_scan_work(sifted: SiftedGenerators, trials: int, n_ops: int = 2):
     """ValueError if a ``decoherence_scan`` would act on more than
-    ``DENSE_QUBIT_LIMIT`` qubits, or if its work W = D 2^K + trials (n_ops
-    (N + 2^c 8^h) + ``SCAN_TRIAL_WORK``) exceeds ``SCAN_WORK_CAP``: the D
-    string expectations over 2^K amplitudes, then per trial the draw over
-    the N elements and the algebra on 2^c blocks of 2^h x 2^h.  Both are
-    read off the sift, before any element is built."""
-    _require_dense(sifted.n_qubits)
+    ``DENSE_QUBIT_LIMIT`` qubits, or if its work W = |V_X| K 2^K + trials
+    (n_ops (N + 2^c 8^h) + ``SCAN_TRIAL_WORK``) exceeds ``SCAN_WORK_CAP``:
+    one transform of 2^K amplitudes per x mask, then per trial the draw over
+    the N elements and the algebra on 2^c blocks of 2^h x 2^h.  All are read
+    off the sift, before any element is built (|V_X| = 2^(pivots with x))."""
+    _require_dense(k := sifted.n_qubits)
     central, pairs = sifted.normal_form
     r, blocks = len(sifted.pivots), len(central) + 3 * len(pairs)
     per_trial = n_ops * ((sifted.phase_subgroup_size << r) + (1 << blocks))
-    work = (1 << (r + sifted.n_qubits)) + trials * (per_trial + SCAN_TRIAL_WORK)
+    x_rank = sum(1 for p in sifted.pivots if p.x_mask)
+    work = (k << (x_rank + k)) + trials * (per_trial + SCAN_TRIAL_WORK)
     if work > SCAN_WORK_CAP:
         raise ValueError(
             f"channel scan work W = {work} exceeds the cap of {SCAN_WORK_CAP}"
@@ -205,7 +211,7 @@ class _BlockBasis:
         factors = action_arrays(strings, n)
         self.actions = x, z, phase = subset_products(start, factors).dense()
         # element n is i^q_n times the string with its masks, and u^m its
-        # phase part: sorting by (t, m) needs no sort
+        # phase part: sorting by (m, t) needs no sort
         keys = x << n | z
         by_key = np.argsort(keys)
         ex, ez, ephase = group.action_arrays.dense()
@@ -213,7 +219,7 @@ class _BlockBasis:
         self.phase_of = _ROOT_VALUES[(ephase - phase[self.string_of]) % 4]
         self.phase_count = group.order >> (c + 2 * h)
         self.by_string = np.empty(group.order, dtype=np.int64)
-        order = self.string_of * self.phase_count + group.coordinate_matrix[:, 0]
+        order = group.coordinate_matrix[:, 0] * np.int64(len(x)) + self.string_of
         self.by_string[order] = np.arange(group.order)
         self.multiplicity, self.identity = 1 << (n - c - h), np.eye(1 << h)
         self._bits = [*range(c), *range(c + h, c + 2 * h)]
@@ -231,20 +237,24 @@ class _BlockBasis:
         return _walsh(flat, self._bits) / (1 << len(self._bits))
 
     def moments(self, psi: np.ndarray) -> np.ndarray:
-        """The state's reduced blocks sigma, <psi|A|psi> = sum_l tr(A_l
-        sigma_l), from the expectations e_t = <psi|V_t|psi> summed in
-        bounded chunks: sigma = blocks(conj(e)) / 2^(c + h).  Each block
-        must be Hermitian and positive semidefinite and the traces must sum
-        to 1, all within ``IRREP_WEIGHT_TOL``."""
+        """The state's reduced blocks sigma, <psi|A|psi> = sum_l tr(A_l sigma_l),
+        from the expectations e_t = <psi|V_t|psi>: sigma = blocks(conj(e)) /
+        2^(c + h).  One Walsh-Hadamard transform of conj(psi[b ^ x]) psi[b]
+        over b gives e_t for every string of x mask x, the masks taken
+        ``_BLOCK_ENTRIES`` entries at a time.  The blocks must be Hermitian
+        and positive semidefinite with traces summing to 1, within
+        ``IRREP_WEIGHT_TOL``."""
         x, z, phase = self.actions
-        kets, bra = np.arange(len(psi)), psi.conj()
-        signs = 1.0 - 2 * _parity(kets)
+        kets, bits = np.arange(len(psi)), range(len(psi).bit_length() - 1)
+        by_mask = np.argsort(x)
+        starts = np.flatnonzero(np.diff(x[by_mask], prepend=-1))
+        masks, bounds = x[by_mask[starts]], np.append(starts, len(x))
         expectations = np.empty(len(x), dtype=complex)
-        rows = max(1, _MOMENT_BLOCK_ENTRIES // len(psi))
-        for lo in range(0, len(x), rows):
-            part = slice(lo, lo + rows)
-            terms = bra[kets ^ x[part, None]] * signs[kets & z[part, None]]
-            expectations[part] = terms @ psi
+        rows, rows_of = max(1, _BLOCK_ENTRIES // len(psi)), np.searchsorted(masks, x)
+        for lo in range(0, len(masks), rows):
+            spectra = _walsh(psi[kets ^ masks[lo : lo + rows, None]].conj() * psi, bits)
+            part = by_mask[bounds[lo] : bounds[min(lo + rows, len(masks))]]
+            expectations[part] = spectra[rows_of[part] - lo, z[part]]
         expectations *= _ROOT_VALUES[phase]
         sigma = self.blocks(expectations.conj()) / (1 << len(self._bits))
         trace = np.trace(sigma, axis1=-2, axis2=-1).sum()
@@ -256,36 +266,37 @@ class _BlockBasis:
         return sigma
 
 
-def _square_sum(hat: np.ndarray) -> np.ndarray:
-    """S = sum_d hat_d^dag hat_d, block by block."""
-    return (hat.conj().swapaxes(-1, -2) @ hat).sum(axis=0)
-
-
-def _draw(basis: _BlockBasis, n_ops: int, seed: int) -> np.ndarray:
-    """The seeded draw over the elements, in blocks, times S^(-1/2) from
-    one stacked ``eigh``; DegenerateKrausError (reseed and retry) if S is
-    numerically singular."""
+def _draw(basis: _BlockBasis, n_ops: int, seed, attempts: int = 1) -> np.ndarray:
+    """The seeded draw over the elements as (n_ops, 2^c, 2^h, 2^h) blocks, each
+    block's operators replaced by the polar factor U V^dag of their stack: one
+    draw for an int seed, one per seed of a sequence, in one stacked SVD.  A
+    draw whose S has an eigenvalue below ``DEGENERATE_S_TOL`` is redrawn at
+    seed + 1, + 2, ...; DegenerateKrausError after ``attempts`` draws."""
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
-    # the string coefficients of sum_n a_n G_n, G_n = i^q_n V_(t_n)
-    raw = _raw_coefficients(n_ops, len(basis.string_of), seed) * basis.phase_of
-    terms = raw[:, basis.by_string].reshape(n_ops, -1, basis.phase_count)
-    hat = basis.blocks(terms.sum(axis=2))
-    eigenvalues, eigenvectors = np.linalg.eigh(_square_sum(hat))
-    if eigenvalues.min() < DEGENERATE_S_TOL:
-        raise DegenerateKrausError(
-            f"normalization matrix is singular (min eigenvalue "
-            f"{eigenvalues.min():.3e}); reseed and retry"
-        )
-    inv_sqrt = eigenvectors * eigenvalues[..., None, :] ** -0.5
-    hat = hat @ (inv_sqrt @ eigenvectors.conj().swapaxes(-1, -2))
+    # the string coefficients of sum_n a_n G_n, G_n = i^q_n V_(t_n), in blocks
+    # with each block's operators stacked; rebound so that the draw is held once
+    hat = _raw_coefficients(n_ops, len(basis.string_of), seed)
+    hat *= basis.phase_of
+    hat = hat[..., basis.by_string].reshape(*hat.shape[:-1], basis.phase_count, -1)
+    hat = np.moveaxis(basis.blocks(hat.sum(axis=-2)), -4, -3)
+    shape = hat.shape
+    u, sigma, vh = np.linalg.svd(hat.reshape(*shape[:-3], -1, shape[-1]), False)
+    hat = np.moveaxis((u @ vh).reshape(shape), -3, -4)
     # ||sum A^dag A - I||_F, each block counted multiplicity times
-    excess = _square_sum(hat) - basis.identity
-    defect = float(np.sqrt(basis.multiplicity * np.vdot(excess, excess).real))
-    if defect > KRAUS_NORM_TOL:
+    excess = (hat.conj().swapaxes(-1, -2) @ hat).sum(axis=-4) - basis.identity
+    defect = np.sqrt(basis.multiplicity * (np.abs(excess) ** 2).sum(axis=(-3, -2, -1)))
+    if defect.max() > KRAUS_NORM_TOL:
         raise ChannelConstraintError(
-            f"sum A^dag A deviates from identity by {defect:.3e}"
+            f"sum A^dag A deviates from identity by {defect.max():.3e}"
         )
+    low = sigma.min(axis=(-2, -1)) ** 2
+    redo = np.flatnonzero(low < DEGENERATE_S_TOL)
+    if redo.size and attempts > 1:
+        hat[redo] = _draw(basis, n_ops, [seed[i] + 1 for i in redo], attempts - 1)
+    elif redo.size:
+        message = f"normalization matrix is singular (min eigenvalue {low.min():.3e})"
+        raise DegenerateKrausError(message + "; reseed and retry")
     return hat
 
 
@@ -396,11 +407,11 @@ def decoherence_scan(
 
     States inside a single irrep's subspace keep purity 1 in every trial;
     superpositions across irreps lose purity for generic draws.  Each
-    trial gets its own derived seed; a degenerate draw is retried with a
-    shifted seed (deterministically).  Every group is scanned in its
-    block basis, against the state's moment blocks, once
-    ``require_scan_work`` has passed.  Fidelity is sum_d |<psi|A_d|psi>|^2
-    for the unit vector psi along ``state``.
+    trial gets its own derived seed, shifted by one per redraw of a
+    degenerate draw, up to nine draws.  Every group is scanned in its block
+    basis, against the state's moment blocks, once ``require_scan_work``
+    has passed, the trials in stacks of ``_BLOCK_ENTRIES`` draw entries.
+    Fidelity is sum_d |<psi|A_d|psi>|^2, psi the unit vector along ``state``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -411,26 +422,19 @@ def decoherence_scan(
         raise ValueError(f"state shape {psi.shape} != ({dim},)")
     basis = _BlockBasis(group)
     moments = basis.moments(psi)
-    purities = []
-    fidelities = []
-    for t in range(trials):
-        for attempt in range(9):
-            try:
-                hat = _draw(basis, n_ops, seed * 1_000_003 + t * 97 + attempt)
-                break
-            except DegenerateKrausError:
-                if attempt == 8:
-                    raise
+    seeds = [seed * 1_000_003 + t * 97 for t in range(trials)]
+    rows = max(1, _BLOCK_ENTRIES // (n_ops * group.order))
+    purities, fidelities = [], []
+    for lo in range(0, trials, rows):
+        hat = _draw(basis, n_ops, seeds[lo : lo + rows], attempts=9)
         # the Gram matrix <psi|A_e^dag A_d|psi> = sum_l tr(A_e^dag A_d
         # sigma_l) of the vectors A_d psi has the nonzero spectrum of the
         # evolved density matrix
-        gram = np.einsum("elki,dlki->de", hat.conj(), hat @ moments)
-        if abs(np.trace(gram) - 1) > KRAUS_NORM_TOL:
-            raise ValueError("channel application failed to preserve the trace")
+        gram = np.einsum("telki,tdlki->tde", hat.conj(), hat @ moments)
         assert_density_matrix(gram)
-        purities.append(float(np.vdot(gram, gram).real))
-        expectations = np.einsum("dlij,lji->d", hat, moments)
-        fidelities.append(float(np.sum(np.abs(expectations) ** 2)))
+        purities += (np.abs(gram) ** 2).sum(axis=(1, 2)).tolist()
+        expectations = np.einsum("tdlij,lji->td", hat, moments)
+        fidelities += (np.abs(expectations) ** 2).sum(axis=1).tolist()
     return ScanReport(
         trials=trials,
         seed=seed,
@@ -552,38 +556,23 @@ def q8_genericity_probe(
     matrices = [to_matrix(e) for e in group.elements]
     terms = _q8_term_matrices()
     code = q8_code_states()
-    rng = np.random.default_rng(seed)
 
-    unconstrained_failures = 0
-    min_residual = np.inf
-    for t in range(draws):
-        kraus = _algebra_kraus(group, basis, matrices, 2, seed * 131 + t)
-        residual = code_fix_residual(kraus, code)
-        min_residual = min(min_residual, residual)
-        if residual > threshold:
-            unconstrained_failures += 1
-
-    constrained_failures = 0
-    max_residual = 0.0
-    for _ in range(draws):
-        c = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    seeds = range(seed * 131, seed * 131 + draws)
+    generic = (_algebra_kraus(group, basis, matrices, 2, s) for s in seeds)
+    unconstrained = [code_fix_residual(kraus, code) for kraus in generic]
+    constrained = []
+    # per draw: c, beta and e, real parts then imaginary parts
+    for row in seeded_normals(seed, 10 * draws).reshape(draws, 2, 5):
+        c, beta, e = np.split(row[0] + 1j * row[1], [2, 3])
         c = c / np.linalg.norm(c)
-        beta = rng.standard_normal() + 1j * rng.standard_normal()
-        d = beta * np.array([-np.conj(c[1]), np.conj(c[0])])
-        e = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        tail = np.concatenate([d, e])
-        tail = tail / np.linalg.norm(tail)
-        kraus = _q8_kraus(group, terms, c[0], c[1], *tail)
-        residual = code_fix_residual(kraus, code)
-        max_residual = max(max_residual, residual)
-        if residual > threshold:
-            constrained_failures += 1
-
+        tail = np.concatenate([beta * [-np.conj(c[1]), np.conj(c[0])], e])
+        kraus = _q8_kraus(group, terms, c[0], c[1], *tail / np.linalg.norm(tail))
+        constrained.append(code_fix_residual(kraus, code))
     return ProbeReport(
         draws=draws,
-        unconstrained_failures=unconstrained_failures,
-        constrained_failures=constrained_failures,
-        min_unconstrained_residual=float(min_residual),
-        max_constrained_residual=float(max_residual),
+        unconstrained_failures=sum(r > threshold for r in unconstrained),
+        constrained_failures=sum(r > threshold for r in constrained),
+        min_unconstrained_residual=float(min(unconstrained, default=np.inf)),
+        max_constrained_residual=float(max(constrained, default=0.0)),
         failure_threshold=threshold,
     )

@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pauli import (
+    _WORD,
     ActionArrays,
     PauliElement,
     _parity,
@@ -57,6 +58,10 @@ RESIDUAL_PASS_TOL = 1e-9
 _VERIFY_BLOCK_ENTRIES = 1 << 18
 
 _ROOT_VALUES = np.array(_ROOTS)
+
+#: SplitMix64's gamma and multipliers (Steele, Lea and Flood, OOPSLA 2014).
+_GAMMA, _MIX = np.uint64(0x9E3779B97F4A7C15), (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+_DRAW_CHUNK = 1 << 16
 
 
 def _check_character(group: PauliSubgroup, character: Character):
@@ -259,6 +264,52 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
 # ---------------------------------------------------------------------------
 
 
+def _splitmix(words: np.ndarray) -> np.ndarray:
+    """SplitMix64's output for each state ``words`` (uint64, wrapping)."""
+    z = words + _GAMMA
+    for shift, multiplier in zip((30, 27), _MIX):
+        z ^= z >> np.uint64(shift)
+        z *= np.uint64(multiplier)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def seeded_normals(seed, size: int) -> np.ndarray:
+    """``size`` standard normals for an integer ``seed`` >= 0 (ValueError if
+    negative, TypeError if no integer), or one row per seed of a sequence,
+    each a function of its seed alone.  A seed's 64-bit limbs, up to its last
+    nonzero one, fold into a SplitMix64 key; normals 2j, 2j + 1 are Box-
+    Muller's sqrt(-2 ln u) (cos, sin)(2 pi v) of the 53-bit uniforms at the
+    key's stream counters 2j, 2j + 1, read ``_DRAW_CHUNK`` pairs at a time."""
+    from operator import index
+    seeds = [index(s) for s in np.ravel(np.asarray(seed, dtype=object))]
+    if min(seeds) < 0:
+        raise ValueError("seed must be non-negative")
+    width = 8 * (max(s.bit_length() for s in seeds) // 64 + 1)
+    limbs = b"".join(s.to_bytes(width, "little") for s in seeds)
+    limbs = np.frombuffer(limbs, dtype=_WORD).reshape(len(seeds), -1)
+    used = np.logical_or.accumulate(limbs[:, ::-1] != 0, axis=1)[:, ::-1]
+    keys = _splitmix(limbs[:, 0])
+    for limb, more in zip(limbs.T[1:], used.T[1:]):
+        keys = np.where(more, _splitmix(keys ^ limb), keys)
+    pairs = (size + 1) // 2
+    out = np.empty((len(seeds), pairs, 2))
+    steps = np.arange(0, 2 * pairs, 2, dtype=_WORD) * _GAMMA
+    rows = max(1, _DRAW_CHUNK // max(pairs, 1))
+    for lo in range(0, len(seeds), rows):
+        for at in range(0, pairs, _DRAW_CHUNK):
+            state = keys[lo : lo + rows, None] + steps[at : at + _DRAW_CHUNK]
+            # 53-bit uniforms in (0, 1), so that the logarithm stays finite
+            words = _splitmix(state), _splitmix(state + _GAMMA)
+            u, v = ((w >> np.uint64(11)).view(np.int64) + 0.5 for w in words)
+            radius, angle = np.sqrt(-2 * np.log(u / 2.0**53)), np.pi * (v / 2.0**52)
+            block = out[lo : lo + rows, at : at + _DRAW_CHUNK]
+            block[..., 0] = radius * np.cos(angle)
+            block[..., 1] = radius * np.sin(angle)
+    out = out.reshape(len(seeds), -1)[:, :size]
+    return out if np.ndim(seed) else out[0]
+
+
 @dataclass(frozen=True)
 class VerificationTrial:
     """One random operator A = sum_n a_n G_n applied to the basis."""
@@ -363,8 +414,8 @@ def verify_dfs(
     """Check that every basis vector is a shared eigenvector of random
     group-algebra operators.
 
-    Each trial draws complex standard-normal coefficients a_n over the
-    group elements (in canonical order), real parts then imaginary parts.
+    Each trial takes its complex normal coefficients a_n over the elements
+    (canonical order) from ``seeded_normals``, real then imaginary parts.
     A = sum a_n G_n is never formed: it maps the X-span closure
     {b XOR x_n} of a vector's support into itself, so it is applied on
     that closure only, one X-orbit of |V_X| kets for a ``dfs_basis``
@@ -382,7 +433,7 @@ def verify_dfs(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     character = basis.character
-    draws = np.random.default_rng(seed).standard_normal((trials, 2, group.order))
+    draws = seeded_normals(seed, trials * 2 * group.order).reshape(trials, 2, -1)
     coefficients = draws[:, 0] + 1j * draws[:, 1]
     chi = exponent_table(character.group, [character])[0]
     predicted = coefficients @ _ROOT_VALUES[chi]

@@ -10,7 +10,7 @@ from paulidfs.channels import (
     _unit_vector,
     apply_channel,
 )
-from paulidfs.dfs import projector
+from paulidfs.dfs import projector, seeded_normals
 from paulidfs.pauli import (
     PauliElement,
     _require_dense,
@@ -213,8 +213,9 @@ def reference_verify_dfs(group, basis, trials, seed) -> list[tuple]:
     """(coefficients, eigenvalue, eigenvalue_predicted, max_residual,
     eigenvalue_spread) of every trial, on dense 2^K columns.
 
-    Reference oracle for ``verify_dfs``: each trial draws its coefficients
-    from the generator in turn, real parts then imaginary parts, applies
+    Reference oracle for ``verify_dfs``: it shares only the draw, one
+    ``seeded_normals`` stream for the seed, each trial's coefficients
+    taken from it in turn, real parts then imaginary parts.  It applies
     sum a_n G_n to the stacked dense basis with ``algebra_action``, one
     2^K gather per element, and reads the shared Rayleigh quotient, the
     residuals and the spread off the full columns.
@@ -222,12 +223,10 @@ def reference_verify_dfs(group, basis, trials, seed) -> list[tuple]:
     actions = [matrix_action(e) for e in group.elements]
     gammas = np.array([basis.character.values[e] for e in group.elements])
     stack = basis.stack()
-    rng = np.random.default_rng(seed)
+    draws = seeded_normals(seed, 2 * trials * group.order).reshape(trials, 2, -1)
     out = []
-    for _ in range(trials):
-        coeff = rng.standard_normal(group.order) + 1j * rng.standard_normal(
-            group.order
-        )
+    for real, imag in draws:
+        coeff = real + 1j * imag
         images = algebra_action(actions, coeff, stack)
         rayleigh = np.einsum("ij,ij->j", stack.conj(), images)
         shared = complex(rayleigh.mean())

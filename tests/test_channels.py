@@ -40,24 +40,20 @@ from helpers import (
 )
 
 
-class _ZeroDraws:
-    """Stands in for a generator whose every normal draw is zero."""
-
-    def standard_normal(self, size):
-        return np.zeros(size)
-
-
 def _zero_draws_at(monkeypatch, bad_seeds) -> list:
-    """Make ``default_rng`` draw zeros for ``bad_seeds``; returns the list
-    of every seed requested from then on."""
-    real = np.random.default_rng
+    """Make the channels' ``seeded_normals`` draw zeros for ``bad_seeds``;
+    returns the list of every seed requested from then on."""
+    real = channels.seeded_normals
     requested = []
 
-    def default_rng(seed=None):
-        requested.append(seed)
-        return _ZeroDraws() if seed in bad_seeds else real(seed)
+    def seeded_normals(seed, size):
+        seeds = np.ravel(np.asarray(seed, dtype=object)).tolist()
+        requested.extend(seeds)
+        out = real(seed, size).reshape(len(seeds), size)
+        out[[s in bad_seeds for s in seeds]] = 0
+        return out if np.ndim(seed) else out[0]
 
-    monkeypatch.setattr(channels.np.random, "default_rng", default_rng)
+    monkeypatch.setattr(channels, "seeded_normals", seeded_normals)
     return requested
 
 
@@ -339,14 +335,47 @@ class TestDecoherenceScan:
         with pytest.raises(AssertionError, match="are not a state"):
             basis.moments(2 * ket("01"))
 
+    def test_polar_factor_survives_ill_conditioned_draw(self, monkeypatch):
+        """A hand-built draw whose S has condition number 1e10, two
+        operators on the one 4 x 4 block of the two-qubit Pauli group, comes
+        out of ``_draw`` as its polar factor U V^dag, with sum A^dag A = I
+        within 1e-12; S^(-1/2) from ``eigh`` misses that by far more."""
+        group = closure([parse_pauli(s) for s in ("XI", "ZI", "IX", "IZ")])
+        basis = channels._BlockBasis(group)
+        rng = np.random.default_rng(5)
+        draw = rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))
+        u, _ = np.linalg.qr(draw[:8])
+        v, _ = np.linalg.qr(draw[8:])
+        hand = ((u * np.geomspace(1, 1e-5, 4)) @ v.conj().T).reshape(2, 1, 4, 4)
+        strings = basis.coefficients(hand)
+        raw = strings[:, basis.string_of] * basis.phase_of.conj() / basis.phase_count
+        monkeypatch.setattr(channels, "_raw_coefficients", lambda *args: raw.copy())
+        hat = channels._draw(basis, 2, 0)
+        assert np.abs(hat - (u @ v.conj().T).reshape(2, 1, 4, 4)).max() < 1e-9
+        total = (hat.conj().swapaxes(-1, -2) @ hat).sum(axis=0)
+        assert np.abs(total - basis.identity).max() < 1e-12
+        s = (hand.conj().swapaxes(-1, -2) @ hand).sum(axis=0)
+        eigenvalues, vectors = np.linalg.eigh(s)
+        assert eigenvalues.max() / eigenvalues.min() == pytest.approx(1e10, rel=1e-3)
+        inv_sqrt = vectors * eigenvalues[..., None, :] ** -0.5
+        by_eigh = hand @ (inv_sqrt @ vectors.conj().swapaxes(-1, -2))
+        eigh_total = (by_eigh.conj().swapaxes(-1, -2) @ by_eigh).sum(axis=0)
+        assert np.abs(eigh_total - basis.identity).max() > 1e-12
+
     def test_degenerate_draw_reseeds(self, monkeypatch, qz):
-        """A zero draw in trial 2 is retried with attempt + 1, exactly as
-        the dense route retries it."""
+        """A zero draw in trial 2 is redrawn with attempt + 1, exactly as
+        the dense route redraws it; each trial requests its own seeds, the
+        batch of all trials first."""
         bell = (ket("00") + ket("11")) / np.sqrt(2)
         seeds = [5 * 1_000_003 + t * 97 for t in range(4)]
         requested = _zero_draws_at(monkeypatch, {seeds[2]})
         report = decoherence_scan(qz, bell, trials=4, seed=5)
-        assert requested == [seeds[0], seeds[1], seeds[2], seeds[2] + 1, seeds[3]]
+        by_trial = {}
+        for s in requested:
+            by_trial.setdefault((s - seeds[0]) // 97, []).append(s)
+        assert by_trial == {
+            0: [seeds[0]], 1: [seeds[1]], 2: [seeds[2], seeds[2] + 1], 3: [seeds[3]]
+        }
         purities, fidelities = reference_decoherence_scan(qz, bell, trials=4, seed=5)
         assert np.max(np.abs(np.subtract(report.purities, purities))) < 1e-12
         assert np.max(np.abs(np.subtract(report.fidelities, fidelities))) < 1e-12

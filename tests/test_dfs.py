@@ -21,7 +21,7 @@ from paulidfs import (
     to_matrix,
     verify_dfs,
 )
-from paulidfs.dfs import verify_on_generators
+from paulidfs.dfs import seeded_normals, verify_on_generators
 from paulidfs.subgroup import PauliSubgroup
 from sampling import (
     random_abelian_subgroup,
@@ -394,6 +394,51 @@ class TestVerifyDfs:
             assert abs(trial.eigenvalue_spread - spread) < 1e-12
         assert report.max_residual == max(t.max_residual for t in report.trials)
         assert report.passed == (case != "cross_irrep")
+
+
+class TestSeededNormals:
+    def test_deterministic_and_prefix_stable(self):
+        first = seeded_normals(11, 101)
+        assert np.array_equal(first, seeded_normals(11, 101))
+        assert np.array_equal(first[:40], seeded_normals(11, 40))
+        assert not np.array_equal(first, seeded_normals(12, 101))
+
+    def test_every_limb_counts(self):
+        """Seeds that share their low 64 bits differ, and so does a high
+        limb above a zero one."""
+        draws = [seeded_normals(s, 8) for s in (5, 5 + 2**64, 5 + 2**128, 2**64)]
+        for i, a in enumerate(draws):
+            for b in draws[i + 1 :]:
+                assert not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("size", [1, 7, 8, 3 << 16])
+    def test_batched_equals_per_seed(self, size):
+        """A row of a batch equals that seed's own draw bit for bit, for
+        batches of mixed limb counts and sizes across the chunk boundary."""
+        seeds = [0, 5, 5 + 2**64, 2**200 + 3, 97, 12_345_678_901_234]
+        batch = seeded_normals(seeds, size)
+        assert batch.shape == (len(seeds), size)
+        for seed, row in zip(seeds, batch):
+            assert np.array_equal(row, seeded_normals(seed, size))
+
+    def test_moments_within_five_sigma(self):
+        draws = seeded_normals(7, 1 << 20)
+        assert np.isfinite(draws).all()
+        sigma = 2.0**-10  # 1 / sqrt(2^20)
+        assert abs(draws.mean()) < 5 * sigma
+        assert abs(draws.var() - 1) < 5 * np.sqrt(2) * sigma
+
+    def test_bad_seeds_refused(self):
+        """Negative seeds raise ValueError, as ``default_rng`` does, and
+        seeds that are no integers TypeError, not a truncated draw."""
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            seeded_normals(-1, 4)
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            seeded_normals([3, -2], 4)
+        for seed in (2.5, "12", [1, 2.0]):
+            with pytest.raises(TypeError):
+                seeded_normals(seed, 4)
+        assert np.array_equal(seeded_normals(np.int64(9), 4), seeded_normals(9, 4))
 
 
 class TestVerifyOnGenerators:
