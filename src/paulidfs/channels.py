@@ -19,13 +19,16 @@ before any element is, and the dense construction is the tests' oracle.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dfs import _ROOT_VALUES, seeded_normals
 from .pauli import (
+    ChannelConstraintError,
+    DegenerateKrausError,
     PauliElement,
+    _Frozen,
     _require_dense,
     action_arrays,
     format_paulis,
@@ -56,34 +59,27 @@ SCAN_TRIAL_WORK = 1 << 15
 _BLOCK_ENTRIES = 1 << 16
 
 
-class DegenerateKrausError(ValueError):
-    """Raised when a random draw yields a numerically singular S; the
-    caller should retry with a fresh seed."""
-
-
-class ChannelConstraintError(ValueError):
-    """Raised when explicit channel parameters violate a normalization or
-    orthogonality constraint; the message names the violated one."""
-
-
-@dataclass(frozen=True)
-class KrausSet:
+class KrausSet(_Frozen):
     """Kraus operators, optionally tagged with their group-algebra origin.
 
     The set takes ownership of the arrays and marks them read-only, so a
     constructed channel can be shared freely across threads.
     """
 
-    n_qubits: int
-    operators: tuple[np.ndarray, ...]
-    group: PauliSubgroup | None = None
-    coefficients: np.ndarray | None = None
-
-    def __post_init__(self):
-        for op in self.operators:
+    def __init__(
+        self,
+        n_qubits: int,
+        operators: tuple[np.ndarray, ...],
+        group: PauliSubgroup | None = None,
+        coefficients: np.ndarray | None = None,
+    ):
+        for op in operators:
             op.flags.writeable = False
-        if self.coefficients is not None:
-            self.coefficients.flags.writeable = False
+        if coefficients is not None:
+            coefficients.flags.writeable = False
+        vars(self).update(
+            n_qubits=n_qubits, operators=operators, group=group, coefficients=coefficients
+        )
 
     def normalization_defect(self) -> float:
         dim = 1 << self.n_qubits
@@ -364,8 +360,7 @@ def apply_channel(kraus: KrausSet, rho: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Purity/fidelity statistics over independent random channels."""
 
     trials: int
@@ -387,7 +382,7 @@ class ScanReport:
         return min(self.fidelities)
 
     def to_json_dict(self) -> dict:
-        return asdict(self) | {
+        return self._asdict() | {
             "purities": list(self.purities),
             "fidelities": list(self.fidelities),
             "min_purity": self.min_purity,
@@ -524,8 +519,7 @@ def code_fix_residual(kraus: KrausSet, code_states) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     """Outcome of the constrained-versus-generic channel comparison."""
 
     draws: int
@@ -536,7 +530,7 @@ class ProbeReport:
     failure_threshold: float
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def q8_genericity_probe(

@@ -26,6 +26,8 @@ elements.
 ``--json`` writes the bytes of ``json.dumps(report, indent=2)`` in pieces
 of at least ``EMIT_FLUSH_CHARS`` characters, never the document whole.
 ``paulidfs`` and ``python -m paulidfs.cli`` both enter through ``run``.
+The ``channels`` module is imported only by a ``channel`` scan and the q8
+probe, so the other commands never load it.
 
 Exit codes: 0 success, 1 usage or input error (or stdout closed before the
 whole report was written), 2 analysis refusal (non-Abelian subgroup under
@@ -47,12 +49,6 @@ import time
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .channels import (
-    DegenerateKrausError,
-    decoherence_scan,
-    q8_genericity_probe,
-    require_scan_work,
-)
 from .dfs import (
     applicable_phase_class,
     dfs_basis,
@@ -62,6 +58,8 @@ from .dfs import (
 )
 from .pauli import (
     DENSE_QUBIT_LIMIT,
+    ChannelConstraintError,
+    DegenerateKrausError,
     format_pauli,
     parse_pauli,
 )
@@ -246,6 +244,8 @@ def build_preset_report(name: str, trials: int, seed: int) -> dict:
     report["command"] = "preset"
     report["inputs"]["preset"] = name
     if name == "q8":
+        from .channels import q8_genericity_probe
+
         group = preset_group("q8")
         probe = q8_genericity_probe(seed)
         report["nongeneric_code"] = {
@@ -261,6 +261,8 @@ def build_channel_report(
     trials: int,
     seed: int,
 ) -> dict:
+    from .channels import decoherence_scan, require_scan_work
+
     generators = [parse_pauli(s) for s in generator_strings]
     # K and the scan's work are read off the sift, before any element
     require_scan_work(sift_generators(generators), trials)
@@ -427,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     channel.add_argument("generators", nargs="+", help=_GENERATORS_HELP)
     channel.add_argument(
-        "--state", required=True, help='initial state, e.g. "0.7|00>+0.7|11>"'
+        "--state",
+        required=True,
+        help='initial state, e.g. "0.7|00>+0.7|11>"; one that starts with - '
+        'is written "--state=-|00>+|11>"',
     )
     _add_common(channel)
     return parser
@@ -481,9 +486,16 @@ def main(argv: list[str] | None = None) -> int:
                 args.trials,
                 args.seed,
             )
-    # LinAlgError and DegenerateKrausError subclass ValueError, so they
-    # must be caught before the input errors
-    except (DegenerateKrausError, AssertionError, LinAlgError, MemoryError) as error:
+    # LinAlgError and the channel errors subclass ValueError, so they must
+    # be caught before the input errors; the CLI builds every channel from
+    # its own draws, so a violated channel constraint is numeric too
+    except (
+        ChannelConstraintError,
+        DegenerateKrausError,
+        AssertionError,
+        LinAlgError,
+        MemoryError,
+    ) as error:
         print(f"numeric failure: {error}", file=sys.stderr)
         return 3
     except ValueError as error:

@@ -24,7 +24,7 @@ oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .pauli import (
     _WORD,
     ActionArrays,
     PauliElement,
+    _Frozen,
     _parity,
     _require_dense,
     matrix_action,
@@ -81,8 +82,7 @@ def _check_character(group: PauliSubgroup, character: Character):
         raise ValueError("character does not belong to this subgroup")
 
 
-@dataclass(frozen=True)
-class IrrepProjector:
+class IrrepProjector(NamedTuple):
     """Dense projector onto the invariant subspace of one character."""
 
     character: Character
@@ -90,8 +90,7 @@ class IrrepProjector:
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class DfsBasis:
+class DfsBasis(_Frozen):
     """Orthonormal vectors spanning one character's invariant subspace.
 
     Vector j is stored as its nonzeros: ``kets[j]``, sorted computational
@@ -100,11 +99,21 @@ class DfsBasis:
     the span of the elements' x masks.  ``dimension`` is 2^K.
     """
 
-    character: Character
-    kets: tuple[np.ndarray, ...]
-    amplitudes: tuple[np.ndarray, ...]
-    multiplicity: int
-    dimension: int
+    def __init__(
+        self,
+        character: Character,
+        kets: tuple[np.ndarray, ...],
+        amplitudes: tuple[np.ndarray, ...],
+        multiplicity: int,
+        dimension: int,
+    ):
+        vars(self).update(
+            character=character,
+            kets=kets,
+            amplitudes=amplitudes,
+            multiplicity=multiplicity,
+            dimension=dimension,
+        )
 
     @classmethod
     def from_vectors(cls, character: Character, vectors) -> DfsBasis:
@@ -310,8 +319,7 @@ def seeded_normals(seed, size: int) -> np.ndarray:
     return out if np.ndim(seed) else out[0]
 
 
-@dataclass(frozen=True)
-class VerificationTrial:
+class VerificationTrial(NamedTuple):
     """One random operator A = sum_n a_n G_n applied to the basis."""
 
     coefficients: np.ndarray
@@ -321,8 +329,7 @@ class VerificationTrial:
     eigenvalue_spread: float
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Aggregated result of seeded verification trials."""
 
     character_label: int
@@ -531,8 +538,7 @@ def applicable_phase_class(group: PauliSubgroup) -> str | None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JointEigenspace:
+class JointEigenspace(NamedTuple):
     """A subspace of simultaneous eigenvectors of every group element."""
 
     eigenvalues: dict[PauliElement, complex]
@@ -543,9 +549,8 @@ class JointEigenspace:
         return len(self.vectors)
 
 
-@dataclass(frozen=True)
-class SearchResult:
-    spaces: tuple[JointEigenspace, ...] = field(default_factory=tuple)
+class SearchResult(NamedTuple):
+    spaces: tuple[JointEigenspace, ...] = ()
 
     @property
     def is_empty(self) -> bool:

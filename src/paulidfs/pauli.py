@@ -22,7 +22,6 @@ to share across threads.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -55,8 +54,36 @@ class QubitCountError(ValueError):
     """Raised when two elements act on different numbers of qubits."""
 
 
-@dataclass(frozen=True, slots=True)
-class PauliElement:
+# the channel errors live here, re-exported by ``channels``, so that the CLI
+# catches them without importing that module
+class DegenerateKrausError(ValueError):
+    """Raised when a random draw yields a numerically singular S; the
+    caller should retry with a fresh seed."""
+
+
+class ChannelConstraintError(ValueError):
+    """Raised when explicit channel parameters violate a normalization or
+    orthogonality constraint; the message names the violated one."""
+
+
+_set = object.__setattr__
+
+
+class _Frozen:
+    """Base of the value types: ``__init__`` sets every attribute once, in
+    ``vars(self)`` or, in a class with ``__slots__``, through ``_set``;
+    assigning or deleting one afterwards raises ``AttributeError``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PauliElement(_Frozen):
     """One member of the Pauli group on ``n_qubits`` qubits.
 
     Attributes:
@@ -65,21 +92,41 @@ class PauliElement:
             sits at position ``n_qubits - 1 - j`` counting from the left.
         z_mask: same layout for Z-type factors; both bits set means Y.
         n_qubits: number of qubits K >= 1.
+
+    Two elements are equal, and hash alike, when all four attributes are.
     """
 
-    phase_exp: int
-    x_mask: int
-    z_mask: int
-    n_qubits: int
+    __slots__ = ("phase_exp", "x_mask", "z_mask", "n_qubits")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be >= 1, got {self.n_qubits}")
-        if not 0 <= self.phase_exp < 4:
-            object.__setattr__(self, "phase_exp", self.phase_exp % 4)
-        full = (1 << self.n_qubits) - 1
-        if self.x_mask & ~full or self.z_mask & ~full:
+    def __init__(self, phase_exp: int, x_mask: int, z_mask: int, n_qubits: int):
+        if n_qubits < 1:
+            raise ValueError(f"n_qubits must be >= 1, got {n_qubits}")
+        full = (1 << n_qubits) - 1
+        if x_mask & ~full or z_mask & ~full:
             raise ValueError("mask has bits beyond the qubit count")
+        _set(self, "phase_exp", phase_exp % 4)
+        _set(self, "x_mask", x_mask)
+        _set(self, "z_mask", z_mask)
+        _set(self, "n_qubits", n_qubits)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not PauliElement:
+            return NotImplemented
+        return (self.phase_exp, self.x_mask, self.z_mask, self.n_qubits) == (
+            other.phase_exp, other.x_mask, other.z_mask, other.n_qubits
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.phase_exp, self.x_mask, self.z_mask, self.n_qubits))
+
+    def __reduce__(self):
+        return PauliElement, (self.phase_exp, self.x_mask, self.z_mask, self.n_qubits)
+
+    def __repr__(self) -> str:
+        return (
+            f"PauliElement(phase_exp={self.phase_exp}, x_mask={self.x_mask}, "
+            f"z_mask={self.z_mask}, n_qubits={self.n_qubits})"
+        )
 
     def __mul__(self, other: "PauliElement") -> "PauliElement":
         return mul(self, other)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import mul as int_mul
 
@@ -32,6 +31,7 @@ from .pauli import (
     ActionArrays,
     PauliElement,
     QubitCountError,
+    _Frozen,
     _parity,
     action_arrays,
     adjoint,
@@ -57,8 +57,7 @@ class NotAbelianError(ValueError):
     module to confirm that the invariant-vector set is empty."""
 
 
-@dataclass(frozen=True)
-class PauliSubgroup:
+class PauliSubgroup(_Frozen):
     """A multiplicatively closed set of Pauli elements.
 
     The elements are sorted by (phase_exp, x_mask, z_mask) so iteration
@@ -70,11 +69,21 @@ class PauliSubgroup:
     k_j is 0 or 3, since a Pauli element's inverse is its cube.
     """
 
-    n_qubits: int
-    generators: tuple[PauliElement, ...]
-    sifted: SiftedGenerators
-    action_arrays: ActionArrays = field(repr=False, compare=False)
-    coordinate_matrix: np.ndarray = field(repr=False, compare=False)
+    def __init__(
+        self,
+        n_qubits: int,
+        generators: tuple[PauliElement, ...],
+        sifted: SiftedGenerators,
+        action_arrays: ActionArrays,
+        coordinate_matrix: np.ndarray,
+    ):
+        vars(self).update(
+            n_qubits=n_qubits,
+            generators=generators,
+            sifted=sifted,
+            action_arrays=action_arrays,
+            coordinate_matrix=coordinate_matrix,
+        )
 
     @property
     def order(self) -> int:
@@ -216,8 +225,7 @@ def closure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SiftedGenerators:
+class SiftedGenerators(_Frozen):
     """The canonical form of a subgroup.
 
     ``pivots`` are elements with independent symplectic vectors, keyed by
@@ -228,11 +236,21 @@ class SiftedGenerators:
     whether the pivots, and hence all elements, commute.
     """
 
-    n_qubits: int
-    pivots: tuple[PauliElement, ...]
-    pivot_bits: tuple[int, ...]
-    phase_exp_generator: int
-    is_abelian: bool
+    def __init__(
+        self,
+        n_qubits: int,
+        pivots: tuple[PauliElement, ...],
+        pivot_bits: tuple[int, ...],
+        phase_exp_generator: int,
+        is_abelian: bool,
+    ):
+        vars(self).update(
+            n_qubits=n_qubits,
+            pivots=pivots,
+            pivot_bits=pivot_bits,
+            phase_exp_generator=phase_exp_generator,
+            is_abelian=is_abelian,
+        )
 
     @property
     def phase_subgroup_size(self) -> int:
@@ -350,8 +368,7 @@ def sift_generators(
 _ROOTS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 
 
-@dataclass(frozen=True)
-class Character:
+class Character(_Frozen):
     """A one-dimensional irrep of an Abelian Pauli subgroup, as a Z4 label.
 
     With u the phase generator and b_1..b_r the pivots of
@@ -363,9 +380,8 @@ class Character:
     holds exactly.
     """
 
-    label: int
-    exponents: tuple[int, ...]
-    group: PauliSubgroup = field(repr=False, hash=False)
+    def __init__(self, label: int, exponents: tuple[int, ...], group: PauliSubgroup):
+        vars(self).update(label=label, exponents=exponents, group=group)
 
     def exponent(self, p: PauliElement) -> int:
         """k with chi(p) = i^k; KeyError if ``p`` is outside the group."""

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import paulidfs
-from paulidfs import cli, dfs
+from paulidfs import channels, cli, dfs
 from paulidfs.cli import (
     build_analysis_report,
     build_preset_report,
@@ -600,6 +600,39 @@ class TestEmit:
         assert json.loads(done.stdout)
         assert done.stderr.splitlines()[-1] == "False"
 
+    @pytest.mark.parametrize(
+        ("argv", "loads_channels"),
+        [
+            ([], False),
+            (["analyze", "XXXX", "ZZZZ", "ZZII", "--json"], False),
+            (["preset", "qx", "--json"], False),
+            (["channel", "ZI", "IZ", "--state", "|00>+|11>", "--json"], True),
+            (["preset", "q8", "--json"], True),
+        ],
+    )
+    def test_each_command_loads_only_its_modules(self, argv, loads_channels):
+        """``import paulidfs.cli`` (no argv) loads neither ``dataclasses``
+        nor ``paulidfs.channels``, and only a channel scan and the q8 probe
+        load the latter."""
+        script = (
+            "import sys\n"
+            "from paulidfs.cli import main\n"
+            "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "names = ('dataclasses', 'paulidfs.channels')\n"
+            "print(*(name in sys.modules for name in names), file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv],
+            capture_output=True,
+            text=True,
+            env=child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) if argv else done.stdout == ""
+        assert done.stderr.splitlines()[-1] == f"False {loads_channels}"
+
 
 class TestEntryPoint:
     def test_only_run_freezes_the_collector(self, capsys):
@@ -796,7 +829,7 @@ class TestChannel:
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(cli, "decoherence_scan", fail)
+        monkeypatch.setattr(channels, "decoherence_scan", fail)
         code, out, err = run_cli(
             capsys, "channel", "ZI", "IZ", "--state", "|00>"
         )
@@ -804,11 +837,40 @@ class TestChannel:
         assert out == ""
         assert "numeric failure: Eigenvalues did not converge" in err
 
+    def test_minus_state_joined_by_equals(self, capsys):
+        """A state that starts with a minus is one value after ``=``; as a
+        separate word argparse reads it as an option."""
+        code, out, _ = run_cli(
+            capsys, "channel", "ZI", "IZ", "--state=-|00>+|11>", "--trials", "2", "--json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert report["inputs"]["state"] == "-|00>+|11>"
+        assert report["state"][0][0] == -report["state"][3][0] < 0
+        with pytest.raises(SystemExit) as exc:
+            main(["channel", "ZI", "IZ", "--state", "-|00>"])
+        assert exc.value.code == 1
+        assert "argument --state: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["channel", "ZI", "IZ", "--state", "|00>", "--trials", "2"], ["preset", "q8"]],
+    )
+    def test_failed_normalization_is_numeric_failure(self, capsys, monkeypatch, argv):
+        """The CLI builds every channel from its own draws, so a channel
+        that fails its normalization check is a numeric failure, not an
+        input error."""
+        monkeypatch.setattr(channels, "KRAUS_NORM_TOL", -1)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert "numeric failure: sum A^dag A deviates from identity by" in err
+
     def test_memory_error_is_numeric_failure(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise MemoryError("Unable to allocate 8.00 GiB")
 
-        monkeypatch.setattr(cli, "decoherence_scan", fail)
+        monkeypatch.setattr(channels, "decoherence_scan", fail)
         code, out, err = run_cli(
             capsys, "channel", "XI", "ZI", "--state", "|00>"
         )

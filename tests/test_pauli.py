@@ -1,5 +1,8 @@
 """Element arithmetic: parsing, products, commutation, dense realization."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -55,6 +58,51 @@ def element_pairs(max_qubits=6):
             ).map(lambda t: PauliElement(*t, n)),
         )
     )
+
+
+class TestElementValue:
+    _fields = st.tuples(
+        st.integers(-9, 9), st.integers(0, 7), st.integers(0, 7), st.integers(3, 4)
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(_fields, _fields)
+    def test_equality_and_hash_follow_the_reduced_fields(self, a, b):
+        """Equal, and hashed alike, exactly when (phase mod 4, x, z, K) are."""
+        p, q = PauliElement(*a), PauliElement(*b)
+        key = (a[0] % 4, *a[1:])
+        assert (p.phase_exp, p.x_mask, p.z_mask, p.n_qubits) == key
+        assert (p == q) == (key == (b[0] % 4, *b[1:]))
+        assert (p != q) == (not p == q)
+        assert hash(p) == hash(key)
+        assert p != key
+
+    def test_keyword_construction_and_repr(self):
+        p = PauliElement(phase_exp=6, x_mask=1, z_mask=3, n_qubits=2)
+        assert p == PauliElement(2, 1, 3, 2)
+        assert repr(p) == "PauliElement(phase_exp=2, x_mask=1, z_mask=3, n_qubits=2)"
+
+    def test_validation_messages(self):
+        with pytest.raises(ValueError, match=r"^n_qubits must be >= 1, got 0$"):
+            PauliElement(0, 0, 0, 0)
+        for x, z in ((4, 0), (0, 4), (-1, 0)):
+            with pytest.raises(ValueError, match="^mask has bits beyond the qubit count$"):
+                PauliElement(0, x, z, 2)
+
+    def test_immutable(self):
+        p = parse_pauli("-iXY")
+        with pytest.raises(AttributeError):
+            p.phase_exp = 0
+        with pytest.raises(AttributeError):
+            del p.x_mask
+        with pytest.raises(AttributeError):
+            p.label = "XY"
+        assert p == parse_pauli("-iXY")
+
+    def test_copy_and_pickle_round_trip(self):
+        p = parse_pauli("+iXYZ")
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p and hash(clone) == hash(p)
 
 
 class TestParse:
