@@ -24,17 +24,19 @@ oracle.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .pauli import (
     _WORD,
-    ActionArrays,
     PauliElement,
     _Frozen,
     _parity,
     _require_dense,
+    action_arrays,
     matrix_action,
     to_matrix,
 )
@@ -58,13 +60,15 @@ RESIDUAL_PASS_TOL = 1e-9
 _VERIFY_BLOCK_ENTRIES = 1 << 18
 
 _ROOT_VALUES = np.array(_ROOTS)
+#: |i^d - 1|^2 for d = 0..3.
+_Z4_GAPS = np.array([0, 2, 4, 2], dtype=np.uint8)
 
 #: SplitMix64's gamma and multipliers (Steele, Lea and Flood, OOPSLA 2014).
 _GAMMA, _MIX = np.uint64(0x9E3779B97F4A7C15), (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _DRAW_CHUNK = 1 << 16
 
 
-def _check_character(group: PauliSubgroup, character: Character):
+def _check_character(group: PauliSubgroup, character: Character, dimension=None):
     if not group.is_abelian:
         raise NotAbelianError(
             "projectors onto one-dimensional irreps need an Abelian "
@@ -79,6 +83,8 @@ def _check_character(group: PauliSubgroup, character: Character):
         and all(g in group for g in own.generators)
     ):
         raise ValueError("character does not belong to this subgroup")
+    if dimension not in (None, 1 << group.n_qubits):
+        raise ValueError(f"basis vectors have length {dimension}, not 2^K")
 
 
 class IrrepProjector(NamedTuple):
@@ -153,6 +159,17 @@ class DfsBasis(_Frozen):
             return np.zeros((0, 0), dtype=complex)
         return np.column_stack(self.vectors)
 
+    @cached_property
+    def _z4(self) -> tuple[float, np.ndarray]:
+        """``(a, e)``: amplitude j of the vectors in turn is i^e[j] * a."""
+        values = np.concatenate((np.zeros(0, dtype=complex), *self.amplitudes))
+        amplitude = float(np.abs(values[:1]).max(initial=0.0))
+        roots = _ROOT_VALUES * amplitude
+        exponents = (values[:, None] == roots).argmax(axis=1).astype(np.uint8)
+        if not np.array_equal(roots[exponents], values):
+            raise ValueError("basis amplitudes are not one modulus times powers of i")
+        return amplitude, exponents
+
     def to_json_dict(self) -> dict:
         """The basis as one ``amplitude`` a and, per vector, its ``kets`` and
         a digit string of Z4 ``exponents``: ket j's amplitude is i^e_j * a.
@@ -161,18 +178,12 @@ class DfsBasis(_Frozen):
             ValueError: the amplitudes are not one modulus times powers of
                 i, as those of every ``dfs_basis`` are.
         """
-        values = np.concatenate((np.zeros(0, dtype=complex), *self.amplitudes))
-        amplitude = float(np.abs(values[:1]).max(initial=0.0))
-        roots = _ROOT_VALUES * amplitude
-        exponents = (values[:, None] == roots).argmax(axis=1)
-        if not np.array_equal(roots[exponents], values):
-            raise ValueError("basis amplitudes are not one modulus times powers of i")
-        digits = z4_digits(exponents)
+        digits = z4_digits(self._z4[1])
         ends = np.cumsum([len(kets) for kets in self.kets]).tolist()
         return {
             "character_label": self.character.label,
             "multiplicity": self.multiplicity,
-            "amplitude": amplitude,
+            "amplitude": self._z4[0],
             "vectors": [
                 {"kets": kets.tolist(), "exponents": digits[end - len(kets) : end]}
                 for kets, end in zip(self.kets, ends)
@@ -234,8 +245,8 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
     N/|V_X| elements that share an x mask add up in phase, so P_k |b> has
     amplitude conj(chi_k(h)) <b XOR x|h|b> / |V_X| on b XOR x, for any one
     element h with that x mask.  The m vectors are normalized and kept on
-    their orbits in increasing ket order, in increasing seed order.  A zero
-    multiplicity yields an empty basis.
+    their orbits in increasing ket order, which is V_X order, in increasing
+    seed order.  A zero multiplicity yields an empty basis.
     """
     _check_character(group, character)
     _require_dense(group.n_qubits)
@@ -258,10 +269,9 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
     exponents = (phase[first] - chi % 4 + 2 * _parity(seeds[:, None] & z[first])) % 4
     amplitudes = _ROOT_VALUES[exponents] / len(span)
     amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
+    # rows are in increasing ket order: the top bit where two entries of
+    # V_X differ is some pivot's lead x bit, and no seed has one set
     kets = seeds[:, None] ^ span
-    order = np.argsort(kets, axis=1)
-    kets = np.take_along_axis(kets, order, axis=1)
-    amplitudes = np.take_along_axis(amplitudes, order, axis=1)
     kets.flags.writeable = amplitudes.flags.writeable = False
     return DfsBasis(
         character=character,
@@ -344,10 +354,10 @@ class VerificationReport(NamedTuple):
 
 
 def _apply_on_closures(
-    group: PauliSubgroup, actions: ActionArrays, basis: DfsBasis, coefficients
+    group: PauliSubgroup, basis: DfsBasis, coefficients
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's A = sum_n a_n G_n, for the elements G_n of ``group`` that
-    ``actions`` lists, applied to every basis vector on its X-span closure.
+    """Each row's A = sum_n a_n G_n over the elements G_n of ``group``,
+    applied to every basis vector on its X-span closure.
 
     Vector j is written on the kets {b XOR x_n} for b in its support, keyed
     (j << K) | ket and sorted, so the vectors' closures follow one another.
@@ -355,7 +365,7 @@ def _apply_on_closures(
     images A v on those keys, and where each vector's keys start.
     """
     n = group.n_qubits
-    x, z, phase = actions.dense()
+    x, z, phase = group.action_arrays.dense()
     span, _ = group.x_span
     owners = np.repeat(np.arange(len(basis.kets)), [len(k) for k in basis.kets])
     support = owners << n | np.concatenate(basis.kets)
@@ -388,39 +398,8 @@ def _apply_on_closures(
     return values, images, starts
 
 
-def _eigen_check(
-    group: PauliSubgroup, actions: ActionArrays, basis: DfsBasis, rows, predicted
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """``(shared, residuals, spreads, passed)`` for the A of each coefficient
-    row, applied by ``_apply_on_closures``: the vectors' mean Rayleigh
-    quotient c, the worst ||A v - c v|| and the worst |<v|A|v> - c|.  The
-    basis passes when every residual and every gap |c - predicted| is
-    below ``RESIDUAL_PASS_TOL``."""
-    _check_character(group, basis.character)
-    if basis.dimension != 1 << group.n_qubits:
-        raise ValueError(
-            f"basis vectors have length {basis.dimension}, but the subgroup "
-            f"acts on {1 << group.n_qubits} amplitudes"
-        )
-    if not basis.kets:
-        zeros = np.zeros(len(rows))
-        return predicted, zeros, zeros, True
-    values, images, starts = _apply_on_closures(group, actions, basis, rows)
-    rayleigh = np.add.reduceat(values.conj() * images, starts, axis=1)
-    shared = rayleigh.mean(axis=1)
-    misfit = np.abs(images - shared[:, None] * values) ** 2
-    residuals = np.sqrt(np.add.reduceat(misfit, starts, axis=1)).max(axis=1)
-    spreads = np.abs(rayleigh - shared[:, None]).max(axis=1)
-    gap = np.abs(shared - predicted).max()
-    passed = residuals.max() < RESIDUAL_PASS_TOL and gap < RESIDUAL_PASS_TOL
-    return shared, residuals, spreads, bool(passed)
-
-
 def verify_dfs(
-    group: PauliSubgroup,
-    basis: DfsBasis,
-    trials: int = 32,
-    seed: int = 0,
+    group: PauliSubgroup, basis: DfsBasis, trials: int = 32, seed: int = 0
 ) -> VerificationReport:
     """Check that every basis vector is a shared eigenvector of random
     group-algebra operators.
@@ -444,50 +423,72 @@ def verify_dfs(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     character = basis.character
+    _check_character(group, character, basis.dimension)
     draws = seeded_normals(seed, trials * 2 * group.order).reshape(trials, 2, -1)
     coefficients = draws[:, 0] + 1j * draws[:, 1]
     exponents = np.array(character.exponents, dtype=np.uint8)
     chi = character.group.coordinate_matrix @ exponents % 4
     predicted = coefficients @ _ROOT_VALUES[chi]
-    shared, residuals, spreads, passed = _eigen_check(
-        group, group.action_arrays, basis, coefficients, predicted
-    )
+    shared, residuals, spreads = predicted, np.zeros(trials), np.zeros(trials)
+    if basis.kets:
+        values, images, starts = _apply_on_closures(group, basis, coefficients)
+        rayleigh = np.add.reduceat(values.conj() * images, starts, axis=1)
+        shared = rayleigh.mean(axis=1)
+        misfit = np.abs(images - shared[:, None] * values) ** 2
+        residuals = np.sqrt(np.add.reduceat(misfit, starts, axis=1)).max(axis=1)
+        spreads = np.abs(rayleigh - shared[:, None]).max(axis=1)
+    gap = np.abs(shared - predicted).max()
+    passed = residuals.max() < RESIDUAL_PASS_TOL and gap < RESIDUAL_PASS_TOL
     results = tuple(
-        VerificationTrial(
-            coefficients=row,
-            eigenvalue=complex(c),
-            eigenvalue_predicted=complex(p),
-            max_residual=float(r),
-            eigenvalue_spread=float(d),
-        )
+        VerificationTrial(row, complex(c), complex(p), float(r), float(d))
         for row, c, p, r, d in zip(coefficients, shared, predicted, residuals, spreads)
     )
     return VerificationReport(
-        character_label=character.label,
-        trials=results,
-        seed=seed,
-        passed=passed,
-        max_residual=float(residuals.max()),
+        character.label, results, seed, bool(passed), float(residuals.max())
     )
 
 
-def verify_on_generators(group: PauliSubgroup, basis: DfsBasis) -> tuple[bool, float]:
-    """``(passed, max_residual)`` of ``verify_dfs``'s check made once on each
-    sifted generator u, b_1, ..., b_r of the character's group, predicted
-    to act as i^exponents[j].  Characters are multiplicative, so these
-    r + 1 operators decide the check for every A = sum a_n G_n, with no
-    draw.
+def verify_on_generators(group: PauliSubgroup, bases: Iterable[DfsBasis]) -> list:
+    """``(passed, max_residual)`` of each of ``bases``, read once, checked
+    exactly on the sifted generators g = i^phase X^x Z^z of their one
+    character group, which decide it for the whole group algebra.  Each
+    vector must be one X-orbit b XOR V_X, in V_X order, of amplitudes
+    i^e * a.  It passes when, for every g and v, with E its exponents,
 
-    Raises:
-        ValueError: a character of another subgroup, or vectors whose
-            length is not 2^K.
+        d = E[v XOR x] + phase + 2 parity((b XOR v XOR x) & z) - chi(g) - E[v]
+
+    is 0 mod 4; ``max_residual``, the worst ||g psi - chi(g) psi||, is
+    a sqrt(sum_v |i^d - 1|^2).  ValueError as ``verify_dfs``, for bases of
+    two subgroup objects, and for a vector that is not such an orbit.
     """
-    exponents = basis.character.exponents
-    actions = basis.character.group.sifted_action_arrays
-    rows = np.eye(len(exponents), dtype=complex)
-    predicted = _ROOT_VALUES[list(exponents)]
-    _, residuals, _, passed = _eigen_check(group, actions, basis, rows, predicted)
-    return passed, float(residuals.max())
+    own, scales, owners, labels, seeds, exponents = None, [], [], [], [], []
+    for basis in bases:
+        _check_character(group, basis.character, basis.dimension)
+        own = own or basis.character.group
+        if basis.character.group is not own:
+            raise ValueError("bases with characters of different subgroup objects")
+        span, _ = own.x_span
+        if not all(np.array_equal(kets, kets[0] ^ span) for kets in basis.kets):
+            raise ValueError("a basis vector is not one X-orbit")
+        owners += [len(scales)] * len(basis.kets)
+        labels += [basis.character.exponents] * len(basis.kets)
+        seeds += [kets[0] for kets in basis.kets]
+        scales.append(basis._z4[0])
+        exponents.append(basis._z4[1])
+    if own is None:
+        return []
+    seeds = np.array(seeds, dtype=np.int64)
+    exponents = np.concatenate(exponents).reshape(len(seeds), len(span))
+    worst = np.zeros(len(scales), dtype=np.int64)
+    generators = action_arrays(own.sifted.generators, own.n_qubits).dense()
+    # uint8 sums wrap mod 256, which 4 divides, so every d is exact
+    for x, z, phase, chi in zip(*generators, np.array(labels, np.uint8).T):
+        moved = span ^ x
+        d = exponents[:, span.searchsorted(moved)] - exponents
+        d += (phase + 2 * _parity(moved & z)).astype(np.uint8)
+        d += ((2 * _parity(seeds & z)).astype(np.uint8) - chi)[:, None]
+        np.maximum.at(worst, owners, _Z4_GAPS[d & 3].sum(axis=1, dtype=np.int64))
+    return [(not w, a * w**0.5) for a, w in zip(scales, worst.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -112,11 +112,6 @@ class PauliSubgroup(_Frozen):
         return p in self.element_coordinates
 
     @cached_property
-    def sifted_action_arrays(self) -> ActionArrays:
-        """The ``action_arrays`` of ``sifted.generators``, built once."""
-        return action_arrays(self.sifted.generators, self.n_qubits)
-
-    @cached_property
     def x_span(self) -> tuple[np.ndarray, np.ndarray]:
         """The X-span V_X of a dense subgroup: the distinct x masks in
         increasing order, and for each the index of its first element."""
@@ -461,7 +456,9 @@ def _canonical_basis(group: PauliSubgroup) -> list[int]:
         if s:
             rest = slice(at + 1, None)
             hit = masks[rest] >> (s.bit_length() - 1) & 1
-            phases[rest] += hit * (m + half * _parity(masks[rest] & s & anti_hermitian))
+            phases[rest] += hit * m
+            if half and s & anti_hermitian:
+                phases[rest] += hit * half * _parity(masks[rest] & s & anti_hermitian)
             masks[rest] ^= hit * s
             kept += 1
             m = 2 * m + half * (s & anti_hermitian).bit_count()  # its square

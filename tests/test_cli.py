@@ -360,7 +360,7 @@ class TestAnalyze:
             for entry in report.get("characters", []):
                 if entry["multiplicity"]:
                     assert entry["verification"]["passed"]
-                    assert entry["verification"]["max_residual"] < 1e-12
+                    assert entry["verification"]["max_residual"] == 0.0
 
 
 class TestPreset:

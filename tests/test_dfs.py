@@ -251,7 +251,7 @@ class TestDfsBasis:
             expected = reference_dfs_basis(own, c)
             assert len(vectors) == len(expected)
             assert all(map(np.array_equal, vectors, expected))
-            assert verify_on_generators(other, dfs_basis(other, c))[0]
+            assert verify_on_generators(other, [dfs_basis(other, c)]) == [(True, 0.0)]
 
     def test_json_shape(self, q2z):
         data = dfs_basis(q2z, characters(q2z)[0]).to_json_dict()
@@ -441,6 +441,20 @@ class TestSeededNormals:
         assert np.array_equal(seeded_normals(np.int64(9), 4), seeded_normals(9, 4))
 
 
+def generator_residuals(group, bases) -> list[float]:
+    """Each basis's worst ||g v - chi(g) v|| over the sifted generators g,
+    in floating point on dense matrices."""
+    sifted = bases[0].character.group.sifted.generators
+    return [
+        max(
+            np.linalg.norm(to_matrix(g) @ v - 1j**k * v)
+            for g, k in zip(sifted, basis.character.exponents)
+            for v in basis.vectors
+        )
+        for basis in bases
+    ]
+
+
 class TestVerifyOnGenerators:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -449,50 +463,76 @@ class TestVerifyOnGenerators:
         phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
     )
     def test_agrees_with_random_trials(self, seed, n_qubits, phases):
-        """The check on the r + 1 sifted generators gives the verdict of
-        ``verify_dfs`` with eight random trials: a ``dfs_basis`` and a
-        superposition across the orbits of one irrep pass; a superposition
-        across two irreps, a relabelled basis and a vector with one
-        amplitude times i fail, whenever the group admits them."""
+        """One exact check passes every supported ``dfs_basis``, whose kets
+        strictly increase along each vector, with residual 0.0.  A
+        relabelled basis and a vector with one amplitude times i fail, as
+        under ``verify_dfs`` with eight random trials, with the residual of
+        the dense generators.  A random superposition within one irrep,
+        which ``verify_dfs`` passes, and a vector on two X-orbits are
+        refused: neither is one X-orbit of amplitudes i^e * a."""
         rng = np.random.default_rng(seed)
         group = abelian_group(rng, n_qubits, phases)
         chars = characters(group)
         supported = [c for c in chars if multiplicity(group, c)]
+        bases = [dfs_basis(group, c) for c in supported]
+        assert verify_on_generators(group, bases) == [(True, 0.0)] * len(bases)
+        assert all(np.all(np.diff(kets) > 0) for b in bases for kets in b.kets)
+
         first = supported[rng.integers(len(supported))]
         basis = dfs_basis(group, first)
         vectors = basis.vectors
+        failing = []
+        relabels = [c for c in chars if c is not first]
+        if relabels:
+            label = relabels[rng.integers(len(relabels))]
+            failing.append(DfsBasis.from_vectors(label, vectors))
+        if len(basis.kets[0]) > 1:
+            twisted = vectors[0].copy()
+            twisted[rng.choice(basis.kets[0])] *= 1j
+            failing.append(DfsBasis.from_vectors(first, (twisted,)))
+        if failing:
+            results = verify_on_generators(group, failing)
+            dense = generator_residuals(group, failing)
+            for case, (passed, residual), expected in zip(failing, results, dense):
+                assert passed is verify_dfs(group, case, trials=8, seed=seed % 1000).passed
+                assert not passed
+                assert abs(residual - expected) < 1e-12
+
         weights = rng.standard_normal(len(vectors)) + 1j * rng.standard_normal(
             len(vectors)
         )
         within = sum(w * v for w, v in zip(weights, vectors))
-        within /= np.linalg.norm(within)
-        cases = [(basis, True), (DfsBasis.from_vectors(first, (within,)), True)]
-        others = [c for c in supported if c is not first]
-        if others:
-            other = dfs_basis(group, others[rng.integers(len(others))])
-            across = (vectors[0] + other.vectors[0]) / np.sqrt(2)
-            cases.append((DfsBasis.from_vectors(first, (across,)), False))
-        relabels = [c for c in chars if c is not first]
-        if relabels:
-            label = relabels[rng.integers(len(relabels))]
-            cases.append((DfsBasis.from_vectors(label, vectors), False))
-        if len(basis.kets[0]) > 1:
-            twisted = vectors[0].copy()
-            twisted[rng.choice(basis.kets[0])] *= 1j
-            cases.append((DfsBasis.from_vectors(first, (twisted,)), False))
-        for case, expected in cases:
-            passed, residual = verify_on_generators(group, case)
-            assert passed == verify_dfs(group, case, trials=8, seed=seed % 1000).passed
-            assert passed == expected
-            assert residual >= 0
+        within = DfsBasis.from_vectors(first, (within / np.linalg.norm(within),))
+        assert verify_dfs(group, within, trials=8, seed=seed % 1000).passed
+        with pytest.raises(ValueError):
+            verify_on_generators(group, [within])
+        span, _ = group.x_span
+        outside = np.setdiff1d(np.arange(1 << n_qubits), basis.kets[0])
+        if len(outside):
+            spread = vectors[0].copy()
+            spread[outside[rng.integers(len(outside))] ^ span] = basis.amplitudes[0]
+            with pytest.raises(ValueError, match="X-orbit"):
+                verify_on_generators(group, [DfsBasis.from_vectors(first, (spread,))])
 
     def test_checks_input_as_verify_dfs_does(self, qz):
         other = closure([parse_pauli("ZII"), parse_pauli("IZI")])
         with pytest.raises(ValueError, match="does not belong"):
-            verify_on_generators(qz, dfs_basis(other, characters(other)[0]))
+            verify_on_generators(qz, [dfs_basis(other, characters(other)[0])])
         longer = DfsBasis.from_vectors(characters(qz)[0], (ket("000"),))
         with pytest.raises(ValueError, match="length 8"):
-            verify_on_generators(qz, longer)
+            verify_on_generators(qz, [longer])
+
+    def test_checks_bases_of_one_group_and_z4_amplitudes(self, qz):
+        equal = closure(qz.generators)
+        bases = [dfs_basis(g, characters(g)[0]) for g in (qz, equal)]
+        assert verify_on_generators(qz, bases[:1]) == [(True, 0.0)]
+        with pytest.raises(ValueError, match="different subgroup objects"):
+            verify_on_generators(qz, bases)
+        tilted = bases[0].vectors[0] * np.exp(0.25j * np.pi)
+        tilted = DfsBasis.from_vectors(characters(qz)[0], (tilted,))
+        with pytest.raises(ValueError, match="powers of i"):
+            verify_on_generators(qz, [tilted])
+        assert verify_on_generators(qz, []) == []
 
 
 class TestDimensionFormula:
