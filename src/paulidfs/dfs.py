@@ -25,7 +25,6 @@ oracle.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -98,95 +97,64 @@ class IrrepProjector(NamedTuple):
 class DfsBasis(_Frozen):
     """Orthonormal vectors spanning one character's invariant subspace.
 
-    Vector j is stored as its nonzeros: ``kets[j]``, sorted computational
-    basis indices, and ``amplitudes[j]`` on them.  A ``dfs_basis`` vector
-    lives on one X-orbit {b XOR x_n}, so it has |V_X| of each, V_X being
-    the span of the elements' x masks.  ``dimension`` is 2^K.
+    Vector j is P_k |seeds[j]> normalized, on the X-orbit seeds[j] XOR V_X,
+    V_X being the span of the elements' x masks in increasing order: it has
+    amplitude i^exponents[j, v] * a on ket seeds[j] XOR V_X[v], with
+    a = 1/sqrt(|V_X|).  Only the read-only int64 ``seeds`` (m,) and uint8
+    ``exponents`` (m, |V_X|) are stored; the kets, amplitudes and dense
+    vectors are built on each access.  ``dimension`` is 2^K.
     """
 
-    def __init__(
-        self,
-        character: Character,
-        kets: tuple[np.ndarray, ...],
-        amplitudes: tuple[np.ndarray, ...],
-        multiplicity: int,
-        dimension: int,
-    ):
-        vars(self).update(
-            character=character,
-            kets=kets,
-            amplitudes=amplitudes,
-            multiplicity=multiplicity,
-            dimension=dimension,
-        )
+    def __init__(self, character: Character, seeds: np.ndarray, exponents: np.ndarray):
+        vars(self).update(character=character, seeds=seeds, exponents=exponents)
 
-    @classmethod
-    def from_vectors(cls, character: Character, vectors) -> DfsBasis:
-        """A basis of given dense vectors, such as hand-built superpositions.
+    @property
+    def multiplicity(self) -> int:
+        return len(self.seeds)
 
-        Raises:
-            ValueError: no vectors, vectors of unequal length, or a zero
-                vector.
-        """
-        vectors = [np.asarray(v, dtype=complex) for v in vectors]
-        if not vectors:
-            raise ValueError("a basis needs at least one vector")
-        lengths = {len(v) for v in vectors}
-        if len(lengths) > 1:
-            raise ValueError(f"basis vectors have unequal lengths {sorted(lengths)}")
-        kets = tuple(np.flatnonzero(v) for v in vectors)
-        if not all(len(k) for k in kets):
-            raise ValueError("basis vectors must be nonzero")
-        return cls(
-            character=character,
-            kets=kets,
-            amplitudes=tuple(v[k] for v, k in zip(vectors, kets)),
-            multiplicity=len(vectors),
-            dimension=len(vectors[0]),
-        )
+    @property
+    def dimension(self) -> int:
+        return 1 << self.character.group.n_qubits
+
+    @property
+    def amplitude(self) -> float:
+        """a = 1/sqrt(|V_X|), the modulus of every amplitude."""
+        return float(1 / np.sqrt(self.exponents.shape[1]))
+
+    @property
+    def kets(self) -> np.ndarray:
+        """(m, |V_X|) kets: row j is seeds[j] XOR V_X, increasing."""
+        # the top bit where two entries of V_X differ is some pivot's lead
+        # x bit, and no seed has one set
+        return self.seeds[:, None] ^ self.character.group.x_span[0]
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """(m, |V_X|) complex amplitudes i^exponents * a on ``kets``."""
+        return _ROOT_VALUES[self.exponents] * self.amplitude
 
     @property
     def vectors(self) -> tuple[np.ndarray, ...]:
-        """The vectors as dense 2^K arrays, built on each access."""
-        dense = np.zeros((len(self.kets), self.dimension), dtype=complex)
-        for row, kets, amplitudes in zip(dense, self.kets, self.amplitudes):
-            row[kets] = amplitudes
-        return tuple(dense)
+        """The vectors as dense 2^K arrays, the columns of ``stack()``."""
+        return tuple(self.stack().T)
 
     def stack(self) -> np.ndarray:
-        """Basis as a dim x multiplicity column matrix."""
-        if not self.kets:
-            return np.zeros((0, 0), dtype=complex)
-        return np.column_stack(self.vectors)
-
-    @cached_property
-    def _z4(self) -> tuple[float, np.ndarray]:
-        """``(a, e)``: amplitude j of the vectors in turn is i^e[j] * a."""
-        values = np.concatenate((np.zeros(0, dtype=complex), *self.amplitudes))
-        amplitude = float(np.abs(values[:1]).max(initial=0.0))
-        roots = _ROOT_VALUES * amplitude
-        exponents = (values[:, None] == roots).argmax(axis=1).astype(np.uint8)
-        if not np.array_equal(roots[exponents], values):
-            raise ValueError("basis amplitudes are not one modulus times powers of i")
-        return amplitude, exponents
+        """Basis as a dim x multiplicity column matrix, built on each call."""
+        dense = np.zeros((self.multiplicity, self.dimension), dtype=complex)
+        dense[np.arange(self.multiplicity)[:, None], self.kets] = self.amplitudes
+        return dense.T
 
     def to_json_dict(self) -> dict:
         """The basis as one ``amplitude`` a and, per vector, its ``kets`` and
-        a digit string of Z4 ``exponents``: ket j's amplitude is i^e_j * a.
-
-        Raises:
-            ValueError: the amplitudes are not one modulus times powers of
-                i, as those of every ``dfs_basis`` are.
-        """
-        digits = z4_digits(self._z4[1])
-        ends = np.cumsum([len(kets) for kets in self.kets]).tolist()
+        a digit string of Z4 ``exponents``: ket j's amplitude is i^e_j * a."""
+        digits, width = z4_digits(self.exponents), self.exponents.shape[1]
         return {
             "character_label": self.character.label,
             "multiplicity": self.multiplicity,
-            "amplitude": self._z4[0],
+            "amplitude": self.amplitude,
             "vectors": [
-                {"kets": kets.tolist(), "exponents": digits[end - len(kets) : end]}
-                for kets, end in zip(self.kets, ends)
+                {"kets": kets, "exponents": digits[j * width : (j + 1) * width]}
+                for j, kets in enumerate(self.kets.tolist())
             ],
         }
 
@@ -242,11 +210,12 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
     (no bit in ``lead``, the pivots' leading x bits) on which the X-free
     elements act as chi_k: the run of ``orbit_seeds`` whose key is the
     character's exponents on the X-free generators.  On such a seed the
-    N/|V_X| elements that share an x mask add up in phase, so P_k |b> has
-    amplitude conj(chi_k(h)) <b XOR x|h|b> / |V_X| on b XOR x, for any one
-    element h with that x mask.  The m vectors are normalized and kept on
-    their orbits in increasing ket order, which is V_X order, in increasing
-    seed order.  A zero multiplicity yields an empty basis.
+    N/|V_X| elements that share an x mask add up in phase, so P_k |b> is
+    conj(chi_k(h)) <b XOR x|h|b> / |V_X| on b XOR x, for any one element h
+    with that x mask: i^e / |V_X| with an exact Z4 exponent e, which the
+    basis keeps, in V_X order, as the normalized vector's amplitudes
+    i^e / sqrt(|V_X|).  The m seeds increase.  A zero multiplicity yields
+    an empty basis.
     """
     _check_character(group, character)
     _require_dense(group.n_qubits)
@@ -264,22 +233,12 @@ def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
             f"basis extraction found {len(seeds)} seed kets, expected {target}"
         )
     _, z, phase = group.action_arrays.dense()
-    span, first = group.x_span
+    _, first = group.x_span
     chi = group.coordinate_matrix[first] @ np.array(character.exponents, np.uint8)
     exponents = (phase[first] - chi % 4 + 2 * _parity(seeds[:, None] & z[first])) % 4
-    amplitudes = _ROOT_VALUES[exponents] / len(span)
-    amplitudes /= np.linalg.norm(amplitudes, axis=1)[:, None]
-    # rows are in increasing ket order: the top bit where two entries of
-    # V_X differ is some pivot's lead x bit, and no seed has one set
-    kets = seeds[:, None] ^ span
-    kets.flags.writeable = amplitudes.flags.writeable = False
-    return DfsBasis(
-        character=character,
-        kets=tuple(kets),
-        amplitudes=tuple(amplitudes),
-        multiplicity=target,
-        dimension=1 << group.n_qubits,
-    )
+    exponents = exponents.astype(np.uint8)
+    exponents.flags.writeable = False
+    return DfsBasis(character, seeds, exponents)
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +313,11 @@ class VerificationReport(NamedTuple):
 
 
 def _apply_on_closures(
-    group: PauliSubgroup, basis: DfsBasis, coefficients
+    group: PauliSubgroup, kets, amplitudes, coefficients
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's A = sum_n a_n G_n over the elements G_n of ``group``,
-    applied to every basis vector on its X-span closure.
+    applied to every vector, given as its ``kets`` and ``amplitudes``, on
+    its X-span closure.
 
     Vector j is written on the kets {b XOR x_n} for b in its support, keyed
     (j << K) | ket and sorted, so the vectors' closures follow one another.
@@ -367,8 +327,8 @@ def _apply_on_closures(
     n = group.n_qubits
     x, z, phase = group.action_arrays.dense()
     span, _ = group.x_span
-    owners = np.repeat(np.arange(len(basis.kets)), [len(k) for k in basis.kets])
-    support = owners << n | np.concatenate(basis.kets)
+    owners = np.repeat(np.arange(len(kets)), [len(k) for k in kets])
+    support = owners << n | np.concatenate(kets)
     # one representative per coset of V_X: the ket with no lead bit, found
     # by reducing with the sifted pivots' x masks from the top lead down
     seeds = support
@@ -383,7 +343,7 @@ def _apply_on_closures(
     distinct[1:] = seeds[1:] != seeds[:-1]
     keys = np.sort((seeds[distinct][:, None] ^ span).ravel())
     values = np.zeros(len(keys), dtype=complex)
-    values[np.searchsorted(keys, support)] = np.concatenate(basis.amplitudes)
+    values[np.searchsorted(keys, support)] = np.concatenate(amplitudes)
     # (G_n v)[c] = i^phase_n (-1)^parity(s & z_n) v[s] with s = c XOR x_n,
     # which stays in the closure of the vector that owns c
     images = np.zeros((len(coefficients), len(keys)), dtype=complex)
@@ -394,7 +354,7 @@ def _apply_on_closures(
         exponents = (phase[part, None] + 2 * _parity(sources & z[part, None])) % 4
         block = _ROOT_VALUES[exponents] * values[np.searchsorted(keys, sources)]
         images += coefficients[:, part] @ block
-    starts = np.searchsorted(keys >> n, np.arange(len(basis.kets)))
+    starts = np.searchsorted(keys >> n, np.arange(len(kets)))
     return values, images, starts
 
 
@@ -430,8 +390,11 @@ def verify_dfs(
     chi = character.group.coordinate_matrix @ exponents % 4
     predicted = coefficients @ _ROOT_VALUES[chi]
     shared, residuals, spreads = predicted, np.zeros(trials), np.zeros(trials)
-    if basis.kets:
-        values, images, starts = _apply_on_closures(group, basis, coefficients)
+    kets, amplitudes = basis.kets, basis.amplitudes
+    if len(kets):
+        values, images, starts = _apply_on_closures(
+            group, kets, amplitudes, coefficients
+        )
         rayleigh = np.add.reduceat(values.conj() * images, starts, axis=1)
         shared = rayleigh.mean(axis=1)
         misfit = np.abs(images - shared[:, None] * values) ** 2
@@ -451,34 +414,30 @@ def verify_dfs(
 def verify_on_generators(group: PauliSubgroup, bases: Iterable[DfsBasis]) -> list:
     """``(passed, max_residual)`` of each of ``bases``, read once, checked
     exactly on the sifted generators g = i^phase X^x Z^z of their one
-    character group, which decide it for the whole group algebra.  Each
-    vector must be one X-orbit b XOR V_X, in V_X order, of amplitudes
-    i^e * a.  It passes when, for every g and v, with E its exponents,
+    character group, which decide it for the whole group algebra.  Vector
+    b XOR V_X of exponents E passes when, for every g and v,
 
         d = E[v XOR x] + phase + 2 parity((b XOR v XOR x) & z) - chi(g) - E[v]
 
     is 0 mod 4; ``max_residual``, the worst ||g psi - chi(g) psi||, is
-    a sqrt(sum_v |i^d - 1|^2).  ValueError as ``verify_dfs``, for bases of
-    two subgroup objects, and for a vector that is not such an orbit.
+    a sqrt(sum_v |i^d - 1|^2).  ValueError as ``verify_dfs`` for a
+    character of another subgroup, and for bases of two subgroup objects.
     """
     own, scales, owners, labels, seeds, exponents = None, [], [], [], [], []
     for basis in bases:
-        _check_character(group, basis.character, basis.dimension)
+        _check_character(group, basis.character)
         own = own or basis.character.group
         if basis.character.group is not own:
             raise ValueError("bases with characters of different subgroup objects")
-        span, _ = own.x_span
-        if not all(np.array_equal(kets, kets[0] ^ span) for kets in basis.kets):
-            raise ValueError("a basis vector is not one X-orbit")
-        owners += [len(scales)] * len(basis.kets)
-        labels += [basis.character.exponents] * len(basis.kets)
-        seeds += [kets[0] for kets in basis.kets]
-        scales.append(basis._z4[0])
-        exponents.append(basis._z4[1])
+        owners += [len(scales)] * basis.multiplicity
+        labels += [basis.character.exponents] * basis.multiplicity
+        seeds.append(basis.seeds)
+        exponents.append(basis.exponents)
+        scales.append(basis.amplitude)
     if own is None:
         return []
-    seeds = np.array(seeds, dtype=np.int64)
-    exponents = np.concatenate(exponents).reshape(len(seeds), len(span))
+    seeds, exponents = np.concatenate(seeds), np.concatenate(exponents)
+    span, _ = own.x_span
     worst = np.zeros(len(scales), dtype=np.int64)
     generators = action_arrays(own.sifted.generators, own.n_qubits).dense()
     # uint8 sums wrap mod 256, which 4 divides, so every d is exact

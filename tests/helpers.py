@@ -1,4 +1,5 @@
 import copy
+from typing import NamedTuple
 
 import numpy as np
 
@@ -207,6 +208,37 @@ def reference_dfs_basis(group, character) -> list[np.ndarray]:
         kept.append(candidate / norm)
     assert len(kept) == proj.multiplicity
     return kept
+
+
+class SparseVectors(NamedTuple):
+    """Hand-built vectors, such as superpositions, in the form ``verify_dfs``
+    reads a basis: vector j as its nonzero ``kets[j]`` and the
+    ``amplitudes[j]`` on them."""
+
+    character: object
+    kets: tuple
+    amplitudes: tuple
+    multiplicity: int
+    dimension: int
+
+    @property
+    def vectors(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.stack().T)
+
+    def stack(self) -> np.ndarray:
+        """The vectors as a dimension x multiplicity column matrix."""
+        dense = np.zeros((self.multiplicity, self.dimension), dtype=complex)
+        for row, kets, amplitudes in zip(dense, self.kets, self.amplitudes):
+            row[kets] = amplitudes
+        return dense.T
+
+
+def sparse_vectors(character, vectors) -> SparseVectors:
+    """The given dense vectors, all of one length, under ``character``."""
+    vectors = [np.asarray(v, dtype=complex) for v in vectors]
+    kets = tuple(np.flatnonzero(v) for v in vectors)
+    amplitudes = tuple(v[k] for v, k in zip(vectors, kets))
+    return SparseVectors(character, kets, amplitudes, len(vectors), len(vectors[0]))
 
 
 def reference_verify_dfs(group, basis, trials, seed) -> list[tuple]:

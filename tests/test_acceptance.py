@@ -9,7 +9,6 @@ import contextlib
 import numpy as np
 
 from paulidfs import (
-    DfsBasis,
     apply_channel,
     characters,
     code_fix_residual,
@@ -38,6 +37,7 @@ from helpers import (
     expand_v1,
     ket,
     projector_rank,
+    sparse_vectors,
     subspace_distance,
     uniform_group_channel,
 )
@@ -239,7 +239,7 @@ def test_criterion_7_necessity_probe():
             weights[len(basis_a.vectors)] += 2.0
             vec = sum(w * v for w, v in zip(weights, pieces))
             vec /= np.linalg.norm(vec)
-            mixed = DfsBasis.from_vectors(first, (vec,))
+            mixed = sparse_vectors(first, (vec,))
             report = verify_dfs(group, mixed, trials=32, seed=0)
             assert not report.passed
             assert sum(t.max_residual > 1e-6 for t in report.trials) >= 1

@@ -292,6 +292,27 @@ class TestAnalyze:
         characters(closure([parse_pauli(s) for s in z_strings(13, 13)]))[5]
         assert len(built) == 1
 
+    def test_report_builds_no_float_basis(self, monkeypatch):
+        """Bases are written and checked in Z4 form: with the complex
+        amplitudes and dense vectors of ``DfsBasis`` forbidden, every preset
+        and ten X strings at K = 10 pass with residual 0.0."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("complex basis array built")
+
+        for name in ("amplitudes", "vectors"):
+            monkeypatch.setattr(dfs.DfsBasis, name, property(forbidden))
+        monkeypatch.setattr(dfs.DfsBasis, "stack", forbidden)
+        x_strings = ["I" * j + "X" + "I" * (9 - j) for j in range(10)]
+        reports = [build_preset_report(name, 1, 0) for name in PRESET_NAMES]
+        reports.append(build_analysis_report(x_strings, 1, 0))
+        for report in reports:
+            for entry in report.get("characters", []):
+                if entry["multiplicity"]:
+                    assert entry["verification"]["passed"]
+                    assert entry["verification"]["max_residual"] == 0.0
+        assert len(reports[-1]["characters"]) == 1024
+
     def test_non_abelian_search_entry_above_dense_limit(self, capsys):
         """At K = 13 a non-Abelian report still counts its joint
         eigenvectors: none, in closed form."""

@@ -33,6 +33,7 @@ from helpers import (
     projector_rank,
     reference_dfs_basis,
     reference_verify_dfs,
+    sparse_vectors,
     subspace_distance,
 )
 
@@ -169,6 +170,7 @@ class TestDfsBasis:
         assert empty
         for c in empty:
             assert dfs_basis(group, c).vectors == ()
+            assert dfs_basis(group, c).stack().shape == (2, 0)
 
     def test_orthonormal_and_transforming(self, qx):
         for c in characters(qx):
@@ -263,29 +265,14 @@ class TestDfsBasis:
         ]
 
     def test_json_reads_powers_of_i(self, qx):
-        """A hand-built basis of one modulus times powers of i is written
-        as those powers."""
-        vector = dfs_basis(qx, characters(qx)[0]).vectors[0]
-        basis = DfsBasis.from_vectors(characters(qx)[0], (1j * vector, -vector))
+        """A basis built in Z4 form is written as its powers of i."""
+        trivial = dfs_basis(qx, characters(qx)[0])
+        vector = trivial.vectors[0]
+        exponents = (trivial.exponents[[0, 0]] + np.array([[1], [2]], np.uint8)) % 4
+        basis = DfsBasis(trivial.character, trivial.seeds[[0, 0]], exponents)
         data = basis.to_json_dict()
         assert data["amplitude"] == abs(vector[0])
         assert [v["exponents"] for v in data["vectors"]] == ["1111", "2222"]
-
-    @pytest.mark.parametrize(
-        "vectors",
-        [
-            [0.6 * ket("0000") + 0.8 * ket("1111")],
-            [(ket("0000") + np.exp(0.25j * np.pi) * ket("1111")) / np.sqrt(2)],
-            [ket("0000"), 2 * ket("1111")],
-        ],
-        ids=["two-moduli", "eighth-root", "moduli-across-vectors"],
-    )
-    def test_json_rejects_other_amplitudes(self, qx, vectors):
-        """Only a hand-built basis can have amplitudes that are not one
-        modulus times powers of i; it has no JSON form."""
-        basis = DfsBasis.from_vectors(characters(qx)[0], vectors)
-        with pytest.raises(ValueError, match="one modulus times powers of i"):
-            basis.to_json_dict()
 
 
 class TestVerifyDfs:
@@ -310,7 +297,7 @@ class TestVerifyDfs:
         b1 = dfs_basis(qx, chars[0]).vectors[0]
         b2 = dfs_basis(qx, chars[1]).vectors[0]
         mixed = (b1 + b2) / np.sqrt(2)
-        fake = DfsBasis.from_vectors(chars[0], (mixed,))
+        fake = sparse_vectors(chars[0], (mixed,))
         report = verify_dfs(qx, fake, trials=32, seed=3)
         assert not report.passed
         assert sum(t.max_residual > 1e-3 for t in report.trials) >= 1
@@ -319,7 +306,7 @@ class TestVerifyDfs:
         chars = characters(qx)
         basis = dfs_basis(qx, chars[0])
         mixed = (basis.vectors[0] + basis.vectors[1]) / np.sqrt(2)
-        fake = DfsBasis.from_vectors(chars[0], (mixed,))
+        fake = sparse_vectors(chars[0], (mixed,))
         assert verify_dfs(qx, fake, trials=16, seed=5).passed
 
     def test_relabelled_basis_fails(self, q2z):
@@ -328,7 +315,7 @@ class TestVerifyDfs:
         form of the label."""
         chars = {c.label: c for c in characters(q2z)}
         vectors = dfs_basis(q2z, chars[1]).vectors
-        relabelled = DfsBasis.from_vectors(chars[2], vectors)
+        relabelled = sparse_vectors(chars[2], vectors)
         report = verify_dfs(q2z, relabelled, trials=32, seed=0)
         assert report.max_residual < 1e-12
         assert not report.passed
@@ -343,17 +330,9 @@ class TestVerifyDfs:
         other = closure([parse_pauli("ZII"), parse_pauli("IZI")])
         with pytest.raises(ValueError, match="does not belong"):
             verify_dfs(qz, dfs_basis(other, characters(other)[0]))
-        longer = DfsBasis.from_vectors(characters(qz)[0], (ket("000"),))
+        longer = sparse_vectors(characters(qz)[0], (ket("000"),))
         with pytest.raises(ValueError, match="length 8"):
             verify_dfs(qz, longer)
-
-    def test_from_vectors_rejects_empty_list(self, qx):
-        with pytest.raises(ValueError, match="at least one vector"):
-            DfsBasis.from_vectors(characters(qx)[0], [])
-
-    def test_from_vectors_rejects_unequal_lengths(self, qx):
-        with pytest.raises(ValueError, match=r"unequal lengths \[4, 16\]"):
-            DfsBasis.from_vectors(characters(qx)[0], [np.eye(16)[0], np.ones(4)])
 
     @pytest.mark.parametrize("case", ["basis", "cross_irrep", "within_irrep"])
     @settings(max_examples=25, deadline=None)
@@ -381,7 +360,7 @@ class TestVerifyDfs:
                 len(pieces)
             )
             mixed = sum(w * v for w, v in zip(weights, pieces))
-            basis = DfsBasis.from_vectors(first, (mixed / np.linalg.norm(mixed),))
+            basis = sparse_vectors(first, (mixed / np.linalg.norm(mixed),))
         report = verify_dfs(group, basis, trials=4, seed=seed % 1000)
         expected = reference_verify_dfs(group, basis, trials=4, seed=seed % 1000)
         for trial, (coeff, eigenvalue, predicted, residual, spread) in zip(
@@ -465,11 +444,10 @@ class TestVerifyOnGenerators:
     def test_agrees_with_random_trials(self, seed, n_qubits, phases):
         """One exact check passes every supported ``dfs_basis``, whose kets
         strictly increase along each vector, with residual 0.0.  A
-        relabelled basis and a vector with one amplitude times i fail, as
-        under ``verify_dfs`` with eight random trials, with the residual of
-        the dense generators.  A random superposition within one irrep,
-        which ``verify_dfs`` passes, and a vector on two X-orbits are
-        refused: neither is one X-orbit of amplitudes i^e * a."""
+        relabelled basis and a vector with one exponent plus one, both built
+        in Z4 form, fail, as under ``verify_dfs`` with eight random trials,
+        with the residual of the dense generators.  A random superposition
+        within one irrep, which has no Z4 form, passes ``verify_dfs``."""
         rng = np.random.default_rng(seed)
         group = abelian_group(rng, n_qubits, phases)
         chars = characters(group)
@@ -480,16 +458,16 @@ class TestVerifyOnGenerators:
 
         first = supported[rng.integers(len(supported))]
         basis = dfs_basis(group, first)
-        vectors = basis.vectors
         failing = []
         relabels = [c for c in chars if c is not first]
         if relabels:
             label = relabels[rng.integers(len(relabels))]
-            failing.append(DfsBasis.from_vectors(label, vectors))
-        if len(basis.kets[0]) > 1:
-            twisted = vectors[0].copy()
-            twisted[rng.choice(basis.kets[0])] *= 1j
-            failing.append(DfsBasis.from_vectors(first, (twisted,)))
+            failing.append(DfsBasis(label, basis.seeds, basis.exponents))
+        width = basis.exponents.shape[1]
+        if width > 1:
+            twisted = basis.exponents[:1].copy()
+            twisted[0, rng.integers(width)] += 1
+            failing.append(DfsBasis(first, basis.seeds[:1], twisted % 4))
         if failing:
             results = verify_on_generators(group, failing)
             dense = generator_residuals(group, failing)
@@ -498,29 +476,18 @@ class TestVerifyOnGenerators:
                 assert not passed
                 assert abs(residual - expected) < 1e-12
 
+        vectors = basis.vectors
         weights = rng.standard_normal(len(vectors)) + 1j * rng.standard_normal(
             len(vectors)
         )
         within = sum(w * v for w, v in zip(weights, vectors))
-        within = DfsBasis.from_vectors(first, (within / np.linalg.norm(within),))
+        within = sparse_vectors(first, (within / np.linalg.norm(within),))
         assert verify_dfs(group, within, trials=8, seed=seed % 1000).passed
-        with pytest.raises(ValueError):
-            verify_on_generators(group, [within])
-        span, _ = group.x_span
-        outside = np.setdiff1d(np.arange(1 << n_qubits), basis.kets[0])
-        if len(outside):
-            spread = vectors[0].copy()
-            spread[outside[rng.integers(len(outside))] ^ span] = basis.amplitudes[0]
-            with pytest.raises(ValueError, match="X-orbit"):
-                verify_on_generators(group, [DfsBasis.from_vectors(first, (spread,))])
 
     def test_checks_input_as_verify_dfs_does(self, qz):
         other = closure([parse_pauli("ZII"), parse_pauli("IZI")])
         with pytest.raises(ValueError, match="does not belong"):
             verify_on_generators(qz, [dfs_basis(other, characters(other)[0])])
-        longer = DfsBasis.from_vectors(characters(qz)[0], (ket("000"),))
-        with pytest.raises(ValueError, match="length 8"):
-            verify_on_generators(qz, [longer])
 
     def test_checks_bases_of_one_group_and_z4_amplitudes(self, qz):
         equal = closure(qz.generators)
@@ -528,10 +495,10 @@ class TestVerifyOnGenerators:
         assert verify_on_generators(qz, bases[:1]) == [(True, 0.0)]
         with pytest.raises(ValueError, match="different subgroup objects"):
             verify_on_generators(qz, bases)
-        tilted = bases[0].vectors[0] * np.exp(0.25j * np.pi)
-        tilted = DfsBasis.from_vectors(characters(qz)[0], (tilted,))
-        with pytest.raises(ValueError, match="powers of i"):
-            verify_on_generators(qz, [tilted])
+        # i times an eigenvector is one: every exponent plus one still passes
+        own = bases[0]
+        turned = DfsBasis(own.character, own.seeds, (own.exponents + 1) % 4)
+        assert verify_on_generators(qz, [turned]) == [(True, 0.0)]
         assert verify_on_generators(qz, []) == []
 
 

@@ -64,7 +64,7 @@ def _values(qz):
         (qz.sifted, "is_abelian"),
         (qz, "generators"),
         (c, "label"),
-        (basis, "kets"),
+        (basis, "seeds"),
         (random_group_algebra_kraus(qz, 2, 0), "operators"),
         (projector(qz, c), "matrix"),
         (report, "passed"),
