@@ -18,9 +18,9 @@ chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  Each DFS basis
 has one ``amplitude`` a, and each of its vectors its ``kets`` and an
 ``exponents`` string: ket j has amplitude i^e_j * a.  Reducibility and the
 bases need K <= ``DENSE_QUBIT_LIMIT``, and the bases their 2^K * |V_X|
-kets, read off the sift, within ``BASIS_KET_CAP``.  One exact Z4 check on
-the r + 1 sifted generators covers all bases, so ``--trials`` drives only
-the ``channel`` scan, whose report omits the subgroup's elements.
+kets, read off the sift, within ``BASIS_KET_CAP``.  One pass builds all
+bases, and one exact Z4 check on the r + 1 sifted generators covers them,
+so ``--trials`` drives only the ``channel`` scan, which omits the elements.
 
 ``--json`` writes the bytes of ``json.dumps(report, indent=2)`` in pieces
 of at least ``EMIT_FLUSH_CHARS`` characters, never the document whole.
@@ -49,9 +49,10 @@ import numpy as np
 from numpy.linalg import LinAlgError
 
 from .dfs import (
+    DfsBasis,
     _multiplicities,
     applicable_phase_class,
-    dfs_basis,
+    dfs_bases,
     dimension_formula,
     verify_on_generators,
 )
@@ -211,16 +212,14 @@ def build_analysis_report(
     }
     multiplicities = _multiplicities(group, chars.labels[:, 0].tolist())
     entries = [{"label": k, "multiplicity": m} for k, m in enumerate(multiplicities, 1)]
-    checked = [entry for entry in entries if with_bases and entry["multiplicity"]]
-
-    def bases():  # each written as the check reads it, so one is held at a time
-        for entry in checked:
-            basis = dfs_basis(group, chars[entry["label"] - 1])
-            entry["basis"] = basis.to_json_dict()
-            yield basis
-
-    for entry, (passed, residual) in zip(checked, verify_on_generators(group, bases())):
-        entry["verification"] = {"passed": passed, "max_residual": residual}
+    if with_bases:
+        rows = np.flatnonzero(multiplicities)
+        labels = chars.labels[rows]
+        seeds, exponents = dfs_bases(group, labels)
+        checks = verify_on_generators(group, labels, seeds, exponents)
+        for k, s, e, (passed, residual) in zip(rows.tolist(), seeds, exponents, checks):
+            entries[k]["basis"] = DfsBasis(chars[k], s, e).to_json_dict()
+            entries[k]["verification"] = {"passed": passed, "max_residual": residual}
     report["characters"] = entries
 
     phase_class = applicable_phase_class(group)

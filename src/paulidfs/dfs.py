@@ -1,5 +1,5 @@
-"""Irrep projectors, DFS bases, the eigenvalue verification and the
-joint-eigenspace search.
+"""Irrep projectors, DFS bases built for all supported characters in one
+pass, their exact and random-trial checks, and the joint-eigenspace search.
 
 For an Abelian subgroup {G_n} of order N with one-dimensional characters
 gamma^k, the projector onto the k-th invariant subspace is
@@ -24,7 +24,6 @@ oracle.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from typing import NamedTuple
 
 import numpy as np
@@ -59,8 +58,6 @@ RESIDUAL_PASS_TOL = 1e-9
 _VERIFY_BLOCK_ENTRIES = 1 << 18
 
 _ROOT_VALUES = np.array(_ROOTS)
-#: |i^d - 1|^2 for d = 0..3.
-_Z4_GAPS = np.array([0, 2, 4, 2], dtype=np.uint8)
 
 #: SplitMix64's gamma and multipliers (Steele, Lea and Flood, OOPSLA 2014).
 _GAMMA, _MIX = np.uint64(0x9E3779B97F4A7C15), (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
@@ -203,42 +200,52 @@ def _multiplicities(group: PauliSubgroup, exponents_on_u) -> list[int]:
 
 
 def dfs_basis(group: PauliSubgroup, character: Character) -> DfsBasis:
-    """Orthonormal basis of the range of P_k, without forming P_k.
-
-    Each element maps |b> to a multiple of |b XOR x_n>, so P_k |b> lives
-    on the X-orbit b XOR V_X.  Seeds are the smallest ket of each orbit
-    (no bit in ``lead``, the pivots' leading x bits) on which the X-free
-    elements act as chi_k: the run of ``orbit_seeds`` whose key is the
-    character's exponents on the X-free generators.  On such a seed the
-    N/|V_X| elements that share an x mask add up in phase, so P_k |b> is
-    conj(chi_k(h)) <b XOR x|h|b> / |V_X| on b XOR x, for any one element h
-    with that x mask: i^e / |V_X| with an exact Z4 exponent e, which the
-    basis keeps, in V_X order, as the normalized vector's amplitudes
-    i^e / sqrt(|V_X|).  The m seeds increase.  A zero multiplicity yields
-    an empty basis.
-    """
+    """Orthonormal basis of the range of P_k, empty at multiplicity 0: row 0
+    of ``dfs_bases`` over the group whose sifted form the label is over."""
     _check_character(group, character)
+    seeds, exponents = dfs_bases(character.group, [character.exponents])
+    return DfsBasis(character, seeds[0], exponents[0])
+
+
+def dfs_bases(group: PauliSubgroup, labels) -> tuple[np.ndarray, np.ndarray]:
+    """The DFS bases of the characters whose (S, r + 1) ``labels`` over
+    ``group.sifted`` share one multiplicity m (else ValueError, as for rows
+    of another width): read-only int64 ``seeds`` (S, m), increasing along
+    each row, and uint8 ``exponents`` (S, m, |V_X|) in V_X order.
+
+    P_k |b> lives on the X-orbit b XOR V_X.  Seeds are the orbits' smallest
+    kets (no pivot's leading x bit) on which the X-free generators act as
+    chi_k: the run of ``orbit_seeds`` keyed by the label's exponents on
+    them.  There P_k |b> is conj(chi_k(h)) <b XOR x|h|b> / |V_X| on b XOR x,
+    for any one h with that x mask: i^e / |V_X| with an exact Z4 exponent e.
+    """
+    if not group.is_abelian:
+        raise NotAbelianError("DFS bases need an Abelian subgroup")
     _require_dense(group.n_qubits)
-    # equal subgroups list their elements alike, and the label is over
-    # the character's own sifted form
-    group = character.group
-    keys, seeds = group.orbit_seeds
-    x_masks = [0] + [p.x_mask for p in group.sifted.pivots]
-    free = [k for x, k in zip(x_masks, character.exponents) if not x]
-    key = sum(k << 2 * j for j, k in enumerate(free))
-    seeds = seeds[keys.searchsorted(key) : keys.searchsorted(key, "right")]
-    target = multiplicity(group, character)
-    if len(seeds) != target:
-        raise AssertionError(
-            f"basis extraction found {len(seeds)} seed kets, expected {target}"
-        )
-    _, z, phase = group.action_arrays.dense()
-    _, first = group.x_span
-    chi = group.coordinate_matrix[first] @ np.array(character.exponents, np.uint8)
-    exponents = (phase[first] - chi % 4 + 2 * _parity(seeds[:, None] & z[first])) % 4
-    exponents = exponents.astype(np.uint8)
-    exponents.flags.writeable = False
-    return DfsBasis(character, seeds, exponents)
+    labels = np.asarray(labels, dtype=np.uint8)
+    x_masks = [g.x_mask for g in group.sifted.generators]
+    if labels.ndim != 2 or labels.shape[1] != len(x_masks):
+        raise ValueError(f"labels need rows of {len(x_masks)} exponents")
+    m, *others = set(_multiplicities(group, labels[:, 0].tolist())) or {0}
+    if others:
+        raise ValueError("labels of unequal multiplicity")
+    free = [j for j, x in enumerate(x_masks) if not x]  # u is always free
+    key = sum(labels[:, j].astype(np.int64) << 2 * i for i, j in enumerate(free))
+    keys, kets = group.orbit_seeds
+    lo = keys.searchsorted(key)
+    counts = keys.searchsorted(key, "right") - lo
+    if np.any(counts != m):
+        raise AssertionError(f"a label has {counts[counts != m][0]} seed kets, not {m}")
+    at = lo[:, None] + np.arange(m)
+    (_, z, phase), (_, first) = group.action_arrays.dense(), group.x_span
+    # 2 parity(b & z) on each of the 2^K / |V_X| orbit seeds b, read by row;
+    # uint8 sums and products wrap mod 256, which 4 divides
+    exponents = (2 * _parity(kets[:, None] & z[first])).astype(np.uint8)[at]
+    exponents += (phase[first] - labels @ group.coordinate_matrix[first].T)[:, None]
+    exponents &= 3
+    seeds = kets[at]
+    seeds.flags.writeable = exponents.flags.writeable = False
+    return seeds, exponents
 
 
 # ---------------------------------------------------------------------------
@@ -411,43 +418,37 @@ def verify_dfs(
     )
 
 
-def verify_on_generators(group: PauliSubgroup, bases: Iterable[DfsBasis]) -> list:
-    """``(passed, max_residual)`` of each of ``bases``, read once, checked
-    exactly on the sifted generators g = i^phase X^x Z^z of their one
-    character group, which decide it for the whole group algebra.  Vector
-    b XOR V_X of exponents E passes when, for every g and v,
+def verify_on_generators(group: PauliSubgroup, labels, seeds, exponents) -> list:
+    """``(passed, max_residual)`` per row of the (S, r + 1) ``labels`` over
+    ``group.sifted``, (S, m) ``seeds`` and (S, m, |V_X|) ``exponents`` of
+    ``dfs_bases`` (ValueError for shapes not those of the group), checked
+    exactly on the sifted generators g = i^phase X^x Z^z, which decide it
+    for the whole group algebra: vector b XOR V_X of exponents E passes when
 
         d = E[v XOR x] + phase + 2 parity((b XOR v XOR x) & z) - chi(g) - E[v]
 
-    is 0 mod 4; ``max_residual``, the worst ||g psi - chi(g) psi||, is
-    a sqrt(sum_v |i^d - 1|^2).  ValueError as ``verify_dfs`` for a
-    character of another subgroup, and for bases of two subgroup objects.
+    is 0 mod 4 for every g and v; ``max_residual``, the worst
+    ||g psi - chi(g) psi||, is sqrt(sum_v |i^d - 1|^2 / |V_X|).
     """
-    own, scales, owners, labels, seeds, exponents = None, [], [], [], [], []
-    for basis in bases:
-        _check_character(group, basis.character)
-        own = own or basis.character.group
-        if basis.character.group is not own:
-            raise ValueError("bases with characters of different subgroup objects")
-        owners += [len(scales)] * basis.multiplicity
-        labels += [basis.character.exponents] * basis.multiplicity
-        seeds.append(basis.seeds)
-        exponents.append(basis.exponents)
-        scales.append(basis.amplitude)
-    if own is None:
-        return []
-    seeds, exponents = np.concatenate(seeds), np.concatenate(exponents)
-    span, _ = own.x_span
-    worst = np.zeros(len(scales), dtype=np.int64)
-    generators = action_arrays(own.sifted.generators, own.n_qubits).dense()
+    labels = np.asarray(labels, dtype=np.uint8)
+    span, _ = group.x_span
+    generators = action_arrays(group.sifted.generators, group.n_qubits).dense()
+    shapes = labels.shape, np.shape(exponents)
+    if shapes != ((len(seeds), len(generators[0])), (*np.shape(seeds), len(span))):
+        raise ValueError("labels, seeds and exponents do not match the subgroup")
+    worst = np.zeros(len(seeds), dtype=np.int64)
     # uint8 sums wrap mod 256, which 4 divides, so every d is exact
-    for x, z, phase, chi in zip(*generators, np.array(labels, np.uint8).T):
+    for x, z, phase, chi in zip(*generators, labels.T):
         moved = span ^ x
-        d = exponents[:, span.searchsorted(moved)] - exponents
+        d = np.take(exponents, span.searchsorted(moved), axis=-1)
+        d -= exponents
         d += (phase + 2 * _parity(moved & z)).astype(np.uint8)
-        d += ((2 * _parity(seeds & z)).astype(np.uint8) - chi)[:, None]
-        np.maximum.at(worst, owners, _Z4_GAPS[d & 3].sum(axis=1, dtype=np.int64))
-    return [(not w, a * w**0.5) for a, w in zip(scales, worst.tolist())]
+        d += ((2 * _parity(seeds & z)).astype(np.uint8) - chi[:, None])[..., None]
+        d &= 3
+        # |i^d - 1|^2 = 2 min(d, 4 - d): no table, so no intp copy of d
+        gaps = np.minimum(d, 4 - d).sum(axis=2, dtype=np.int64)
+        np.maximum(worst, gaps.max(axis=1, initial=0), out=worst)
+    return [(not w, (2 * w / len(span)) ** 0.5) for w in worst.tolist()]
 
 
 # ---------------------------------------------------------------------------

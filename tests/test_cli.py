@@ -313,6 +313,38 @@ class TestAnalyze:
                     assert entry["verification"]["max_residual"] == 0.0
         assert len(reports[-1]["characters"]) == 1024
 
+    def test_report_builds_bases_in_one_pass(self, monkeypatch):
+        """With ``dfs_basis`` and ``multiplicity`` forbidden, each report
+        builds its bases in one ``dfs_bases`` call and checks them in one
+        ``verify_on_generators`` call: every preset and twelve Z strings at
+        K = 12 pass with residual 0.0."""
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-character basis work")
+
+        monkeypatch.setattr(dfs, "dfs_basis", forbidden)
+        monkeypatch.setattr(dfs, "multiplicity", forbidden)
+        calls = []
+        for name in ("dfs_bases", "verify_on_generators"):
+            def counted(*args, _name=name, _fn=getattr(cli, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(cli, name, counted)
+        z_strings = ["I" * j + "Z" + "I" * (11 - j) for j in range(12)]
+        for build, arg in [(build_preset_report, n) for n in PRESET_NAMES] + [
+            (build_analysis_report, z_strings)
+        ]:
+            calls.clear()
+            report = build(arg, 1, 0)
+            supported = [e for e in report.get("characters", []) if e["multiplicity"]]
+            assert calls == (["dfs_bases", "verify_on_generators"] if supported else [])
+            for entry in supported:
+                assert entry["verification"]["passed"]
+                assert entry["verification"]["max_residual"] == 0.0
+        assert len(supported) == 4096
+        assert all(len(e["basis"]["vectors"]) == 1 for e in supported)
+
     def test_non_abelian_search_entry_above_dense_limit(self, capsys):
         """At K = 13 a non-Abelian report still counts its joint
         eigenvectors: none, in closed form."""

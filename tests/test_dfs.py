@@ -21,7 +21,7 @@ from paulidfs import (
     to_matrix,
     verify_dfs,
 )
-from paulidfs.dfs import seeded_normals, verify_on_generators
+from paulidfs.dfs import dfs_bases, seeded_normals, verify_on_generators
 from paulidfs.subgroup import PauliSubgroup
 from sampling import (
     random_abelian_subgroup,
@@ -253,7 +253,7 @@ class TestDfsBasis:
             expected = reference_dfs_basis(own, c)
             assert len(vectors) == len(expected)
             assert all(map(np.array_equal, vectors, expected))
-            assert verify_on_generators(other, [dfs_basis(other, c)]) == [(True, 0.0)]
+            assert check_one(c.group, dfs_basis(other, c)) == (True, 0.0)
 
     def test_json_shape(self, q2z):
         data = dfs_basis(q2z, characters(q2z)[0]).to_json_dict()
@@ -434,6 +434,43 @@ def generator_residuals(group, bases) -> list[float]:
     ]
 
 
+def check_one(group, basis):
+    """``verify_on_generators`` on one basis, as a batch of one row."""
+    labels, seeds = [basis.character.exponents], basis.seeds[None]
+    return verify_on_generators(group, labels, seeds, basis.exponents[None])[0]
+
+
+class TestDfsBases:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 6),
+        phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
+    )
+    def test_rows_match_reference(self, seed, n_qubits, phases):
+        """Every row of one batch over all supported labels is the basis
+        read off the dense projector; mixed supported and unsupported
+        labels, and label rows of width r, are refused."""
+        group = abelian_group(np.random.default_rng(seed), n_qubits, phases)
+        chars = characters(group)
+        supported = [c for c in chars if multiplicity(group, c)]
+        labels = [c.exponents for c in supported]
+        seeds, exponents = dfs_bases(group, labels)
+        assert seeds.shape[0] == exponents.shape[0] == len(supported)
+        assert not seeds.flags.writeable and not exponents.flags.writeable
+        for c, row_seeds, row_exponents in zip(supported, seeds, exponents):
+            vectors = DfsBasis(c, row_seeds, row_exponents).vectors
+            expected = reference_dfs_basis(group, c)
+            assert len(vectors) == len(expected)
+            assert all(map(np.array_equal, vectors, expected))
+        unsupported = [c.exponents for c in chars if not multiplicity(group, c)]
+        if unsupported:
+            with pytest.raises(ValueError, match="unequal multiplicity"):
+                dfs_bases(group, labels + unsupported[:1])
+        with pytest.raises(ValueError, match="exponents"):
+            dfs_bases(group, [row[:-1] for row in labels])
+
+
 class TestVerifyOnGenerators:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -442,18 +479,22 @@ class TestVerifyOnGenerators:
         phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
     )
     def test_agrees_with_random_trials(self, seed, n_qubits, phases):
-        """One exact check passes every supported ``dfs_basis``, whose kets
-        strictly increase along each vector, with residual 0.0.  A
-        relabelled basis and a vector with one exponent plus one, both built
-        in Z4 form, fail, as under ``verify_dfs`` with eight random trials,
-        with the residual of the dense generators.  A random superposition
-        within one irrep, which has no Z4 form, passes ``verify_dfs``."""
+        """One exact check passes every supported basis of ``dfs_bases``,
+        whose kets strictly increase along each vector, with residual 0.0.
+        A relabelled basis and a vector with one exponent plus one, both
+        built in Z4 form, fail, as under ``verify_dfs`` with eight random
+        trials, with the residual of the dense generators.  A random
+        superposition within one irrep, which has no Z4 form, passes
+        ``verify_dfs``."""
         rng = np.random.default_rng(seed)
         group = abelian_group(rng, n_qubits, phases)
         chars = characters(group)
         supported = [c for c in chars if multiplicity(group, c)]
-        bases = [dfs_basis(group, c) for c in supported]
-        assert verify_on_generators(group, bases) == [(True, 0.0)] * len(bases)
+        labels = [c.exponents for c in supported]
+        seeds, exponents = dfs_bases(group, labels)
+        results = verify_on_generators(group, labels, seeds, exponents)
+        assert results == [(True, 0.0)] * len(supported)
+        bases = [DfsBasis(*row) for row in zip(supported, seeds, exponents)]
         assert all(np.all(np.diff(kets) > 0) for b in bases for kets in b.kets)
 
         first = supported[rng.integers(len(supported))]
@@ -469,7 +510,7 @@ class TestVerifyOnGenerators:
             twisted[0, rng.integers(width)] += 1
             failing.append(DfsBasis(first, basis.seeds[:1], twisted % 4))
         if failing:
-            results = verify_on_generators(group, failing)
+            results = [check_one(group, case) for case in failing]
             dense = generator_residuals(group, failing)
             for case, (passed, residual), expected in zip(failing, results, dense):
                 assert passed is verify_dfs(group, case, trials=8, seed=seed % 1000).passed
@@ -484,22 +525,30 @@ class TestVerifyOnGenerators:
         within = sparse_vectors(first, (within / np.linalg.norm(within),))
         assert verify_dfs(group, within, trials=8, seed=seed % 1000).passed
 
-    def test_checks_input_as_verify_dfs_does(self, qz):
-        other = closure([parse_pauli("ZII"), parse_pauli("IZI")])
-        with pytest.raises(ValueError, match="does not belong"):
-            verify_on_generators(qz, [dfs_basis(other, characters(other)[0])])
+    def test_refuses_shapes_that_do_not_match_the_group(self, qx):
+        """A label row of width r, and exponents whose last axis is not
+        |V_X|, are refused rather than read short."""
+        basis = dfs_basis(qx, characters(qx)[0])
+        labels, seeds = [basis.character.exponents], basis.seeds[None]
+        exponents = basis.exponents[None]
+        assert verify_on_generators(qx, labels, seeds, exponents) == [(True, 0.0)]
+        with pytest.raises(ValueError, match="do not match"):
+            verify_on_generators(qx, [labels[0][:-1]], seeds, exponents)
+        with pytest.raises(ValueError, match="do not match"):
+            verify_on_generators(qx, labels, seeds, exponents[..., :-1])
 
     def test_checks_bases_of_one_group_and_z4_amplitudes(self, qz):
         equal = closure(qz.generators)
         bases = [dfs_basis(g, characters(g)[0]) for g in (qz, equal)]
-        assert verify_on_generators(qz, bases[:1]) == [(True, 0.0)]
-        with pytest.raises(ValueError, match="different subgroup objects"):
-            verify_on_generators(qz, bases)
+        for group, basis in zip((qz, equal), bases):
+            assert check_one(group, basis) == (True, 0.0)
         # i times an eigenvector is one: every exponent plus one still passes
         own = bases[0]
         turned = DfsBasis(own.character, own.seeds, (own.exponents + 1) % 4)
-        assert verify_on_generators(qz, [turned]) == [(True, 0.0)]
-        assert verify_on_generators(qz, []) == []
+        assert check_one(qz, turned) == (True, 0.0)
+        width = len(qz.sifted.generators)
+        empty = np.zeros((0, width), np.uint8), np.zeros((0, 1), np.int64)
+        assert verify_on_generators(qz, *empty, np.zeros((0, 1, 1), np.uint8)) == []
 
 
 class TestDimensionFormula:
