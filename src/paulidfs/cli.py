@@ -14,13 +14,14 @@ N with r sifted pivots, and writes every Z4 row as one string of the digits
 b_1, ..., b_r, one ``coordinates`` string "m k_1 ... k_r" per entry of
 ``subgroup.elements``, and one ``exponents`` string "w e_1 ... e_r" per
 character, row k for label k + 1, with
-chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  Each DFS basis
-has one ``amplitude`` a, and each of its vectors its ``kets`` and an
-``exponents`` string: ket j has amplitude i^e_j * a.  Reducibility and the
-bases need K <= ``DENSE_QUBIT_LIMIT``, and the bases their 2^K * |V_X|
-kets, read off the sift, within ``BASIS_KET_CAP``.  One pass builds all
-bases, and one exact Z4 check on the r + 1 sifted generators covers them,
-so ``--trials`` drives only the ``channel`` scan, which omits the elements.
+chi_label(G_n) = i^((exponents . coordinates[n]) mod 4).  A DFS basis has
+one ``amplitude`` a, m ``seeds`` and a string of m * |V_X| ``exponents``,
+and V_X is listed once, increasing, as ``x_span``: ket seeds[j] XOR
+x_span[v] has amplitude i^e * a, e the digit j * |V_X| + v.  Bases need
+K <= ``DENSE_QUBIT_LIMIT`` and their 2^K * |V_X| kets, read off the sift,
+within ``BASIS_KET_CAP``; ``reducibility`` is exact at any K.  One pass
+builds all bases, and one exact Z4 check on the r + 1 sifted generators
+covers them, so ``--trials`` drives only the ``channel`` scan.
 
 ``--json`` writes the bytes of ``json.dumps(report, indent=2)`` in pieces
 of at least ``EMIT_FLUSH_CHARS`` characters, never the document whole.
@@ -79,7 +80,7 @@ from .subgroup import (
     z4_digits,
 )
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Largest Abelian order ``analyze`` and ``preset`` report on; a non-Abelian
 #: report has no character table.  On a 2-vCPU VM, ``analyze --json`` took
@@ -87,9 +88,9 @@ SCHEMA_VERSION = 5
 REPORT_ORDER_CAP = 1 << 16
 
 #: Largest number of kets, 2^K * |V_X| over all supported characters'
-#: bases, that an Abelian report writes out.  At the cap, nine single-qubit
-#: X strings at K = 12 took 6.0 s and 120 MB for 44 MB of ``--json``
-#: (2-vCPU VM, one BLAS thread).
+#: bases, that an Abelian report builds and checks.  At the cap, nine
+#: single-qubit X strings at K = 12 took 0.41 s and 39 MB for 2.4 MB of
+#: ``--json`` (2-vCPU VM, one BLAS thread, median of 5).
 BASIS_KET_CAP = 1 << 21
 
 #: Characters of ``--json`` text gathered into one stdout write: one write
@@ -188,10 +189,8 @@ def build_analysis_report(
         },
         "subgroup": group.to_json_dict(),
     }
-    dense_ok = group.n_qubits <= DENSE_QUBIT_LIMIT
-    if dense_ok:
-        total, verdict = reducibility_sum(group)
-        report["reducibility"] = {"sum": total, "verdict": verdict}
+    total, verdict = reducibility_sum(group)
+    report["reducibility"] = {"sum": total, "verdict": verdict}
 
     if not group.is_abelian:
         # the multiplicity rule supports no one-dimensional character of a
@@ -204,7 +203,6 @@ def build_analysis_report(
     report["verdict"] = "abelian"
     chars = characters(group)
     sifted = group.sifted
-    with_bases = dense_ok and _basis_kets(sifted) <= BASIS_KET_CAP
     report["character_table"] = {
         "generators": [format_pauli(g) for g in sifted.generators],
         "coordinates": _digit_rows(group.coordinate_matrix),
@@ -212,7 +210,7 @@ def build_analysis_report(
     }
     multiplicities = _multiplicities(group, chars.labels[:, 0].tolist())
     entries = [{"label": k, "multiplicity": m} for k, m in enumerate(multiplicities, 1)]
-    if with_bases:
+    if group.n_qubits <= DENSE_QUBIT_LIMIT and _basis_kets(sifted) <= BASIS_KET_CAP:
         rows = np.flatnonzero(multiplicities)
         labels = chars.labels[rows]
         seeds, exponents = dfs_bases(group, labels)
@@ -220,6 +218,7 @@ def build_analysis_report(
         for k, s, e, (passed, residual) in zip(rows.tolist(), seeds, exponents, checks):
             entries[k]["basis"] = DfsBasis(chars[k], s, e).to_json_dict()
             entries[k]["verification"] = {"passed": passed, "max_residual": residual}
+        report["x_span"] = group.x_span[0].tolist()
     report["characters"] = entries
 
     phase_class = applicable_phase_class(group)
@@ -305,7 +304,7 @@ def render_text(report: dict, elapsed_s: float) -> str:
     if "reducibility" in report:
         red = report["reducibility"]
         lines.append(
-            f"natural representation: sum |chi|^2 = {_amp(red['sum'])} "
+            f"natural representation: sum |chi|^2 = {red['sum']} "
             f"vs order {sub['order']} -> {red['verdict']}"
         )
     if report.get("verdict") == "non_abelian":
@@ -329,10 +328,12 @@ def render_text(report: dict, elapsed_s: float) -> str:
             a = entry["basis"]["amplitude"]
             # i^e * a for e = 0..3
             terms = (_amp(a), f"(0+{a:.12g}i)", _amp(-a), f"(0-{a:.12g}i)")
-            for vec in entry["basis"]["vectors"]:
+            digits = iter(entry["basis"]["exponents"])
+            for seed in entry["basis"]["seeds"]:
+                # zip reads x_span first, so it takes |V_X| digits a vector
                 parts = [
-                    f"{terms[int(e)]}|{index:0{sub['n_qubits']}b}>"
-                    for index, e in zip(vec["kets"], vec["exponents"])
+                    f"{terms[int(e)]}|{seed ^ x:0{sub['n_qubits']}b}>"
+                    for x, e in zip(report["x_span"], digits)
                 ]
                 lines.append("    " + " + ".join(parts))
         check = report.get("dimension_check", {})

@@ -142,17 +142,15 @@ class DfsBasis(_Frozen):
         return dense.T
 
     def to_json_dict(self) -> dict:
-        """The basis as one ``amplitude`` a and, per vector, its ``kets`` and
-        a digit string of Z4 ``exponents``: ket j's amplitude is i^e_j * a."""
-        digits, width = z4_digits(self.exponents), self.exponents.shape[1]
+        """The basis as one ``amplitude`` a, its ``seeds`` and one digit
+        string of Z4 ``exponents``, |V_X| per vector in V_X order: ket
+        seeds[j] XOR V_X[v] has amplitude i^e * a, e the digit j |V_X| + v."""
         return {
             "character_label": self.character.label,
             "multiplicity": self.multiplicity,
             "amplitude": self.amplitude,
-            "vectors": [
-                {"kets": kets, "exponents": digits[j * width : (j + 1) * width]}
-                for j, kets in enumerate(self.kets.tolist())
-            ],
+            "seeds": self.seeds.tolist(),
+            "exponents": z4_digits(self.exponents),
         }
 
 

@@ -530,14 +530,14 @@ def z4_digits(exponents: np.ndarray) -> str:
     return (np.asarray(exponents, dtype=np.uint8) + 48).tobytes().decode("ascii")
 
 
-def reducibility_sum(group: PauliSubgroup) -> tuple[float, str]:
+def reducibility_sum(group: PauliSubgroup) -> tuple[int, str]:
     """Sum of |trace|^2 over the natural representation, with the verdict.
 
     The natural representation of the subgroup on 2^K dimensions is
     irreducible exactly when the sum equals the group order; any excess
     means it is reducible.  Every Pauli string other than the identity is
     traceless and i^c I has trace i^c 2^K, so the sum is exactly |Z| 4^K
-    for the phase subgroup Z, at any qubit count.
+    for the phase subgroup Z, an exact int at any qubit count.
     """
     total = group.sifted.phase_subgroup_size << (2 * group.n_qubits)
-    return float(total), "irreducible" if total == group.order else "reducible"
+    return total, "irreducible" if total == group.order else "reducible"

@@ -273,35 +273,40 @@ V1_VALUE_NAMES = ("+1", "+i", "-1", "-i")
 
 
 def decode_z4_rows(rows: list[str]) -> np.ndarray:
-    """Schema v5 digit strings of equal width as a uint8 (rows, width)
+    """Schema v6 digit strings of equal width as a uint8 (rows, width)
     matrix of Z4 exponents."""
     digits = np.frombuffer("".join(rows).encode("ascii"), dtype=np.uint8) - 48
     return digits.reshape(len(rows), -1)
 
 
 def decode_amplitudes(amplitude: float, exponents: str) -> list[list[float]]:
-    """The [re, im] pair i^e * a of each digit e of a schema v5 basis
-    vector, a being the basis's ``amplitude``."""
+    """The [re, im] pair i^e * a of each digit e of a schema v6 basis's
+    exponent string, a being the basis's ``amplitude``."""
     pairs = ([amplitude, 0.0], [0.0, amplitude], [-amplitude, 0.0], [0.0, -amplitude])
     return [pairs[int(e)] for e in exponents]
 
 
 def expand_v1(report: dict) -> dict:
-    """A schema v5 report written out in schema v1, under schema_version 1.
+    """A schema v6 report written out in schema v1, under schema_version 1.
 
     ``inputs`` gets back ``"dense_limit": 12`` right after ``seed``, where
-    the removed option stood.  The character table gets back its element
-    strings and, per character, the named value i^k of every element,
+    the removed option stood, and the reducibility sum is written as a
+    float.  The character table gets back its element strings and, per
+    character, the named value i^k of every element,
     k = exponents . coordinates[n] mod 4, both read off their digit
-    strings.  Each basis vector becomes 2^K dense [re, im] pairs, i^e * a
-    at a ket of exponent e for the basis's ``amplitude`` a and [0.0, 0.0]
-    off its support, and the basis loses its ``amplitude``.
+    strings.  The top-level ``x_span`` goes, and each basis is written as
+    its ``character_label``, ``multiplicity`` and ``vectors``: vector j as
+    2^K dense [re, im] pairs, i^e * a at ket seeds[j] XOR x_span[v] for the
+    digit e at j * |V_X| + v and the basis's ``amplitude`` a, and
+    [0.0, 0.0] off its support.
     """
     out = copy.deepcopy(report)
     out["schema_version"] = 1
     items = list(out["inputs"].items())
     at = [key for key, _ in items].index("seed") + 1
     out["inputs"] = dict(items[:at] + [("dense_limit", 12)] + items[at:])
+    if "reducibility" in out:
+        out["reducibility"]["sum"] = float(out["reducibility"]["sum"])
     if "character_table" in out:
         table = out["character_table"]
         coordinates = decode_z4_rows(table["coordinates"]).astype(np.int64)
@@ -316,23 +321,25 @@ def expand_v1(report: dict) -> dict:
                 for k, row in enumerate(labels)
             ],
         }
-    dim = 1 << out["subgroup"]["n_qubits"]
+    span = out.pop("x_span", [])
+    width, dim = len(span), 1 << out["subgroup"]["n_qubits"]
     for entry in out.get("characters", []):
         if "basis" not in entry:
             continue
         basis = entry["basis"]
-        amplitude = basis.pop("amplitude")
+        pairs = decode_amplitudes(basis["amplitude"], basis["exponents"])
+        assert len(pairs) == len(basis["seeds"]) * width
         dense = []
-        for vec in basis["vectors"]:
-            pairs = [[0.0, 0.0] for _ in range(dim)]
-            for ket_index, pair in zip(
-                vec["kets"],
-                decode_amplitudes(amplitude, vec["exponents"]),
-                strict=True,
-            ):
-                pairs[ket_index] = pair
-            dense.append(pairs)
-        basis["vectors"] = dense
+        for j, seed in enumerate(basis["seeds"]):
+            vector = [[0.0, 0.0] for _ in range(dim)]
+            for x, pair in zip(span, pairs[j * width : (j + 1) * width], strict=True):
+                vector[seed ^ x] = pair
+            dense.append(vector)
+        entry["basis"] = {
+            "character_label": basis["character_label"],
+            "multiplicity": basis["multiplicity"],
+            "vectors": dense,
+        }
     return out
 
 

@@ -28,7 +28,7 @@ from paulidfs.cli import (
 from paulidfs.pauli import format_pauli, identity, parse_pauli
 from paulidfs.presets import PRESET_NAMES
 from paulidfs.dfs import dfs_basis, multiplicity
-from paulidfs.subgroup import Character, characters, closure
+from paulidfs.subgroup import Character, characters, closure, reducibility_sum
 from helpers import (
     V1_VALUE_NAMES,
     abelian_group,
@@ -109,7 +109,7 @@ class TestAnalyze:
         code, out, _ = run_cli(capsys, "analyze", "ZI", "IZ", "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == 6
         assert "dense_limit" not in report["inputs"]
         assert report["subgroup"]["order"] == 4
         assert len(report["characters"]) == 4
@@ -206,11 +206,11 @@ class TestAnalyze:
         n_qubits=st.integers(1, 6),
         phases=st.sampled_from(["plus", "minus", "full"]),
     )
-    def test_v5_digits_and_amplitudes_round_trip(self, seed, n_qubits, phases):
+    def test_v6_digits_and_amplitudes_round_trip(self, seed, n_qubits, phases):
         """The table's digit strings decode to the coordinate matrix and the
-        characters' exponents, and each basis vector's exponents and the
-        basis's amplitude decode to the [re, im] pairs of ``dfs_basis``,
-        bit for bit."""
+        characters' exponents; each basis's seeds XOR ``x_span`` are the
+        kets of ``dfs_basis``, and its exponent string and amplitude decode
+        to the [re, im] pairs of ``dfs_basis``, bit for bit."""
         group = abelian_group(np.random.default_rng(seed), n_qubits, phases)
         strings = [format_pauli(g) for g in group.generators] or [
             format_pauli(identity(n_qubits))
@@ -222,18 +222,19 @@ class TestAnalyze:
         assert np.array_equal(coordinates, group.coordinate_matrix)
         labels = decode_z4_rows(table["exponents"]).tolist()
         assert labels == [list(c.exponents) for c in chars]
+        span = np.array(report["x_span"])
+        assert np.array_equal(span, group.x_span[0])
         for c, entry in zip(chars, report["characters"], strict=True):
             if not entry["multiplicity"]:
                 assert "basis" not in entry
                 continue
             basis, written = dfs_basis(group, c), entry["basis"]
             assert written["amplitude"] > 0
-            for vec, kets, amplitudes in zip(
-                written["vectors"], basis.kets, basis.amplitudes, strict=True
-            ):
-                assert vec["kets"] == kets.tolist()
-                pairs = decode_amplitudes(written["amplitude"], vec["exponents"])
-                assert np.array(pairs).tobytes() == amplitudes.tobytes()
+            kets = np.array(written["seeds"])[:, None] ^ span
+            assert kets.tobytes() == basis.kets.tobytes()
+            pairs = decode_amplitudes(written["amplitude"], written["exponents"])
+            pairs = np.array(pairs).reshape(*kets.shape, 2)
+            assert pairs.tobytes() == basis.amplitudes.tobytes()
 
     def test_report_order_cap_refused_before_work(self, capsys):
         """Twice the report cap, as independent Z strings, is refused by the
@@ -266,13 +267,28 @@ class TestAnalyze:
 
     def test_dense_limit_skips_matrices(self, capsys):
         """At K = 13, one above ``DENSE_QUBIT_LIMIT``, a report keeps its
-        exact multiplicities but has no reducibility and no bases."""
+        exact multiplicities and its closed-form reducibility, but has no
+        bases and no ``x_span``."""
         code, out, _ = run_cli(capsys, "analyze", *z_strings(2, 13), "--json")
         assert code == 0
         report = json.loads(out)
-        assert "reducibility" not in report
+        group = closure([parse_pauli(s) for s in z_strings(2, 13)])
+        total, verdict = reducibility_sum(group)
+        assert report["reducibility"] == {"sum": total, "verdict": verdict}
         assert [c["multiplicity"] for c in report["characters"]] == [2048] * 4
         assert all("basis" not in c for c in report["characters"])
+        assert "x_span" not in report
+
+    def test_reducibility_exact_past_the_float_range(self, capsys):
+        """At K = 600 the sum |Z| 4^K = 2^1201 of ZI...I and -I is written
+        as its exact integer, in JSON and in text."""
+        strings = ["Z" + "I" * 599, "-" + "I" * 600]
+        code, out, _ = run_cli(capsys, "analyze", "--json", "--", *strings)
+        assert code == 0
+        reducibility = json.loads(out)["reducibility"]
+        assert reducibility == {"sum": 1 << 1201, "verdict": "reducible"}
+        code, out, _ = run_cli(capsys, "analyze", "--", *strings)
+        assert f"sum |chi|^2 = {1 << 1201} vs order 4 -> reducible" in out
 
     def test_report_builds_no_character(self, monkeypatch):
         """The report reads every multiplicity off the label array: thirteen
@@ -293,14 +309,14 @@ class TestAnalyze:
         assert len(built) == 1
 
     def test_report_builds_no_float_basis(self, monkeypatch):
-        """Bases are written and checked in Z4 form: with the complex
+        """Bases are written and checked in Z4 form: with the kets, complex
         amplitudes and dense vectors of ``DfsBasis`` forbidden, every preset
         and ten X strings at K = 10 pass with residual 0.0."""
 
         def forbidden(*args, **kwargs):
             raise AssertionError("complex basis array built")
 
-        for name in ("amplitudes", "vectors"):
+        for name in ("kets", "amplitudes", "vectors"):
             monkeypatch.setattr(dfs.DfsBasis, name, property(forbidden))
         monkeypatch.setattr(dfs.DfsBasis, "stack", forbidden)
         x_strings = ["I" * j + "X" + "I" * (9 - j) for j in range(10)]
@@ -343,7 +359,8 @@ class TestAnalyze:
                 assert entry["verification"]["passed"]
                 assert entry["verification"]["max_residual"] == 0.0
         assert len(supported) == 4096
-        assert all(len(e["basis"]["vectors"]) == 1 for e in supported)
+        assert all(len(e["basis"]["seeds"]) == 1 for e in supported)
+        assert all(len(e["basis"]["exponents"]) == 1 for e in supported)
 
     def test_non_abelian_search_entry_above_dense_limit(self, capsys):
         """At K = 13 a non-Abelian report still counts its joint
@@ -362,8 +379,8 @@ class TestAnalyze:
 
     def test_basis_ket_cap_bounds_bases_alone(self, monkeypatch):
         """With 2^K * |V_X| = 16 * 2 kets the report is unchanged with the
-        cap set to 32; at 31 it loses every basis and verification, and
-        nothing else."""
+        cap set to 32; at 31 it loses every basis and verification and its
+        ``x_span``, and nothing else."""
         strings = ["XXXX", "ZZZZ", "ZZII"]
         group = closure([parse_pauli(s) for s in strings])
         assert cli._basis_kets(group.sifted) == 16 * 2
@@ -377,8 +394,9 @@ class TestAnalyze:
             {"label": e["label"], "multiplicity": e["multiplicity"]}
             for e in full["characters"]
         ]
+        assert full["x_span"] == [0, 15]
         assert {k: v for k, v in capped.items() if k != "characters"} == {
-            k: v for k, v in full.items() if k != "characters"
+            k: v for k, v in full.items() if k not in ("characters", "x_span")
         }
 
     @settings(max_examples=60, deadline=None)
@@ -425,19 +443,19 @@ class TestPreset:
         trivial = report["characters"][0]
         assert trivial["multiplicity"] == 2
         assert trivial["basis"]["amplitude"] == 1.0
-        assert trivial["basis"]["vectors"] == [
-            {"kets": [0], "exponents": "0"},
-            {"kets": [15], "exponents": "0"},
-        ]
+        assert report["x_span"] == [0]
+        assert trivial["basis"]["seeds"] == [0, 15]
+        assert trivial["basis"]["exponents"] == "00"
 
     def test_q4_paired_basis(self, capsys):
         code, out, _ = run_cli(capsys, "preset", "q4", "--json")
         report = json.loads(out)
         trivial = report["characters"][0]
         assert trivial["multiplicity"] == 4
-        vectors = trivial["basis"]["vectors"]
-        assert [vec["kets"] for vec in vectors] == [[0, 15], [3, 12], [5, 10], [6, 9]]
-        assert [vec["exponents"] for vec in vectors] == ["00"] * 4
+        seeds, span = trivial["basis"]["seeds"], report["x_span"]
+        kets = [[seed ^ x for x in span] for seed in seeds]
+        assert kets == [[0, 15], [3, 12], [5, 10], [6, 9]]
+        assert trivial["basis"]["exponents"] == "00" * 4
         assert trivial["basis"]["amplitude"] == pytest.approx(0.5**0.5, abs=1e-15)
 
     def test_q8_extras(self, capsys):
@@ -478,6 +496,44 @@ class TestPreset:
         assert code == 0
         text = json.dumps(null_residuals(expand_v1(json.loads(out))), indent=2) + "\n"
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("preset", "qz"),
+                "0044abab43530ff323939dfa8f0ad70e25326b7ca6cf1a97181b2ed1cb3de8bb",
+            ),
+            (
+                ("preset", "qx"),
+                "7ae4a624694cba2f2793c78ed212fe2fe392c0978b76965a1b68e175f1861f29",
+            ),
+            (
+                ("preset", "q4"),
+                "2596ca4dcf12c24e61e36f6f8e3e225d221508e8bb5b3f888fb9430b959f79f3",
+            ),
+            (
+                ("preset", "q2z"),
+                "4d58bec3948acdc6bdef999c72bd90f9d2fa4cce7b9376c9e92bd9b2b2b86ec1",
+            ),
+            (
+                ("preset", "q8"),
+                "a74549c1e81ab252665a3ecdd839612ed73fefb0cce9d84e1e0133f359241f84",
+            ),
+            (
+                ("analyze", "XXXX", "ZZZZ", "ZZII"),
+                "86ce7d9fc9ea74c86138c45832205902c877f2514cbf598e4a1708b4f6014bbf",
+            ),
+        ],
+    )
+    def test_text_output_pinned(self, capsys, argv, digest):
+        """The text output, basis lines included, stays byte-identical up to
+        its final ``elapsed:`` line."""
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        body, elapsed = out.rstrip("\n").rsplit("\n", 1)
+        assert elapsed.startswith("elapsed: ")
+        assert hashlib.sha256(body.encode()).hexdigest() == digest
 
     def test_unknown_preset(self, capsys):
         with pytest.raises(SystemExit) as exc:

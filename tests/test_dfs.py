@@ -259,10 +259,9 @@ class TestDfsBasis:
         data = dfs_basis(q2z, characters(q2z)[0]).to_json_dict()
         assert data["multiplicity"] == 2
         assert data["amplitude"] == 1.0
-        assert data["vectors"] == [
-            {"kets": [0], "exponents": "0"},
-            {"kets": [15], "exponents": "0"},
-        ]
+        assert data["seeds"] == [0, 15]
+        assert data["exponents"] == "00"
+        assert "vectors" not in data and "kets" not in data
 
     def test_json_reads_powers_of_i(self, qx):
         """A basis built in Z4 form is written as its powers of i."""
@@ -272,7 +271,8 @@ class TestDfsBasis:
         basis = DfsBasis(trivial.character, trivial.seeds[[0, 0]], exponents)
         data = basis.to_json_dict()
         assert data["amplitude"] == abs(vector[0])
-        assert [v["exponents"] for v in data["vectors"]] == ["1111", "2222"]
+        assert data["seeds"] == [trivial.seeds[0]] * 2
+        assert data["exponents"] == "1111" + "2222"
 
 
 class TestVerifyDfs:

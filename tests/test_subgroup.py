@@ -624,7 +624,7 @@ class TestReducibility:
             groups.append(random_nonabelian_subgroup(rng, n_qubits))
         for group in groups:
             total, verdict = reducibility_sum(group)
-            assert isinstance(total, float)
+            assert isinstance(total, int)
             assert total == dense_reducibility_sum(group)
             assert verdict == ("irreducible" if total == group.order else "reducible")
 
