@@ -2,11 +2,11 @@
 channel scans, with deterministic JSON or human-readable text output.
 
 Every command parses and sifts its generators first (a string that starts
-with a minus goes after ``--``) and checks its bounds on the sift: an
-Abelian ``analyze``/``preset`` order above ``REPORT_ORDER_CAP``, and a
-``channel`` input above ``DENSE_QUBIT_LIMIT`` qubits or whose scan work,
-trials included, exceeds ``channels.SCAN_WORK_CAP``, are refused before
-the closure enumerates a single element.
+with a minus goes after ``--``) and checks its bounds on the sift: an order
+above ``subgroup.DEFAULT_ORDER_CAP``, and a ``channel`` input above
+``DENSE_QUBIT_LIMIT`` qubits or whose scan work, trials included, exceeds
+``channels.SCAN_WORK_CAP``, are refused before the closure enumerates a
+single element.
 
 The ``analyze``/``preset`` report has O(N * r) size for a subgroup of order
 N with r sifted pivots, and writes every Z4 row as one string of the digits
@@ -23,8 +23,10 @@ within ``BASIS_KET_CAP``; ``reducibility`` is exact at any K.  One pass
 builds all bases, and one exact Z4 check on the r + 1 sifted generators
 covers them, so ``--trials`` drives only the ``channel`` scan.
 
-``--json`` writes the bytes of ``json.dumps(report, indent=2)`` in pieces
-of at least ``EMIT_FLUSH_CHARS`` characters, never the document whole.
+The report keeps its N-long lists as ``Column``s over the closure's and the
+character table's arrays; ``--json`` writes the bytes of
+``json.dumps(report, indent=2)`` and the text output its lines, each list a
+slice of rows at a time, never the document whole.
 ``paulidfs`` and ``python -m paulidfs.cli`` both enter through ``run``.
 The ``channels`` module is imported only by a ``channel`` scan and the q8
 probe, so the other commands never load it.
@@ -45,6 +47,7 @@ import os
 import re
 import sys
 import time
+from functools import partial
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -59,9 +62,11 @@ from .dfs import (
 )
 from .pauli import (
     DENSE_QUBIT_LIMIT,
+    ActionArrays,
     ChannelConstraintError,
     DegenerateKrausError,
     format_pauli,
+    format_paulis,
     parse_pauli,
 )
 from .presets import (
@@ -71,7 +76,6 @@ from .presets import (
     preset_group,
 )
 from .subgroup import (
-    DEFAULT_ORDER_CAP,
     SiftedGenerators,
     characters,
     closure,
@@ -82,23 +86,40 @@ from .subgroup import (
 
 SCHEMA_VERSION = 6
 
-#: Largest Abelian order ``analyze`` and ``preset`` report on; a non-Abelian
-#: report has no character table.  On a 2-vCPU VM, ``analyze --json`` took
-#: 0.5-0.7 s and 70 MB at order 2^16, and 0.9-1.3 s and 110 MB at 2^17.
-REPORT_ORDER_CAP = 1 << 16
-
 #: Largest number of kets, 2^K * |V_X| over all supported characters'
 #: bases, that an Abelian report builds and checks.  At the cap, nine
 #: single-qubit X strings at K = 12 took 0.41 s and 39 MB for 2.4 MB of
 #: ``--json`` (2-vCPU VM, one BLAS thread, median of 5).
 BASIS_KET_CAP = 1 << 21
 
-#: Characters of ``--json`` text gathered into one stdout write: one write
-#: per encoder chunk doubled the emission time at order 2^16 with stdout
-#: unbuffered, one write for the whole document held two to three copies
-#: of it.  The encoder's chunks are joined ``_EMIT_BATCH_CHUNKS`` at a time.
+#: Characters of output gathered into one stdout write: one write per row
+#: doubled the emission time at order 2^16 with stdout unbuffered, and one
+#: write for the whole document held two to three copies of it.  A slice
+#: of a ``Column`` holds about a quarter of it as JSON text.
 EMIT_FLUSH_CHARS = 1 << 16
-_EMIT_BATCH_CHUNKS = 1 << 10
+
+
+class Column:
+    """One of a report's N-long lists, kept as ``rows(start, stop)``, which
+    builds rows [start, stop) from arrays the report holds.  ``slices``
+    builds them a quarter of ``EMIT_FLUSH_CHARS`` characters of JSON at a
+    time, if they are as wide as the first, and never all at once."""
+
+    def __init__(self, length: int, rows):
+        self.length, self.rows = length, rows
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self):
+        return itertools.chain.from_iterable(self.slices())
+
+    def slices(self):
+        # as Python objects, rows take several times their JSON text
+        width = 4 * len(json.dumps(self.rows(0, 1))) if self.length else 1
+        step = EMIT_FLUSH_CHARS // width + 1
+        for at in range(0, self.length, step):
+            yield self.rows(at, min(at + step, self.length))
 
 
 KET_TERM = re.compile(
@@ -166,19 +187,24 @@ def _basis_kets(sifted: SiftedGenerators) -> int:
     return 1 << (sifted.n_qubits + sum(1 for p in sifted.pivots if p.x_mask))
 
 
-def _digit_rows(matrix: np.ndarray) -> list[str]:
-    """Each row of a Z4 matrix as one string of the digits 0-3."""
-    text, width = z4_digits(matrix), matrix.shape[1]
+def _digit_rows(matrix: np.ndarray, start: int, stop: int) -> list[str]:
+    """Rows [start, stop) of a Z4 matrix, each one string of the digits 0-3."""
+    text, width = z4_digits(matrix[start:stop]), matrix.shape[1]
     return [text[at : at + width] for at in range(0, len(text), width)]
 
 
 def build_analysis_report(
     generator_strings: list[str], trials: int, seed: int
 ) -> dict:
-    generators = [parse_pauli(s) for s in generator_strings]
-    abelian = sift_generators(generators).is_abelian
-    cap = REPORT_ORDER_CAP if abelian else DEFAULT_ORDER_CAP
-    group = closure(generators, order_cap=cap)
+    """The ``analyze`` report: its N-long lists (``subgroup.elements``, the
+    table's ``coordinates`` and ``exponents``, and ``characters``) are
+    ``Column``s over the arrays of the closure and its character table."""
+    group = closure([parse_pauli(s) for s in generator_strings])
+    n, arrays, order = group.n_qubits, group.action_arrays, group.order
+
+    def strings(a: int, b: int) -> list[str]:
+        return format_paulis(ActionArrays(*(c[a:b] for c in arrays)), n)
+
     report: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "analyze",
@@ -187,7 +213,7 @@ def build_analysis_report(
             "trials": trials,
             "seed": seed,
         },
-        "subgroup": group.to_json_dict(),
+        "subgroup": group.to_json_dict(elements=Column(order, strings)),
     }
     total, verdict = reducibility_sum(group)
     report["reducibility"] = {"sum": total, "verdict": verdict}
@@ -205,24 +231,35 @@ def build_analysis_report(
     sifted = group.sifted
     report["character_table"] = {
         "generators": [format_pauli(g) for g in sifted.generators],
-        "coordinates": _digit_rows(group.coordinate_matrix),
-        "exponents": _digit_rows(chars.labels),
+        "coordinates": Column(order, partial(_digit_rows, group.coordinate_matrix)),
+        "exponents": Column(order, partial(_digit_rows, chars.labels)),
     }
-    multiplicities = _multiplicities(group, chars.labels[:, 0].tolist())
-    entries = [{"label": k, "multiplicity": m} for k, m in enumerate(multiplicities, 1)]
-    if group.n_qubits <= DENSE_QUBIT_LIMIT and _basis_kets(sifted) <= BASIS_KET_CAP:
-        rows = np.flatnonzero(multiplicities)
+    bases: dict[int, tuple] = {}  # label - 1: seeds, exponents, check
+    if n <= DENSE_QUBIT_LIMIT and _basis_kets(sifted) <= BASIS_KET_CAP:
+        every = _multiplicities(group, chars.labels[:, 0].tolist())
+        rows = [k for k, m in enumerate(every) if m]
         labels = chars.labels[rows]
         seeds, exponents = dfs_bases(group, labels)
         checks = verify_on_generators(group, labels, seeds, exponents)
-        for k, s, e, (passed, residual) in zip(rows.tolist(), seeds, exponents, checks):
-            entries[k]["basis"] = DfsBasis(chars[k], s, e).to_json_dict()
-            entries[k]["verification"] = {"passed": passed, "max_residual": residual}
+        bases = dict(zip(rows, zip(seeds, exponents, checks)))
         report["x_span"] = group.x_span[0].tolist()
-    report["characters"] = entries
+
+    def entries(start: int, stop: int) -> list[dict]:
+        on_u = chars.labels[start:stop, 0].tolist()
+        out = []
+        for k, m in enumerate(_multiplicities(group, on_u), start):
+            out.append({"label": k + 1, "multiplicity": m})
+            if k in bases:
+                s, e, (passed, residual) = bases[k]
+                out[-1]["basis"] = DfsBasis(chars[k], s, e).to_json_dict()
+                out[-1]["verification"] = {"passed": passed, "max_residual": residual}
+        return out
+
+    report["characters"] = Column(order, entries)
 
     phase_class = applicable_phase_class(group)
-    supported = sorted(set(multiplicities) - {0})
+    on_u = set(chars.labels[:, 0].tobytes())
+    supported = sorted(set(_multiplicities(group, on_u)) - {0})
     check: dict = {
         "phase_class": phase_class,
         "supported_multiplicities": supported,
@@ -291,27 +328,31 @@ def _amp(x: float) -> str:
     return f"{x:.12g}"
 
 
-def render_text(report: dict, elapsed_s: float) -> str:
-    lines = []
+def render_text(report: dict, elapsed_s: float):
+    """The text report a line at a time, each with its newline, and the
+    ``Column`` of elements a slice at a time."""
     sub = report["subgroup"]
-    lines.append(
+    yield (
         f"subgroup on {sub['n_qubits']} qubits: order {sub['order']}, "
         f"{'Abelian' if sub['is_abelian'] else 'non-Abelian'}"
-        f"{', contains -I' if sub['contains_minus_identity'] else ''}"
+        f"{', contains -I' if sub['contains_minus_identity'] else ''}\n"
     )
     if "elements" in sub:
-        lines.append("elements: " + " ".join(sub["elements"]))
+        yield "elements:"
+        for rows in sub["elements"].slices():
+            yield "".join(" " + row for row in rows)
+        yield "\n"
     if "reducibility" in report:
         red = report["reducibility"]
-        lines.append(
+        yield (
             f"natural representation: sum |chi|^2 = {red['sum']} "
-            f"vs order {sub['order']} -> {red['verdict']}"
+            f"vs order {sub['order']} -> {red['verdict']}\n"
         )
     if report.get("verdict") == "non_abelian":
         count = report["one_dim_search"]["one_dimensional_dfs_count"]
-        lines.append(
+        yield (
             "non-Abelian subgroup: no one-dimensional irreps, joint "
-            f"eigenvector search found {count} invariant directions"
+            f"eigenvector search found {count} invariant directions\n"
         )
     elif "characters" in report:
         for entry in report["characters"]:
@@ -322,7 +363,7 @@ def render_text(report: dict, elapsed_s: float) -> str:
                     f", verification {'PASS' if v['passed'] else 'FAIL'} "
                     f"(max residual {_amp(v['max_residual'])})"
                 )
-            lines.append(line)
+            yield line + "\n"
             if "basis" not in entry:
                 continue
             a = entry["basis"]["amplitude"]
@@ -335,32 +376,31 @@ def render_text(report: dict, elapsed_s: float) -> str:
                     f"{terms[int(e)]}|{seed ^ x:0{sub['n_qubits']}b}>"
                     for x, e in zip(report["x_span"], digits)
                 ]
-                lines.append("    " + " + ".join(parts))
+                yield "    " + " + ".join(parts) + "\n"
         check = report.get("dimension_check", {})
         if check.get("phase_class") is not None:
-            lines.append(
+            yield (
                 f"dimension formula ({check['phase_class']}): "
                 f"{check['closed_form']} -> "
-                f"{'consistent' if check.get('consistent') else 'INCONSISTENT'}"
+                f"{'consistent' if check.get('consistent') else 'INCONSISTENT'}\n"
             )
     if "scan" in report:
         scan = report["scan"]
-        lines.append(
+        yield (
             f"channel scan: {scan['trials']} trials, min purity "
             f"{_amp(scan['min_purity'])}, mean purity {_amp(scan['mean_purity'])}, "
-            f"min fidelity {_amp(scan['min_fidelity'])}"
+            f"min fidelity {_amp(scan['min_fidelity'])}\n"
         )
     if "nongeneric_code" in report:
         extra = report["nongeneric_code"]
         probe = extra["probe"]
-        lines.append(
+        yield (
             f"invariant planes residual {_amp(extra['plane_invariance_residual'])}; "
             f"unconstrained draws breaking the code: "
             f"{probe['unconstrained_failures']}/{probe['draws']}, constrained: "
-            f"{probe['constrained_failures']}/{probe['draws']}"
+            f"{probe['constrained_failures']}/{probe['draws']}\n"
         )
-    lines.append(f"elapsed: {elapsed_s * 1000:.1f} ms")
-    return "\n".join(lines)
+    yield f"elapsed: {elapsed_s * 1000:.1f} ms\n"
 
 
 # ---------------------------------------------------------------------------
@@ -442,18 +482,56 @@ def _flush(text: str):
     sys.stdout.write(text)
 
 
-def _write_json(value):
-    """Write ``json.dumps(value, indent=2) + "\n"`` through ``_flush``, the
-    stdlib encoder's chunks gathered in batches into pieces of at least
-    ``EMIT_FLUSH_CHARS`` characters (the last aside)."""
-    chunks = json.JSONEncoder(indent=2).iterencode(value)
+def _write(pieces):
+    """Write the text ``pieces`` through ``_flush``, gathered into writes of
+    at least ``EMIT_FLUSH_CHARS`` characters (the last aside)."""
     text = ""
-    while batch := list(itertools.islice(chunks, _EMIT_BATCH_CHUNKS)):
-        text += "".join(batch)
+    for piece in pieces:
+        text += piece
         if len(text) >= EMIT_FLUSH_CHARS:
             _flush(text)
             text = ""
-    _flush(text + "\n")
+    _flush(text)
+
+
+def _rows_text(rows: list, pad: str) -> str:
+    """``json.dumps(rows, indent=2)`` less its brackets and last newline, at
+    the depth of ``pad``.  Rows that are all nonempty dicts of scalars go
+    through the C encoder, whose item separator then carries their inner
+    indentation; the separators between rows are mended, found by their
+    raw newline, which no JSON string holds."""
+    inner, deeper = "\n" + pad + "  ", "\n" + pad + "    "
+    dicts = all(type(row) is dict and row for row in rows)
+    types = {type(v) for row in rows for v in row.values()} if dicts else {dict}
+    if not any(issubclass(t, (dict, list, tuple)) for t in types):
+        text = json.dumps(rows, separators=("," + deeper, ": "))[2:-2]
+        text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+        return inner + "{" + deeper + text + inner + "}"
+    return json.dumps(rows, indent=2)[1:-2].replace("\n", "\n" + pad)
+
+
+def _json_pieces(value, pad: str = ""):
+    """The text of ``json.dumps(value, indent=2)`` at the depth of ``pad``, in
+    pieces, a ``Column`` (``value`` or a dict value) a slice at a time."""
+    if isinstance(value, Column):
+        yield "[" if value.length else "[]"
+        for i, rows in enumerate(value.slices()):
+            yield ("," if i else "") + _rows_text(rows, pad)
+        yield "\n" + pad + "]" if value.length else ""
+    elif isinstance(value, dict) and value:
+        for i, (key, item) in enumerate(value.items()):
+            # the key as json writes it: "1" for 1, "true" for True
+            yield f"{',' if i else '{'}\n{pad}  {json.dumps({key: 0})[1:-4]}: "
+            yield from _json_pieces(item, pad + "  ")
+        yield "\n" + pad + "}"
+    else:
+        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
+def _write_json(value):
+    """Write ``json.dumps(value, indent=2) + "\n"``, a ``Column`` as the list
+    of its rows, through ``_write``, never the document whole."""
+    _write(itertools.chain(_json_pieces(value), ["\n"]))
 
 
 def _emit(report: dict, as_json: bool, elapsed_s: float):
@@ -462,7 +540,7 @@ def _emit(report: dict, as_json: bool, elapsed_s: float):
         _write_json(report)
         print(f"elapsed: {elapsed_s * 1000:.1f} ms", file=sys.stderr)
     else:
-        print(render_text(report, elapsed_s))
+        _write(render_text(report, elapsed_s))
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -150,15 +150,19 @@ class PauliSubgroup(_Frozen):
         """The elements that are phase multiples of the identity string."""
         return self.sifted.phase_subgroup
 
-    def to_json_dict(self, elements: bool = True) -> dict:
-        """The subgroup's strings and flags, its elements only if asked."""
+    def to_json_dict(self, elements=True) -> dict:
+        """The subgroup's strings and flags; ``elements`` True lists the
+        element strings, False leaves them out, and any other value is
+        written in their place."""
         n = self.n_qubits
         out = {
             "n_qubits": n,
             "generators": format_paulis(action_arrays(self.generators, n), n),
         }
-        if elements:
-            out["elements"] = format_paulis(self.action_arrays, n)
+        if elements is True:
+            elements = format_paulis(self.action_arrays, n)
+        if elements is not False:
+            out["elements"] = elements
         return out | {
             "order": self.order,
             "is_abelian": self.is_abelian,

@@ -1,4 +1,3 @@
-import copy
 from typing import NamedTuple
 
 import numpy as np
@@ -11,6 +10,7 @@ from paulidfs.channels import (
     _unit_vector,
     apply_channel,
 )
+from paulidfs.cli import Column
 from paulidfs.dfs import projector, seeded_normals
 from paulidfs.pauli import (
     PauliElement,
@@ -286,6 +286,16 @@ def decode_amplitudes(amplitude: float, exponents: str) -> list[list[float]]:
     return [pairs[int(e)] for e in exponents]
 
 
+def plain(node):
+    """A report, or any part of one, with every ``Column`` read into a
+    list: the value that ``json.loads`` reads back from its JSON."""
+    if isinstance(node, dict):
+        return {key: plain(value) for key, value in node.items()}
+    if isinstance(node, (list, Column)):
+        return [plain(value) for value in node]
+    return node
+
+
 def expand_v1(report: dict) -> dict:
     """A schema v6 report written out in schema v1, under schema_version 1.
 
@@ -300,7 +310,7 @@ def expand_v1(report: dict) -> dict:
     digit e at j * |V_X| + v and the basis's ``amplitude`` a, and
     [0.0, 0.0] off its support.
     """
-    out = copy.deepcopy(report)
+    out = plain(report)
     out["schema_version"] = 1
     items = list(out["inputs"].items())
     at = [key for key, _ in items].index("seed") + 1

@@ -28,13 +28,20 @@ from paulidfs.cli import (
 from paulidfs.pauli import format_pauli, identity, parse_pauli
 from paulidfs.presets import PRESET_NAMES
 from paulidfs.dfs import dfs_basis, multiplicity
-from paulidfs.subgroup import Character, characters, closure, reducibility_sum
+from paulidfs.subgroup import (
+    DEFAULT_ORDER_CAP,
+    Character,
+    characters,
+    closure,
+    reducibility_sum,
+)
 from helpers import (
     V1_VALUE_NAMES,
     abelian_group,
     decode_amplitudes,
     decode_z4_rows,
     expand_v1,
+    plain,
     reference_characters,
     root_exponent,
 )
@@ -186,7 +193,7 @@ class TestAnalyze:
         strings = [format_pauli(g) for g in group.generators] or [
             format_pauli(identity(n_qubits))
         ]
-        report = json.loads(json.dumps(build_analysis_report(strings, 1, 0)))
+        report = json.loads(json.dumps(plain(build_analysis_report(strings, 1, 0))))
         table = report["character_table"]
         r = len(table["generators"]) - 1
         assert 2**r <= group.order <= 4 * 2**r
@@ -215,7 +222,7 @@ class TestAnalyze:
         strings = [format_pauli(g) for g in group.generators] or [
             format_pauli(identity(n_qubits))
         ]
-        report = json.loads(json.dumps(build_analysis_report(strings, 1, 0)))
+        report = json.loads(json.dumps(plain(build_analysis_report(strings, 1, 0))))
         table = report["character_table"]
         chars = characters(group)
         coordinates = decode_z4_rows(table["coordinates"])
@@ -236,14 +243,13 @@ class TestAnalyze:
             pairs = np.array(pairs).reshape(*kets.shape, 2)
             assert pairs.tobytes() == basis.amplitudes.tobytes()
 
-    def test_report_order_cap_refused_before_work(self, capsys):
-        """Twice the report cap, as independent Z strings, is refused by the
-        order read off the sift, before any element is built."""
-        k = cli.REPORT_ORDER_CAP.bit_length()
-        generators = ["I" * j + "Z" + "I" * (k - 1 - j) for j in range(k)]
+    def test_order_cap_refused_before_work(self, capsys):
+        """Twice ``DEFAULT_ORDER_CAP``, as independent Z strings, is refused by
+        the order read off the sift, before any element is built."""
+        k = DEFAULT_ORDER_CAP.bit_length()
         tracemalloc.start()
         try:
-            code, out, err = run_cli(capsys, "analyze", *generators, "--json")
+            code, out, err = run_cli(capsys, "analyze", *z_strings(k, k), "--json")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -252,18 +258,20 @@ class TestAnalyze:
         assert f"closure order {1 << k} exceeds the order cap" in err
         assert peak < 4 << 20
 
-    def test_report_order_cap_spares_non_abelian(self, capsys):
-        """A non-Abelian report has no character table, so X_j and Z_j on 8
-        qubits (order 2^17, above the report cap) still complete."""
-        generators = [
-            "I" * j + letter + "I" * (7 - j) for j in range(8) for letter in "XZ"
-        ]
-        code, out, _ = run_cli(capsys, "analyze", *generators, "--json")
+    def test_abelian_order_above_2_16_completes(self, capsys):
+        """One order cap for every group: 17 Z strings at K = 17 (order
+        2^17, no bases) get their full report, one ``characters`` entry and
+        one element, coordinate and exponent string per element."""
+        code, out, _ = run_cli(capsys, "analyze", *z_strings(17, 17), "--json")
         assert code == 0
         report = json.loads(out)
-        assert report["subgroup"]["order"] == 1 << 17 > cli.REPORT_ORDER_CAP
-        assert report["verdict"] == "non_abelian"
-        assert "character_table" not in report
+        assert report["subgroup"]["order"] == 1 << 17
+        assert report["verdict"] == "abelian"
+        table = report["character_table"]
+        assert len(table["coordinates"]) == len(table["exponents"]) == 1 << 17
+        assert len(report["subgroup"]["elements"]) == 1 << 17
+        assert [c["multiplicity"] for c in report["characters"]] == [1] * (1 << 17)
+        assert report["dimension_check"]["consistent"]
 
     def test_dense_limit_skips_matrices(self, capsys):
         """At K = 13, one above ``DENSE_QUBIT_LIMIT``, a report keeps its
@@ -384,11 +392,11 @@ class TestAnalyze:
         strings = ["XXXX", "ZZZZ", "ZZII"]
         group = closure([parse_pauli(s) for s in strings])
         assert cli._basis_kets(group.sifted) == 16 * 2
-        full = build_analysis_report(strings, 4, 0)
+        full = plain(build_analysis_report(strings, 4, 0))
         monkeypatch.setattr(cli, "BASIS_KET_CAP", 16 * 2)
-        assert json.dumps(build_analysis_report(strings, 4, 0)) == json.dumps(full)
+        assert plain(build_analysis_report(strings, 4, 0)) == full
         monkeypatch.setattr(cli, "BASIS_KET_CAP", 16 * 2 - 1)
-        capped = build_analysis_report(strings, 4, 0)
+        capped = plain(build_analysis_report(strings, 4, 0))
         assert all("basis" in e for e in full["characters"])
         assert capped["characters"] == [
             {"label": e["label"], "multiplicity": e["multiplicity"]}
@@ -615,13 +623,13 @@ class TestEmit:
         monkeypatch.setattr(cli, "_flush", counting_flush)
         cli._emit(report, True, 0.0)
         assert len(batches) > 4
-        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+        assert capsys.readouterr().out == json.dumps(plain(report), indent=2) + "\n"
 
     @pytest.mark.parametrize("name", PRESET_NAMES)
     def test_preset_json_equals_dumps(self, capsys, name):
         report = build_preset_report(name, 4, 0)
         cli._emit(report, True, 0.0)
-        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+        assert capsys.readouterr().out == json.dumps(plain(report), indent=2) + "\n"
 
     def test_emission_memory_bounded(self, capsys, monkeypatch):
         """Writing a report of several MB holds a small share of it: the
@@ -638,6 +646,72 @@ class TestEmit:
         assert sink.size >= 4_000_000
         assert peak < sink.size / 4, (peak, sink.size)
 
+    def test_build_and_write_memory_bounded(self, monkeypatch):
+        """``analyze --json`` of 16 Z strings at K = 20 (order 2^16, 9.5 MB
+        of JSON) peaks below its document: the arrays of the closure and
+        the character table are its only N-long data, and the rows exist a
+        slice at a time.  With the report held whole, the peak was 3.5
+        times the document."""
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            code = main(["analyze", *z_strings(16, 20), "--json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert sink.size >= 9_000_000
+        assert peak < sink.size, (peak, sink.size)
+
+    @pytest.mark.parametrize("flush", [1, 40])
+    @pytest.mark.parametrize("name", PRESET_NAMES)
+    def test_slices_join_at_their_depth(self, capsys, monkeypatch, name, flush):
+        """With slices of one row or a few, each preset's JSON is still the
+        bytes of ``json.dumps`` of its plain report, and its text is the
+        text written with slices of the default size."""
+        report = build_preset_report(name, 4, 0)
+        text = "".join(cli.render_text(report, 0.0))
+        monkeypatch.setattr(cli, "EMIT_FLUSH_CHARS", flush)
+        assert len(list(report["subgroup"]["elements"].slices())) > 1
+        assert "".join(cli.render_text(report, 0.0)) == text
+        cli._emit(report, True, 0.0)
+        assert capsys.readouterr().out == json.dumps(plain(report), indent=2) + "\n"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_qubits=st.integers(1, 6),
+        phases=st.sampled_from(["plus", "minus", "full", "trivial"]),
+        flush=st.sampled_from([1, 40, 400]),
+    )
+    def test_slices_join_on_abelian_groups(self, seed, n_qubits, phases, flush):
+        """Reports with bases, sliced small, are written as ``json.dumps``
+        writes them."""
+        group = abelian_group(np.random.default_rng(seed), n_qubits, phases)
+        strings = [format_pauli(g) for g in group.generators] or [
+            format_pauli(identity(n_qubits))
+        ]
+        report = build_analysis_report(strings, 1, 0)
+        pieces = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "EMIT_FLUSH_CHARS", flush)
+            patch.setattr(cli, "_flush", pieces.append)
+            cli._write_json(report)
+        assert "".join(pieces) == json.dumps(plain(report), indent=2) + "\n"
+
+    def test_slices_join_above_the_dense_limit(self, monkeypatch):
+        """At K = 13 (no bases, +-I, order 2^8) a report sliced one row at
+        a time is written as ``json.dumps`` writes it."""
+        strings = z_strings(6, 13) + ["I" * 12 + "X", "-" + "I" * 13]
+        report = build_analysis_report(strings, 1, 0)
+        assert report["subgroup"]["order"] == 1 << 8
+        pieces = []
+        monkeypatch.setattr(cli, "EMIT_FLUSH_CHARS", 1)
+        monkeypatch.setattr(cli, "_flush", pieces.append)
+        cli._write_json(report)
+        assert "".join(pieces) == json.dumps(plain(report), indent=2) + "\n"
+
     def test_memory_error_while_writing_is_numeric_failure(
         self, capsys, monkeypatch
     ):
@@ -645,7 +719,7 @@ class TestEmit:
         message; stdout then holds only the first batch of the document."""
         generators = z_strings(10, 13)
         report = build_analysis_report(generators, 32, 0)
-        document = json.dumps(report, indent=2)
+        document = json.dumps(plain(report), indent=2)
         flush = cli._flush
         batches = []
 
@@ -675,6 +749,28 @@ class TestEmit:
             cli._write_json(value)
         assert "".join(pieces) == json.dumps(value, indent=2) + "\n"
         assert all(len(piece) >= cli.EMIT_FLUSH_CHARS for piece in pieces[:-1])
+
+    @example([{"a}": "},\n{", 1: math.nan}, {"b": None}, {}, "{"], 40, 2)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.dictionaries(st.text(), _json_scalars, min_size=1) | _json_values),
+        flush=st.sampled_from([1, 40, 400, cli.EMIT_FLUSH_CHARS]),
+        depth=st.integers(0, 2),
+    )
+    def test_column_equals_dumps_of_its_rows(self, rows, flush, depth):
+        """A ``Column`` of any rows, flat dicts with braces and newlines in
+        their strings among them, at any depth, is written as ``json.dumps``
+        writes the list of its rows."""
+        value = column = cli.Column(len(rows), lambda start, stop: rows[start:stop])
+        for _ in range(depth):
+            value = {"before": [1, {}], "rows": value, "after": {"x": []}}
+        pieces = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "EMIT_FLUSH_CHARS", flush)
+            patch.setattr(cli, "_flush", pieces.append)
+            cli._write_json(value)
+        assert "".join(pieces) == json.dumps(plain(value), indent=2) + "\n"
+        assert list(column) == rows
 
     def test_abelian_analyze_imports_no_masked_arrays(self):
         """``np.unique`` without return arrays imports ``numpy.ma``; an
