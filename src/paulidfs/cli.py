@@ -23,10 +23,8 @@ within ``BASIS_KET_CAP``; ``reducibility`` is exact at any K.  One pass
 builds all bases, and one exact Z4 check on the r + 1 sifted generators
 covers them, so ``--trials`` drives only the ``channel`` scan.
 
-The report keeps its N-long lists as ``Column``s over the closure's and the
-character table's arrays; ``--json`` writes the bytes of
-``json.dumps(report, indent=2)`` and the text output its lines, each list a
-slice of rows at a time, never the document whole.
+``--json`` writes the bytes of ``json.dumps(report, indent=2)``, and text
+output its lines, each N-long list a slice of a ``Column`` at a time.
 ``paulidfs`` and ``python -m paulidfs.cli`` both enter through ``run``.
 The ``channels`` module is imported only by a ``channel`` scan and the q8
 probe, so the other commands never load it.
@@ -62,7 +60,6 @@ from .dfs import (
 )
 from .pauli import (
     DENSE_QUBIT_LIMIT,
-    ActionArrays,
     ChannelConstraintError,
     DegenerateKrausError,
     format_pauli,
@@ -94,16 +91,13 @@ BASIS_KET_CAP = 1 << 21
 
 #: Characters of output gathered into one stdout write: one write per row
 #: doubled the emission time at order 2^16 with stdout unbuffered, and one
-#: write for the whole document held two to three copies of it.  A slice
-#: of a ``Column`` holds about a quarter of it as JSON text.
+#: write for the whole document held two to three copies of it.
 EMIT_FLUSH_CHARS = 1 << 16
 
 
 class Column:
-    """One of a report's N-long lists, kept as ``rows(start, stop)``, which
-    builds rows [start, stop) from arrays the report holds.  ``slices``
-    builds them a quarter of ``EMIT_FLUSH_CHARS`` characters of JSON at a
-    time, if they are as wide as the first, and never all at once."""
+    """One of a report's N-long lists, as ``rows(start, stop)``, which builds
+    rows [start, stop) from arrays the report holds, and its length."""
 
     def __init__(self, length: int, rows):
         self.length, self.rows = length, rows
@@ -115,11 +109,10 @@ class Column:
         return itertools.chain.from_iterable(self.slices())
 
     def slices(self):
-        # as Python objects, rows take several times their JSON text
-        width = 4 * len(json.dumps(self.rows(0, 1))) if self.length else 1
-        step = EMIT_FLUSH_CHARS // width + 1
-        for at in range(0, self.length, step):
-            yield self.rows(at, min(at + step, self.length))
+        # about EMIT_FLUSH_CHARS / 4 of JSON text a slice if rows are as wide
+        # as the first: as Python objects they take several times that
+        step = EMIT_FLUSH_CHARS // (4 * len(json.dumps(self.rows(0, 1)))) + 1
+        return (self.rows(at, at + step) for at in range(0, self.length, step))
 
 
 KET_TERM = re.compile(
@@ -196,14 +189,11 @@ def _digit_rows(matrix: np.ndarray, start: int, stop: int) -> list[str]:
 def build_analysis_report(
     generator_strings: list[str], trials: int, seed: int
 ) -> dict:
-    """The ``analyze`` report: its N-long lists (``subgroup.elements``, the
-    table's ``coordinates`` and ``exponents``, and ``characters``) are
-    ``Column``s over the arrays of the closure and its character table."""
     group = closure([parse_pauli(s) for s in generator_strings])
     n, arrays, order = group.n_qubits, group.action_arrays, group.order
 
     def strings(a: int, b: int) -> list[str]:
-        return format_paulis(ActionArrays(*(c[a:b] for c in arrays)), n)
+        return format_paulis(arrays._make(c[a:b] for c in arrays), n)
 
     report: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -236,12 +226,11 @@ def build_analysis_report(
     }
     bases: dict[int, tuple] = {}  # label - 1: seeds, exponents, check
     if n <= DENSE_QUBIT_LIMIT and _basis_kets(sifted) <= BASIS_KET_CAP:
-        every = _multiplicities(group, chars.labels[:, 0].tolist())
-        rows = [k for k, m in enumerate(every) if m]
+        rows = np.flatnonzero(_multiplicities(group, chars.labels[:, 0].tolist()))
         labels = chars.labels[rows]
         seeds, exponents = dfs_bases(group, labels)
         checks = verify_on_generators(group, labels, seeds, exponents)
-        bases = dict(zip(rows, zip(seeds, exponents, checks)))
+        bases = dict(zip(rows.tolist(), zip(seeds, exponents, checks)))
         report["x_span"] = group.x_span[0].tolist()
 
     def entries(start: int, stop: int) -> list[dict]:
@@ -329,8 +318,7 @@ def _amp(x: float) -> str:
 
 
 def render_text(report: dict, elapsed_s: float):
-    """The text report a line at a time, each with its newline, and the
-    ``Column`` of elements a slice at a time."""
+    """The text report in pieces, a line or an element at a time."""
     sub = report["subgroup"]
     yield (
         f"subgroup on {sub['n_qubits']} qubits: order {sub['order']}, "
@@ -339,8 +327,7 @@ def render_text(report: dict, elapsed_s: float):
     )
     if "elements" in sub:
         yield "elements:"
-        for rows in sub["elements"].slices():
-            yield "".join(" " + row for row in rows)
+        yield from (" " + row for row in sub["elements"])
         yield "\n"
     if "reducibility" in report:
         red = report["reducibility"]
@@ -494,43 +481,41 @@ def _write(pieces):
     _flush(text)
 
 
-def _rows_text(rows: list, pad: str) -> str:
-    """``json.dumps(rows, indent=2)`` less its brackets and last newline, at
-    the depth of ``pad``.  Rows that are all nonempty dicts of scalars go
-    through the C encoder, whose item separator then carries their inner
-    indentation; the separators between rows are mended, found by their
-    raw newline, which no JSON string holds."""
-    inner, deeper = "\n" + pad + "  ", "\n" + pad + "    "
-    dicts = all(type(row) is dict and row for row in rows)
-    types = {type(v) for row in rows for v in row.values()} if dicts else {dict}
-    if not any(issubclass(t, (dict, list, tuple)) for t in types):
-        text = json.dumps(rows, separators=("," + deeper, ": "))[2:-2]
-        text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
-        return inner + "{" + deeper + text + inner + "}"
-    return json.dumps(rows, indent=2)[1:-2].replace("\n", "\n" + pad)
-
-
 def _json_pieces(value, pad: str = ""):
     """The text of ``json.dumps(value, indent=2)`` at the depth of ``pad``, in
-    pieces, a ``Column`` (``value`` or a dict value) a slice at a time."""
-    if isinstance(value, Column):
-        yield "[" if value.length else "[]"
-        for i, rows in enumerate(value.slices()):
-            yield ("," if i else "") + _rows_text(rows, pad)
-        yield "\n" + pad + "]" if value.length else ""
-    elif isinstance(value, dict) and value:
+    pieces, a ``Column`` a slice of rows at a time.  Slices of strings, or of
+    nonempty dicts of scalars, go through the C encoder, whose item separator
+    then carries their indentation; between dicts it is mended, found by its
+    raw newline, which no JSON string holds."""
+    inner, deeper = "\n" + pad + "  ", "\n" + pad + "    "
+    if isinstance(value, dict) and value:
         for i, (key, item) in enumerate(value.items()):
             # the key as json writes it: "1" for 1, "true" for True
-            yield f"{',' if i else '{'}\n{pad}  {json.dumps({key: 0})[1:-4]}: "
+            yield f"{',' if i else '{'}{inner}{json.dumps({key: 0})[1:-4]}: "
             yield from _json_pieces(item, pad + "  ")
         yield "\n" + pad + "}"
-    else:
+        return
+    if not isinstance(value, Column):
         yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        return
+    for i, rows in enumerate(value.slices()):
+        shapes = {type(row) for row in rows}
+        values = {type(v) for r in rows for v in r.values()} if shapes == {dict} else {dict}
+        if shapes == {str}:
+            text = inner + json.dumps(rows, separators=("," + inner, ": "))[1:-1]
+        elif all(rows) and not any(issubclass(t, (dict, list, tuple)) for t in values):
+            text = json.dumps(rows, separators=("," + deeper, ": "))[2:-2]
+            text = text.replace("}," + deeper + "{", inner + "}," + inner + "{" + deeper)
+            text = inner + "{" + deeper + text + inner + "}"
+        else:
+            text = json.dumps(rows, indent=2)[1:-2].replace("\n", "\n" + pad)
+        yield ("," if i else "[") + text
+    yield "\n" + pad + "]" if value.length else "[]"
 
 
 def _write_json(value):
     """Write ``json.dumps(value, indent=2) + "\n"``, a ``Column`` as the list
-    of its rows, through ``_write``, never the document whole."""
+    of its rows, through ``_write``."""
     _write(itertools.chain(_json_pieces(value), ["\n"]))
 
 

@@ -151,9 +151,8 @@ class PauliSubgroup(_Frozen):
         return self.sifted.phase_subgroup
 
     def to_json_dict(self, elements=True) -> dict:
-        """The subgroup's strings and flags; ``elements`` True lists the
-        element strings, False leaves them out, and any other value is
-        written in their place."""
+        """The subgroup's strings and flags, the element strings only if
+        ``elements`` is True, and any other value but False in their place."""
         n = self.n_qubits
         out = {
             "n_qubits": n,
