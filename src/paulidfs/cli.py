@@ -496,7 +496,10 @@ def _json_pieces(value, pad: str = ""):
         yield "\n" + pad + "}"
         return
     if not isinstance(value, Column):
-        yield json.dumps(value, indent=2).replace("\n", "\n" + pad)
+        # scalars C-encoded: the pure-Python encoder, which indent selects,
+        # leaves a reference cycle behind on every call
+        indent = 2 if isinstance(value, (list, tuple)) else None
+        yield json.dumps(value, indent=indent).replace("\n", "\n" + pad)
         return
     for i, rows in enumerate(value.slices()):
         shapes = {type(row) for row in rows}
