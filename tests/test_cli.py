@@ -649,9 +649,9 @@ class TestEmit:
     def test_build_and_write_memory_bounded(self, monkeypatch):
         """``analyze --json`` of 16 Z strings at K = 20 (order 2^16, 9.5 MB
         of JSON) peaks below its document: the arrays of the closure and
-        the character table are its only N-long data, and the rows exist a
-        slice at a time.  With the report held whole, the peak was 3.5
-        times the document."""
+        the character table, about a third of it, are its only N-long
+        data, and the rows exist a slice at a time.  With the report held
+        whole, the peak was 3.5 times the document."""
         sink = _CountingSink()
         monkeypatch.setattr(sys, "stdout", sink)
         tracemalloc.start()
