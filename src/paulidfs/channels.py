@@ -11,9 +11,10 @@ off the symplectic normal form of the sift: 2^c blocks of 2^h x 2^h
 matrices, the 1 x 1 supported characters of an Abelian group among them.
 Draws come from ``dfs.seeded_normals``, not ``numpy.random``, so a seed now
 gives other purities and fidelities than under ``numpy.random``.  S^(-1/2)
-is the polar factor of each block's stacked operators, one SVD stacked over
-a scan's trials (Higham 1986); a state's moments are one Walsh-Hadamard
-transform per x mask.  No 2^K x 2^K array is built, a scan's work is bounded
+is the polar factor of each block's stacked operators (Higham 1986): in
+closed form for blocks of 1 x 1 and 2 x 2 (h <= 1), else one SVD stacked
+over a scan's trials; a state's moments are one Walsh-Hadamard transform
+per x mask.  No 2^K x 2^K array is built, a scan's work is bounded
 before any element is, and the dense construction is the tests' oracle.
 """
 
@@ -47,13 +48,13 @@ DEGENERATE_S_TOL = 1e-12
 #: expectation values of unit-modulus operators over a unit vector.
 IRREP_WEIGHT_TOL = 1e-10
 #: Largest work of one channel scan (``require_scan_work``).  At the cap,
-#: 15 trials of nine X, Z pairs at K = 10 (D = 2^18, 2^9 x 2^9 blocks) took
-#: 11.7 s and 171 MB, and 131 008 trials of ZI IZ 2.3 s and 55 MB (2-vCPU
-#: VM, one BLAS thread).
+#: 25 block shapes up to K = 12 scan in 2.4-10 s; as CLI runs, 4048 trials
+#: of twelve Z strings at K = 12 took 10.4-10.7 s and 41 MB, and 837 552 of
+#: ZI IZ 4.5-5.1 s and 188 MB (2-vCPU VM, one BLAS thread).
 SCAN_WORK_CAP = 1 << 32
 #: Work charged to each trial besides its draw and blocks, so that the
-#: trials of a trivial group are bounded too: about 13 us a trial.
-SCAN_TRIAL_WORK = 1 << 15
+#: trials of a trivial group are bounded too: 6 us a CLI trial of ZI IZ.
+SCAN_TRIAL_WORK = 1 << 12
 #: Entries of each stacked block: the (x masks x kets) transforms of the
 #: moments, and a scan's (trials x operators x elements) draws.
 _BLOCK_ENTRIES = 1 << 16
@@ -161,14 +162,15 @@ def _walsh(values: np.ndarray, bits) -> np.ndarray:
 def require_scan_work(sifted: SiftedGenerators, trials: int, n_ops: int = 2):
     """ValueError if a ``decoherence_scan`` would act on more than
     ``DENSE_QUBIT_LIMIT`` qubits, or if its work W = |V_X| K 2^K + trials
-    (n_ops (N + 2^c 8^h) + ``SCAN_TRIAL_WORK``) exceeds ``SCAN_WORK_CAP``:
-    one transform of 2^K amplitudes per x mask, then per trial the draw over
-    the N elements and the algebra on 2^c blocks of 2^h x 2^h.  All are read
-    off the sift, before any element is built (|V_X| = 2^(pivots with x))."""
+    (n_ops (2^7 N + 2^c 8^h) + ``SCAN_TRIAL_WORK``) exceeds ``SCAN_WORK_CAP``:
+    one transform of 2^K amplitudes per x mask, then per trial the draw and
+    transform over the N elements and the algebra on 2^c blocks of 2^h x
+    2^h, a unit of work about 2 ns.  All are read off the sift, before any
+    element is built (|V_X| = 2^(pivots with x))."""
     _require_dense(k := sifted.n_qubits)
     central, pairs = sifted.normal_form
     r, blocks = len(sifted.pivots), len(central) + 3 * len(pairs)
-    per_trial = n_ops * ((sifted.phase_subgroup_size << r) + (1 << blocks))
+    per_trial = n_ops * ((sifted.phase_subgroup_size << (r + 7)) + (1 << blocks))
     x_rank = sum(1 for p in sifted.pivots if p.x_mask)
     work = (k << (x_rank + k)) + trials * (per_trial + SCAN_TRIAL_WORK)
     if work > SCAN_WORK_CAP:
@@ -264,10 +266,11 @@ class _BlockBasis:
 
 def _draw(basis: _BlockBasis, n_ops: int, seed, attempts: int = 1) -> np.ndarray:
     """The seeded draw over the elements as (n_ops, 2^c, 2^h, 2^h) blocks, each
-    block's operators replaced by the polar factor U V^dag of their stack: one
-    draw for an int seed, one per seed of a sequence, in one stacked SVD.  A
-    draw whose S has an eigenvalue below ``DEGENERATE_S_TOL`` is redrawn at
-    seed + 1, + 2, ...; DegenerateKrausError after ``attempts`` draws."""
+    block's operators replaced by the polar factor U V^dag of their stack,
+    ``_polar`` for h <= 1 and one stacked SVD for h >= 2: one draw for an int
+    seed, one per seed of a sequence.  A draw whose S has an eigenvalue below
+    ``DEGENERATE_S_TOL`` is redrawn at seed + 1, + 2, ...; DegenerateKrausError
+    after ``attempts`` draws."""
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
     # the string coefficients of sum_n a_n G_n, G_n = i^q_n V_(t_n), in blocks
@@ -277,23 +280,54 @@ def _draw(basis: _BlockBasis, n_ops: int, seed, attempts: int = 1) -> np.ndarray
     hat = hat[..., basis.by_string].reshape(*hat.shape[:-1], basis.phase_count, -1)
     hat = np.moveaxis(basis.blocks(hat.sum(axis=-2)), -4, -3)
     shape = hat.shape
-    u, sigma, vh = np.linalg.svd(hat.reshape(*shape[:-3], -1, shape[-1]), False)
-    hat = np.moveaxis((u @ vh).reshape(shape), -3, -4)
-    # ||sum A^dag A - I||_F, each block counted multiplicity times
-    excess = (hat.conj().swapaxes(-1, -2) @ hat).sum(axis=-4) - basis.identity
-    defect = np.sqrt(basis.multiplicity * (np.abs(excess) ** 2).sum(axis=(-3, -2, -1)))
-    if defect.max() > KRAUS_NORM_TOL:
-        raise ChannelConstraintError(
-            f"sum A^dag A deviates from identity by {defect.max():.3e}"
-        )
-    low = sigma.min(axis=(-2, -1)) ** 2
-    redo = np.flatnonzero(low < DEGENERATE_S_TOL)
+    if shape[-1] > 2:
+        u, sigma, vh = np.linalg.svd(hat.reshape(*shape[:-3], -1, shape[-1]), False)
+        hat = np.moveaxis((u @ vh).reshape(shape), -3, -4)
+        low = sigma.min(axis=(-2, -1)) ** 2
+    else:
+        hat, low = _polar(hat.reshape(*shape[:-3], -1, shape[-1]))
+        hat, low = np.moveaxis(hat.reshape(shape), -3, -4), low.min(axis=-1)
+    # written so that NaN fails both checks
+    redo = np.flatnonzero(~(low >= DEGENERATE_S_TOL))
     if redo.size and attempts > 1:
         hat[redo] = _draw(basis, n_ops, [seed[i] + 1 for i in redo], attempts - 1)
     elif redo.size:
         message = f"normalization matrix is singular (min eigenvalue {low.min():.3e})"
         raise DegenerateKrausError(message + "; reseed and retry")
+    # ||sum A^dag A - I||_F, each block counted multiplicity times
+    excess = (hat.conj().swapaxes(-1, -2) @ hat).sum(axis=-4) - basis.identity
+    defect = np.sqrt(basis.multiplicity * (np.abs(excess) ** 2).sum(axis=(-3, -2, -1)))
+    if not defect.max() <= KRAUS_NORM_TOL:
+        raise ChannelConstraintError(
+            f"sum A^dag A deviates from identity by {defect.max():.3e}"
+        )
     return hat
+
+
+def _polar(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The polar factor of each m x 1 or m x 2 matrix of ``stack`` in closed
+    form, and its smallest squared singular value, 0 for a zero or dependent
+    column.  One column is normalized; two are Q R by classical Gram-Schmidt
+    run twice, R = [[a, b], [0, d]], and U V^dag = Q (R + ad R^(-dag)) =
+    Q [[a + d, b], [-conj(b), a + d]] over its norm sqrt((a + d)^2 + |b|^2)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = np.linalg.norm(stack[..., :1], axis=-2, keepdims=True)
+        q = stack[..., :1] / a
+        if stack.shape[-1] == 1:
+            return q, a[..., 0, 0] ** 2
+        r, b = stack[..., 1:], 0
+        for _ in range(2):
+            step = (q.conj() * r).sum(axis=-2, keepdims=True)
+            r, b = r - q * step, b + step
+        d = np.linalg.norm(r, axis=-2, keepdims=True)
+        q2, s = r / d, a + d
+        u = np.concatenate([s * q - b.conj() * q2, b * q + s * q2], axis=-1)
+        u /= np.sqrt(s**2 + np.abs(b) ** 2)
+        # S = R^dag R in squares: trace f, det ad; f^2 - 4ad = (a - d)^2 + b (f + a + d)
+        a, b, d = (np.abs(v[..., 0, 0]) ** 2 for v in (a, b, d))
+        f = a + b + d
+        low = 2 * a * d / (f + np.sqrt((a - d) ** 2 + b * (f + a + d)))
+    return u, np.nan_to_num(low)
 
 
 # ---------------------------------------------------------------------------

@@ -316,11 +316,11 @@ class TestDecoherenceScan:
 
     def test_scan_work_counts_every_trial(self, qz):
         """Each trial is charged ``SCAN_TRIAL_WORK`` besides its draw, so a
-        four-element group passes at 2^16 trials and is refused at 2^20, in
-        the library as on the command line."""
-        channels.require_scan_work(qz.sifted, 1 << 16)
+        four-element group passes at 837 552 trials and is refused at one
+        more, in the library as on the command line."""
+        channels.require_scan_work(qz.sifted, 837_552)
         with pytest.raises(ValueError, match="channel scan work W = "):
-            channels.require_scan_work(qz.sifted, 1 << 20)
+            channels.require_scan_work(qz.sifted, 837_553)
         with pytest.raises(ValueError, match="channel scan work W = "):
             decoherence_scan(qz, ket("00"), trials=1 << 40)
 
@@ -361,6 +361,78 @@ class TestDecoherenceScan:
         by_eigh = hand @ (inv_sqrt @ vectors.conj().swapaxes(-1, -2))
         eigh_total = (by_eigh.conj().swapaxes(-1, -2) @ by_eigh).sum(axis=0)
         assert np.abs(eigh_total - basis.identity).max() > 1e-12
+
+    def test_closed_form_polar_survives_ill_conditioned_draw(self, monkeypatch):
+        """The 2 x 2 twin of the test above: {X, Z} on one qubit, one 2 x 2
+        block, a hand-built draw whose S has condition number 1e10, comes out
+        of ``_draw``'s closed form as U V^dag with sum A^dag A = I within
+        1e-12."""
+        basis = channels._BlockBasis(closure([parse_pauli("X"), parse_pauli("Z")]))
+        rng = np.random.default_rng(5)
+        draw = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
+        u, _ = np.linalg.qr(draw[:4])
+        v, _ = np.linalg.qr(draw[4:])
+        hand = ((u * [1, 1e-5]) @ v.conj().T).reshape(2, 1, 2, 2)
+        strings = basis.coefficients(hand)
+        raw = strings[:, basis.string_of] * basis.phase_of.conj() / basis.phase_count
+        monkeypatch.setattr(channels, "_raw_coefficients", lambda *args: raw.copy())
+        s = np.linalg.eigvalsh((hand.conj().swapaxes(-1, -2) @ hand).sum(axis=0))
+        assert s.max() / s.min() == pytest.approx(1e10, rel=1e-3)
+        hat = channels._draw(basis, 2, 0)
+        assert np.abs(hat - (u @ v.conj().T).reshape(2, 1, 2, 2)).max() < 1e-9
+        total = (hat.conj().swapaxes(-1, -2) @ hat).sum(axis=0)
+        assert np.abs(total - basis.identity).max() < 1e-12
+
+    @pytest.mark.parametrize("generators", [("ZI", "IZ"), ("X", "Z")], ids=["1x1", "2x2"])
+    def test_zero_draw_redrawn_then_refused(self, monkeypatch, generators):
+        """A zero draw on 1 x 1 blocks (qz) and on one 2 x 2 block ({X, Z})
+        is redrawn at seed + 1; a zero redraw too raises DegenerateKrausError
+        with the dense route's message."""
+        group = closure([parse_pauli(s) for s in generators])
+        basis = channels._BlockBasis(group)
+        expected = channels._draw(basis, 2, [3, 8])
+        requested = _zero_draws_at(monkeypatch, {7})
+        assert np.array_equal(channels._draw(basis, 2, [3, 7], attempts=2), expected)
+        assert requested == [3, 7, 8]
+        _zero_draws_at(monkeypatch, {7, 8})
+        errors = []
+        for build in (
+            lambda: channels._draw(basis, 2, [3, 7], attempts=2),
+            lambda: reference_group_algebra_kraus(group, 2, seed=8),
+        ):
+            with pytest.raises(DegenerateKrausError) as caught:
+                build()
+            errors.append(str(caught.value))
+        assert errors[0] == errors[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        columns=st.integers(1, 2),
+        rows=st.integers(0, 5),
+        stacks=st.integers(1, 4),
+        spread=st.floats(0, 3),
+        scale=st.integers(-40, 40),
+    )
+    def test_closed_form_polar_matches_svd(
+        self, seed, columns, rows, stacks, spread, scale
+    ):
+        """``_polar`` on stacks of m x 1 and m x 2 matrices, the latter with
+        condition number 10^spread up to 10^3, scaled by 2^-40 ... 2^40,
+        gives the polar factor U V^dag and the smallest singular value of
+        ``np.linalg.svd`` within 1e-12 (times sigma_max for the latter)."""
+        rng = np.random.default_rng(seed)
+        shape = (stacks, columns + rows, columns)
+        stack = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        if columns == 2:
+            left, _ = np.linalg.qr(stack)
+            right, _ = np.linalg.qr(stack[:, :2])
+            stack = (left * [1, 10.0**-spread]) @ right.conj().swapaxes(-1, -2)
+        stack *= 2.0**scale
+        u, sigma, vh = np.linalg.svd(stack, full_matrices=False)
+        polar, low = channels._polar(stack)
+        assert np.abs(polar - u @ vh).max() < 1e-12
+        assert np.abs(np.sqrt(low) - sigma.min(axis=-1)).max() < 1e-12 * sigma.max()
 
     def test_degenerate_draw_reseeds(self, monkeypatch, qz):
         """A zero draw in trial 2 is redrawn with attempt + 1, exactly as
