@@ -48,9 +48,9 @@ DEGENERATE_S_TOL = 1e-12
 #: expectation values of unit-modulus operators over a unit vector.
 IRREP_WEIGHT_TOL = 1e-10
 #: Largest work of one channel scan (``require_scan_work``).  At the cap,
-#: 25 block shapes up to K = 12 scan in 2.4-10 s; as CLI runs, 4048 trials
-#: of twelve Z strings at K = 12 took 10.4-10.7 s and 41 MB, and 837 552 of
-#: ZI IZ 4.5-5.1 s and 188 MB (2-vCPU VM, one BLAS thread).
+#: 25 block shapes up to K = 12 take 2.4-10 s (time per trial x trials); CLI:
+#: 4048 trials of twelve Z strings at K = 12 took 8.9-10.8 s and 41 MB, and
+#: 837 552 of ZI IZ 4.5-5.1 s and 188 MB (2-vCPU VM, one BLAS thread).
 SCAN_WORK_CAP = 1 << 32
 #: Work charged to each trial besides its draw and blocks, so that the
 #: trials of a trivial group are bounded too: 6 us a CLI trial of ZI IZ.
