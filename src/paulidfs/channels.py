@@ -9,13 +9,14 @@ a raw random draw with S^(-1/2), S = sum A^dag A.
 Every group's algebra is held in one block basis (``_BlockBasis``), read
 off the symplectic normal form of the sift: 2^c blocks of 2^h x 2^h
 matrices, the 1 x 1 supported characters of an Abelian group among them.
-Draws come from ``dfs.seeded_normals``, not ``numpy.random``, so a seed now
-gives other purities and fidelities than under ``numpy.random``.  S^(-1/2)
-is the polar factor of each block's stacked operators (Higham 1986): in
-closed form for blocks of 1 x 1 and 2 x 2 (h <= 1), else one SVD stacked
-over a scan's trials; a state's moments are one Walsh-Hadamard transform
-per x mask.  No 2^K x 2^K array is built, a scan's work is bounded
-before any element is, and the dense construction is the tests' oracle.
+Draws come from ``dfs.seeded_normals``, not ``numpy.random``.  S^(-1/2) is
+the polar factor of each block's stacked operators (Higham 1986), and a
+state's moments are one Walsh-Hadamard transform per x mask.  Blocks of
+1 x 1 and 2 x 2 (h <= 1) call no BLAS or LAPACK: their polar factors and
+lowest eigenvalues are closed forms, their products ``np.einsum``; at h >= 2
+one SVD stacked over a scan's trials, ``@`` and ``eigvalsh`` do that work.
+No 2^K x 2^K array is built, a scan's work is bounded before any element
+is, and the dense construction is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .pauli import (
     _require_dense,
     action_arrays,
     format_paulis,
+    matrix_product,
+    norm,
     parse_pauli,
     subset_products,
     to_matrix,
@@ -83,15 +86,12 @@ class KrausSet(_Frozen):
         )
 
     def normalization_defect(self) -> float:
-        dim = 1 << self.n_qubits
-        total = np.zeros((dim, dim), dtype=complex)
-        for op in self.operators:
-            total += op.conj().T @ op
-        return float(np.linalg.norm(total - np.eye(dim)))
+        total = sum(matrix_product(op.conj().T, op) for op in self.operators)
+        return float(norm(total - np.eye(1 << self.n_qubits)))
 
     def validate(self, atol: float = KRAUS_NORM_TOL):
         defect = self.normalization_defect()
-        if defect > atol:
+        if not defect <= atol:
             raise ChannelConstraintError(
                 f"sum A^dag A deviates from identity by {defect:.3e}"
             )
@@ -114,22 +114,33 @@ class KrausSet(_Frozen):
 
 def _unit_vector(state: np.ndarray) -> np.ndarray:
     psi = np.asarray(state, dtype=complex)
-    norm = np.linalg.norm(psi)
-    if norm < 1e-12:
+    length = norm(psi)
+    if length < 1e-12:
         raise ValueError("cannot form a density matrix from the zero vector")
-    return psi / norm
+    return psi / length
+
+
+def _lowest_eigenvalues(blocks: np.ndarray) -> np.ndarray:
+    """Each Hermitian matrix's smallest eigenvalue, from the real diagonal and
+    the lower triangle as ``eigvalsh`` reads them: (a + d)/2 - hypot((a - d)/2,
+    |b_10|) up to 2 x 2, so that NaN gives NaN, and ``eigvalsh`` above."""
+    if blocks.shape[-1] > 2:
+        return np.linalg.eigvalsh(blocks)[..., 0]
+    a, d = blocks[..., 0, 0].real, blocks[..., -1, -1].real
+    below = np.abs(blocks[..., 1:, 0]).sum(axis=-1)  # |b_10|, 0 for 1 x 1
+    return (a + d) / 2 - np.hypot((a - d) / 2, below)
 
 
 def assert_density_matrix(rho: np.ndarray, eig_floor: float = -1e-8):
-    """Check unit trace, Hermiticity and positivity of ``rho`` or a stack."""
+    """Check unit trace, Hermiticity and positivity of ``rho`` or a stack, NaN failing."""
     worst = np.abs(np.trace(rho, axis1=-2, axis2=-1) - 1).max()
-    if worst > 1e-10:
+    if not worst <= 1e-10:
         raise ValueError(f"trace deviates from 1 by {worst:.3e}")
     adjoint = rho.conj().swapaxes(-1, -2)
-    if np.linalg.norm(rho - adjoint, axis=(-2, -1)).max() > 1e-10:
+    if not norm(rho - adjoint, (-2, -1)).max() <= 1e-10:
         raise ValueError("density matrix is not Hermitian")
-    smallest = float(np.linalg.eigvalsh((rho + adjoint) / 2).min())
-    if smallest < eig_floor:
+    smallest = float(_lowest_eigenvalues((rho + adjoint) / 2).min())
+    if not smallest >= eig_floor:
         raise ValueError(f"negative eigenvalue {smallest}")
 
 
@@ -257,7 +268,7 @@ class _BlockBasis:
         sigma = self.blocks(expectations.conj()) / (1 << len(self._bits))
         trace = np.trace(sigma, axis1=-2, axis2=-1).sum()
         skew = np.abs(sigma - sigma.conj().swapaxes(-1, -2)).max()
-        low = np.linalg.eigvalsh(sigma).min()
+        low = _lowest_eigenvalues(sigma).min()
         # written so that NaN blocks fail too
         if not np.max([abs(trace - 1), skew, -low]) <= IRREP_WEIGHT_TOL:
             raise AssertionError(f"moment blocks {sigma} are not a state")
@@ -267,10 +278,10 @@ class _BlockBasis:
 def _draw(basis: _BlockBasis, n_ops: int, seed, attempts: int = 1) -> np.ndarray:
     """The seeded draw over the elements as (n_ops, 2^c, 2^h, 2^h) blocks, each
     block's operators replaced by the polar factor U V^dag of their stack,
-    ``_polar`` for h <= 1 and one stacked SVD for h >= 2: one draw for an int
-    seed, one per seed of a sequence.  A draw whose S has an eigenvalue below
-    ``DEGENERATE_S_TOL`` is redrawn at seed + 1, + 2, ...; DegenerateKrausError
-    after ``attempts`` draws."""
+    ``_polar`` and ``matrix_product`` for h <= 1, one stacked SVD and ``@`` for
+    h >= 2: one draw for an int seed, one per seed of a sequence.  A draw whose
+    S has an eigenvalue below ``DEGENERATE_S_TOL`` is redrawn at seed + 1, + 2,
+    ...; DegenerateKrausError after ``attempts`` draws."""
     if n_ops < 1:
         raise ValueError("n_ops must be >= 1")
     # the string coefficients of sum_n a_n G_n, G_n = i^q_n V_(t_n), in blocks
@@ -280,6 +291,7 @@ def _draw(basis: _BlockBasis, n_ops: int, seed, attempts: int = 1) -> np.ndarray
     hat = hat[..., basis.by_string].reshape(*hat.shape[:-1], basis.phase_count, -1)
     hat = np.moveaxis(basis.blocks(hat.sum(axis=-2)), -4, -3)
     shape = hat.shape
+    product = np.matmul if shape[-1] > 2 else matrix_product
     if shape[-1] > 2:
         u, sigma, vh = np.linalg.svd(hat.reshape(*shape[:-3], -1, shape[-1]), False)
         hat = np.moveaxis((u @ vh).reshape(shape), -3, -4)
@@ -295,7 +307,7 @@ def _draw(basis: _BlockBasis, n_ops: int, seed, attempts: int = 1) -> np.ndarray
         message = f"normalization matrix is singular (min eigenvalue {low.min():.3e})"
         raise DegenerateKrausError(message + "; reseed and retry")
     # ||sum A^dag A - I||_F, each block counted multiplicity times
-    excess = (hat.conj().swapaxes(-1, -2) @ hat).sum(axis=-4) - basis.identity
+    excess = product(hat.conj().swapaxes(-1, -2), hat).sum(axis=-4) - basis.identity
     defect = np.sqrt(basis.multiplicity * (np.abs(excess) ** 2).sum(axis=(-3, -2, -1)))
     if not defect.max() <= KRAUS_NORM_TOL:
         raise ChannelConstraintError(
@@ -311,7 +323,7 @@ def _polar(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     run twice, R = [[a, b], [0, d]], and U V^dag = Q (R + ad R^(-dag)) =
     Q [[a + d, b], [-conj(b), a + d]] over its norm sqrt((a + d)^2 + |b|^2)."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        a = np.linalg.norm(stack[..., :1], axis=-2, keepdims=True)
+        a = norm(stack[..., :1], -2)[..., None, :]
         q = stack[..., :1] / a
         if stack.shape[-1] == 1:
             return q, a[..., 0, 0] ** 2
@@ -319,7 +331,7 @@ def _polar(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         for _ in range(2):
             step = (q.conj() * r).sum(axis=-2, keepdims=True)
             r, b = r - q * step, b + step
-        d = np.linalg.norm(r, axis=-2, keepdims=True)
+        d = norm(r, -2)[..., None, :]
         q2, s = r / d, a + d
         u = np.concatenate([s * q - b.conj() * q2, b * q + s * q2], axis=-1)
         u /= np.sqrt(s**2 + np.abs(b) ** 2)
@@ -400,25 +412,25 @@ class ScanReport(NamedTuple):
     trials: int
     seed: int
     n_ops: int
-    purities: tuple[float, ...]
-    fidelities: tuple[float, ...]
+    purities: np.ndarray
+    fidelities: np.ndarray
 
     @property
     def min_purity(self) -> float:
-        return min(self.purities)
+        return float(self.purities.min())
 
     @property
     def mean_purity(self) -> float:
-        return sum(self.purities) / len(self.purities)
+        return sum(map(float, self.purities)) / len(self.purities)  # left to right
 
     @property
     def min_fidelity(self) -> float:
-        return min(self.fidelities)
+        return float(self.fidelities.min())
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, write=np.ndarray.tolist) -> dict:
         return self._asdict() | {
-            "purities": list(self.purities),
-            "fidelities": list(self.fidelities),
+            "purities": write(self.purities),
+            "fidelities": write(self.fidelities),
             "min_purity": self.min_purity,
             "mean_purity": self.mean_purity,
             "min_fidelity": self.min_fidelity,
@@ -451,25 +463,27 @@ def decoherence_scan(
         raise ValueError(f"state shape {psi.shape} != ({dim},)")
     basis = _BlockBasis(group)
     moments = basis.moments(psi)
-    seeds = [seed * 1_000_003 + t * 97 for t in range(trials)]
+    product = np.matmul if moments.shape[-1] > 2 else matrix_product
+    seeds = range(seed * 1_000_003, seed * 1_000_003 + 97 * trials, 97)
     rows = max(1, _BLOCK_ENTRIES // (n_ops * group.order))
-    purities, fidelities = [], []
+    purities, fidelities = np.empty(trials), np.empty(trials)
     for lo in range(0, trials, rows):
         hat = _draw(basis, n_ops, seeds[lo : lo + rows], attempts=9)
         # the Gram matrix <psi|A_e^dag A_d|psi> = sum_l tr(A_e^dag A_d
         # sigma_l) of the vectors A_d psi has the nonzero spectrum of the
         # evolved density matrix
-        gram = np.einsum("telki,tdlki->tde", hat.conj(), hat @ moments)
+        gram = np.einsum("telki,tdlki->tde", hat.conj(), product(hat, moments))
         assert_density_matrix(gram)
-        purities += (np.abs(gram) ** 2).sum(axis=(1, 2)).tolist()
+        purities[lo : lo + rows] = (np.abs(gram) ** 2).sum(axis=(1, 2))
         expectations = np.einsum("tdlij,lji->td", hat, moments)
-        fidelities += (np.abs(expectations) ** 2).sum(axis=1).tolist()
+        fidelities[lo : lo + rows] = (np.abs(expectations) ** 2).sum(axis=1)
+    purities.flags.writeable = fidelities.flags.writeable = False
     return ScanReport(
         trials=trials,
         seed=seed,
         n_ops=n_ops,
-        purities=tuple(purities),
-        fidelities=tuple(fidelities),
+        purities=purities,
+        fidelities=fidelities,
     )
 
 
@@ -540,17 +554,12 @@ def _q8_kraus(group, terms, c1, c2, d1, d2, e1, e2, atol=1e-10) -> KrausSet:
 
 
 def code_fix_residual(kraus: KrausSet, code_states) -> float:
-    """Worst-case deviation of the code states from being common
-    eigenvectors (one shared eigenvalue per operator)."""
-    worst = 0.0
-    for op in kraus.operators:
-        reference = complex(np.vdot(code_states[0], op @ code_states[0]))
-        for state in code_states:
-            worst = max(
-                worst,
-                float(np.linalg.norm(op @ state - reference * state)),
-            )
-    return worst
+    """Worst-case deviation of the code states from being common eigenvectors
+    (one shared eigenvalue per operator); NaN if an operator holds NaN."""
+    states = np.column_stack(code_states)
+    images = matrix_product(np.array(kraus.operators), states)
+    reference = (states[:, :1].conj() * images[..., :1]).sum(axis=-2, keepdims=True)
+    return float(norm(images - reference * states, axis=-2).max())
 
 
 class ProbeReport(NamedTuple):
@@ -592,15 +601,16 @@ def q8_genericity_probe(
     # per draw: c, beta and e, real parts then imaginary parts
     for row in seeded_normals(seed, 10 * draws).reshape(draws, 2, 5):
         c, beta, e = np.split(row[0] + 1j * row[1], [2, 3])
-        c = c / np.linalg.norm(c)
+        c = c / norm(c)
         tail = np.concatenate([beta * [-np.conj(c[1]), np.conj(c[0])], e])
-        kraus = _q8_kraus(group, terms, c[0], c[1], *tail / np.linalg.norm(tail))
+        kraus = _q8_kraus(group, terms, c[0], c[1], *tail / norm(tail))
         constrained.append(code_fix_residual(kraus, code))
     return ProbeReport(
         draws=draws,
-        unconstrained_failures=sum(r > threshold for r in unconstrained),
-        constrained_failures=sum(r > threshold for r in constrained),
-        min_unconstrained_residual=float(min(unconstrained, default=np.inf)),
-        max_constrained_residual=float(max(constrained, default=0.0)),
+        # written so that a NaN residual counts as breaking the code
+        unconstrained_failures=sum(not r <= threshold for r in unconstrained),
+        constrained_failures=sum(not r <= threshold for r in constrained),
+        min_unconstrained_residual=float(np.min(unconstrained, initial=np.inf)),
+        max_constrained_residual=float(np.max(constrained, initial=0.0)),
         failure_threshold=threshold,
     )

@@ -64,6 +64,7 @@ from .pauli import (
     DegenerateKrausError,
     format_pauli,
     format_paulis,
+    norm,
     parse_pauli,
 )
 from .presets import (
@@ -158,15 +159,16 @@ def parse_state_spec(spec: str, n_qubits: int | None = None) -> np.ndarray:
             f"state has {width} qubits but the subgroup acts on {n_qubits}"
         )
     state = np.zeros(1 << width, dtype=complex)
-    with np.errstate(over="ignore"):
+    # inf * 0 in the norm's imaginary parts, which it drops, is invalid
+    with np.errstate(over="ignore", invalid="ignore"):
         for coefficient, bits in terms:
             state[int(bits, 2)] += coefficient
-        norm = np.linalg.norm(state)
-    if not math.isfinite(norm):
+        length = norm(state)
+    if not math.isfinite(length):
         raise ValueError(f"the norm of {spec!r} is not finite")
-    if norm < 1e-12:
+    if length < 1e-12:
         raise ValueError("state specification sums to the zero vector")
-    return state / norm
+    return state / length
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +306,9 @@ def build_channel_report(
         },
         "subgroup": group.to_json_dict(elements=False),
         "state": [[float(a.real), float(a.imag)] for a in state],
-        "scan": scan.to_json_dict(),
+        "scan": scan.to_json_dict(
+            lambda v: Column(len(v), lambda a, b: v[a:b].tolist())
+        ),
     }
 
 
@@ -483,10 +487,10 @@ def _write(pieces):
 
 def _json_pieces(value, pad: str = ""):
     """The text of ``json.dumps(value, indent=2)`` at the depth of ``pad``, in
-    pieces, a ``Column`` a slice of rows at a time.  Slices of strings, or of
-    nonempty dicts of scalars, go through the C encoder, whose item separator
-    then carries their indentation; between dicts it is mended, found by its
-    raw newline, which no JSON string holds."""
+    pieces, a ``Column`` a slice of rows at a time.  Slices of strings or
+    floats, or of nonempty dicts of scalars, go through the C encoder, whose
+    item separator then carries their indentation; between dicts it is
+    mended, found by its raw newline, which no JSON string holds."""
     inner, deeper = "\n" + pad + "  ", "\n" + pad + "    "
     if isinstance(value, dict) and value:
         for i, (key, item) in enumerate(value.items()):
@@ -504,7 +508,7 @@ def _json_pieces(value, pad: str = ""):
     for i, rows in enumerate(value.slices()):
         shapes = {type(row) for row in rows}
         values = {type(v) for r in rows for v in r.values()} if shapes == {dict} else {dict}
-        if shapes == {str}:
+        if shapes <= {str, float}:
             text = inner + json.dumps(rows, separators=("," + inner, ": "))[1:-1]
         elif all(rows) and not any(issubclass(t, (dict, list, tuple)) for t in values):
             text = json.dumps(rows, separators=("," + deeper, ": "))[2:-2]

@@ -389,3 +389,17 @@ def algebra_action(actions, coefficients, block) -> np.ndarray:
     for a, (rows, values) in zip(coefficients, actions, strict=True):
         out += (a * values[rows]).reshape(column) * block[rows]
     return out
+
+
+def norm(values, axis=None):
+    """The 2-norm of ``values``, or along ``axis``: the sum of squares that
+    ``np.linalg.norm`` takes along an axis, where of a whole array it calls BLAS."""
+    return np.sqrt(np.add.reduce((values.conj() * values).real, axis))
+
+
+def matrix_product(a, b) -> np.ndarray:
+    """``a @ b`` over the last two axes, by ``np.einsum``, which calls no BLAS,
+    for matrices of at most 8 x 8 (three qubits), else by ``@``."""
+    if max(a.shape[-2:] + b.shape[-1:]) > 8:
+        return a @ b
+    return np.einsum("...ij,...jk->...ik", a, b)

@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .pauli import PauliElement, algebra_action, matrix_action, parse_pauli
+from .pauli import (
+    PauliElement, algebra_action, matrix_action, matrix_product, norm, parse_pauli
+)
 from .subgroup import PauliSubgroup, closure
 
 PRESET_GENERATORS: dict[str, tuple[str, ...]] = {
@@ -74,11 +76,10 @@ def plane_invariance_residual(
     """
     if planes is None:
         planes = q8_invariant_planes()
-    worst = 0.0
-    for plane in planes:
-        basis = np.column_stack(plane)
-        for element in group.elements:
-            image = algebra_action([matrix_action(element)], [1], basis)
-            leak = image - basis @ (basis.conj().T @ image)
-            worst = max(worst, float(np.linalg.norm(leak, axis=0).max()))
-    return worst
+    # (2^K, planes, 2), then (planes, 2^K, 2): each plane's vectors as columns
+    bases = np.array(planes, dtype=complex).transpose(2, 0, 1)
+    images = [algebra_action([matrix_action(e)], [1], bases) for e in group.elements]
+    bases, images = np.moveaxis(bases, 0, -2), np.moveaxis(np.array(images), 1, -2)
+    adjoints = bases.conj().swapaxes(-1, -2)
+    leak = images - matrix_product(bases, matrix_product(adjoints, images))
+    return float(norm(leak, axis=-2).max())

@@ -1,5 +1,7 @@
 """Kraus channels: normalization, evolution, scans and the q8 code."""
 
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -196,6 +198,79 @@ class TestPurity:
             assert_density_matrix(np.eye(2))
         with pytest.raises(ValueError):
             assert_density_matrix(np.array([[0.5, 0.5], [0.1, 0.5]]))
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            pytest.param(None, "trace deviates", id="all-nan"),
+            pytest.param((1, 1), "trace deviates", id="nan-diagonal"),
+            pytest.param((1, 0), "not Hermitian", id="nan-off-diagonal"),
+        ],
+    )
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_assert_density_matrix_rejects_nan(self, entry, message, stacked):
+        """NaN fails the trace and Hermiticity tests, in one matrix and in one
+        block of a stack of otherwise valid density matrices."""
+        rho = np.diag([0.5, 0.5]).astype(complex)
+        if entry is None:
+            rho[:] = np.nan
+        else:
+            rho[entry] = np.nan
+        if stacked:
+            rho = np.stack([np.diag([1.0, 0.0]), rho, np.eye(2) / 2])
+        with pytest.raises(ValueError, match=message):
+            assert_density_matrix(rho)
+
+
+def _hermitian_stack(rng, count, size, rank, exponent):
+    """``count`` Hermitian blocks of ``size`` x ``size`` and the given rank
+    ("full": indefinite; "one"; "zero"), scaled by 2^exponent, with noise in
+    the imaginary parts of the diagonal and in the upper triangle, which
+    ``eigvalsh`` does not read."""
+    shape = (count, size, size)
+    v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if rank == "full":
+        blocks = v + v.conj().swapaxes(-1, -2)
+    elif rank == "one":
+        blocks = v[..., :1] * v[..., :1].conj().swapaxes(-1, -2)
+    else:
+        blocks = np.zeros_like(v)
+    blocks[..., range(size), range(size)] += 1j * rng.standard_normal((count, size))
+    if size == 2:
+        blocks[..., 0, 1] += rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    return blocks * 2.0**exponent
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 6),
+    size=st.sampled_from([1, 2]),
+    rank=st.sampled_from(["full", "one", "zero"]),
+    exponent=st.sampled_from([-40, 0, 40]),
+    nan_at=st.sampled_from([None, (0, 0), (-1, -1), (-1, 0)]),
+)
+def test_closed_form_lowest_eigenvalue_matches_eigvalsh(
+    seed, count, size, rank, exponent, nan_at
+):
+    """The closed-form smallest eigenvalue of 1 x 1 and 2 x 2 blocks is
+    ``eigvalsh``'s within 1e-12 of each block's scale, rank-deficient and
+    2^(+-40)-scaled blocks included; a NaN read from the real diagonal or
+    the lower triangle gives NaN for its block and for the stack's minimum."""
+    rng = np.random.default_rng(seed)
+    blocks = _hermitian_stack(rng, count, size, rank, exponent)
+    low = channels._lowest_eigenvalues(blocks)
+    expected = np.linalg.eigvalsh(blocks)[..., 0]
+    scale = np.abs(blocks).max(axis=(-2, -1))
+    assert low.shape == (count,)
+    assert np.all(np.abs(low - expected) <= 1e-12 * scale)
+    assert abs(low.min() - expected.min()) <= 1e-12 * scale.max()
+    if nan_at is not None:
+        hit = rng.integers(count)
+        blocks[(hit, *nan_at)] = np.nan
+        low = channels._lowest_eigenvalues(blocks)
+        assert np.isnan(low[hit]) and np.isnan(low.min())
+        assert not np.isnan(np.delete(low, hit)).any()
 
 
 class TestDecoherenceScan:
@@ -522,6 +597,32 @@ class TestQ8Construction:
         with pytest.raises(ChannelConstraintError, match=r"\|d1\|"):
             q8_constrained_kraus(1, 0, 0, 0, 0.5, 0)
 
+    @pytest.mark.parametrize("entry", [None, (3, 5)], ids=["all-nan", "one-nan"])
+    def test_nan_operators_fail_check_and_residual(self, entry):
+        """A channel with NaN in its operators fails ``validate`` and has a NaN
+        code residual, not the 0 of a channel that fixes the code."""
+        identity = q8_constrained_kraus(1, 0, 0, 0, 1, 0)
+        operators = [op.copy() for op in identity.operators]
+        if entry is None:
+            operators[1][:] = np.nan
+        else:
+            operators[1][entry] = np.nan
+        kraus = channels.KrausSet(3, tuple(operators))
+        with pytest.raises(ChannelConstraintError, match="deviates from identity"):
+            kraus.validate()
+        assert np.isnan(kraus.normalization_defect())
+        assert np.isnan(code_fix_residual(kraus, q8_code_states()))
+
+    def test_probe_counts_nan_draws_as_breaking(self, monkeypatch):
+        """A NaN unconstrained draw counts as breaking the code, and its NaN
+        residual is the reported minimum."""
+        nan_kraus = channels.KrausSet(3, (np.full((8, 8), np.nan),) * 2)
+        monkeypatch.setattr(channels, "_algebra_kraus", lambda *args: nan_kraus)
+        report = q8_genericity_probe(seed=0, draws=4)
+        assert report.unconstrained_failures == 4
+        assert np.isnan(report.min_unconstrained_residual)
+        assert report.constrained_failures == 0
+
     def test_probe(self):
         report = q8_genericity_probe(seed=0, draws=64)
         assert report.draws == 64
@@ -565,3 +666,92 @@ def test_fidelity_definition():
     state = ket("01")
     rho = 0.25 * np.eye(4)
     assert state_fidelity(state, rho) == pytest.approx(0.25)
+
+
+_K6_H1 = ("XIIIII", "ZIIIII", "IIZZII", "IIIIZZ")
+
+
+def test_small_blocks_call_no_lapack(monkeypatch, qz, q8):
+    """Scans whose blocks are 1 x 1 (qz) or 2 x 2 (q8, and a K=6 group with
+    c = 2 central strings and h = 1 pair), and the q8 preset report, call
+    neither ``eigvalsh``, ``svd`` nor ``norm`` of ``np.linalg``."""
+    from paulidfs.cli import build_preset_report
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("np.linalg called on a path of blocks of at most 2 x 2")
+
+    k6 = closure([parse_pauli(s) for s in _K6_H1])
+    for name in ("eigvalsh", "svd", "norm"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    for group, size in ((qz, 1), (q8, 2), (k6, 2)):
+        assert channels._BlockBasis(group).identity.shape == (size, size)
+        report = decoherence_scan(group, ket("0" * group.n_qubits), trials=8, seed=3)
+        assert 0 < report.min_purity <= 1 + 1e-12
+    probe = build_preset_report("q8", 32, 0)["nongeneric_code"]["probe"]
+    assert probe["constrained_failures"] == 0
+
+
+_OPENBLAS_GROWTH = """
+import contextlib, io, sys
+import paulidfs.channels
+from paulidfs.cli import main
+
+def openblas_kb():
+    total, inside = 0, False
+    for line in open("/proc/self/smaps"):
+        head = line.split()
+        if "-" in head[0] and ":" not in head[0]:
+            inside = "openblas" in line
+        elif inside and head[0] == "Rss:":
+            total += int(head[1])
+    return total
+
+before = openblas_kb()
+with contextlib.redirect_stdout(io.StringIO()):
+    main(["channel", "ZI", "IZ", "--state", "|00>", "--trials", "64", "--json"])
+    main(["channel", *sys.argv[1:], "--state", "|000000>", "--trials", "64", "--json"])
+    main(["preset", "q8", "--json"])
+print(before, openblas_kb())
+"""
+
+
+def test_small_blocks_fault_in_no_openblas_code():
+    """A fresh process that runs a 1 x 1 scan, a 2 x 2 scan and the q8 report
+    maps no further OpenBLAS page: no BLAS or LAPACK code runs at all.
+    Skipped where numpy's BLAS is not OpenBLAS or smaps is not readable."""
+    try:
+        smaps = open("/proc/self/smaps").read()
+    except OSError:
+        pytest.skip("no /proc/self/smaps")
+    if "openblas" not in smaps:
+        pytest.skip("numpy does not use OpenBLAS here")
+    done = subprocess.run(
+        [sys.executable, "-c", _OPENBLAS_GROWTH, *_K6_H1],
+        capture_output=True, text=True, check=True,
+    )
+    before, after = map(int, done.stdout.split())
+    assert after == before, f"OpenBLAS Rss grew from {before} to {after} kB"
+
+
+class TestScanArrays:
+    def test_results_are_read_only_float_arrays(self, qz):
+        """Purities and fidelities are float64 arrays, one entry a trial,
+        which ``to_json_dict`` writes as lists; the mean is Python's
+        left-to-right sum of the purities."""
+        report = decoherence_scan(qz, ket("00") + ket("11"), trials=37, seed=2)
+        for values in (report.purities, report.fidelities):
+            assert values.dtype == np.float64 and values.shape == (37,)
+            assert not values.flags.writeable
+        data = report.to_json_dict()
+        assert data["purities"] == report.purities.tolist()
+        assert data["fidelities"] == report.fidelities.tolist()
+        assert data["mean_purity"] == sum(data["purities"]) / 37
+        assert data["min_purity"] == min(data["purities"])
+        assert data["min_fidelity"] == min(data["fidelities"])
+
+    def test_trial_seeds_unchanged(self, monkeypatch, qz):
+        """Trial t of seed s draws at s * 1 000 003 + 97 t, past 2^63 too."""
+        requested = _zero_draws_at(monkeypatch, set())
+        seed = 1 << 60
+        decoherence_scan(qz, ket("00"), trials=5, seed=seed)
+        assert requested == [seed * 1_000_003 + 97 * t for t in range(5)]
